@@ -5,22 +5,21 @@ budget, per-user resources, protocol); `run_trial` draws one mean vector and
 one transcript-plus-decision; `estimate_error` turns repeated trials into
 type-I/type-II rates with exact bit auditing on every transcript.
 
-Two sampling paths produce identically distributed transcripts:
+Two sampling paths give every repetition's bits the same law.  Both run
+the protocol once, as written in :mod:`distmeantest.protocols`: `run_trial`
+builds the protocol's plan once per config (cached in
+``PopulationConfig._cache``) and hands it, with the trial's public seed and a
+bit source, to the shared trial body.  Only the bit source differs:
 
-* ``literal``  — draw every user's Gaussian samples and push them through the
-  protocol functions in :mod:`distmeantest.protocols`.
-* ``law``      — draw each transmitted bit directly from its exact
-  distribution.  A quantized rotated coordinate is 1 with probability
-  Phi(mu_rot[c]) where mu_rot is the rotated (and aggregation-scaled) mean:
-  rotations are orthogonal, so rotated samples are Gaussian with identity
-  covariance around mu_rot, coordinates independent; distinct transmitted
-  bits always come from distinct (user, coordinate) pairs.  The law path
-  reuses the protocols' layout helpers and referees bit-for-bit, consumes
-  the public seed identically, and produces transcripts with identical
-  shapes — only the source of the transmitted bits differs.
+* ``literal``  — `LiteralSource` sign-quantizes every user's real Gaussian
+  samples.
+* ``law``      — `LawSource` draws each transmitted bit directly from its
+  exact Bernoulli law; it never draws a bit that is not sent.
 
 The law path is the default: it makes six-figure populations tractable on a
-single core.  Equivalence of the two paths is covered by the test suite.
+single core.  The paths also agree jointly across repetitions except for
+hetero_comm, whose seven repetitions all reuse each user's one sample while
+the law path draws them independently; the test suite covers both facts.
 """
 
 from __future__ import annotations
@@ -32,35 +31,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binary_test import ACCEPT, bpmt_decide, bpmt_decide_threshold
-from .brht import brht_apply, next_pow2, sample_brht
-from .errors import (
-    CalibrationFailedError,
-    DegenerateInputError,
-    InfeasiblePartitionError,
-    InsufficientPopulationError,
-    ParameterError,
-)
+from .binary_test import ACCEPT, REJECT, bpmt_decide
+from .brht import BrhtSpec, brht_apply, next_pow2, sample_brht
+from .errors import CalibrationFailedError, ParameterError
+# sample_brht, greedy_partition and the two coin protocols are bound here as
+# well so that bench/run.py can trace them where this module binds them
 from .protocols import (
     Decision,
-    REPETITIONS,
-    SIGN_QUANTIZE_DISTANCE_FACTOR,
+    LiteralSource,
+    Plan,
     Transcript,
     UserSpec,
     greedy_partition,
-    hetero_comm_params,
-    hetero_comm_protocol,
-    hetero_pair_weight,
-    hetero_samples_protocol,
-    hetero_share,
-    hetero_threshold,
-    limited_coin_params,
+    hetero_comm_plan,
+    hetero_samples_plan,
+    limited_coin_plan,
     limited_coin_protocol,
-    mix_and_match_keep_length,
-    mix_and_match_protocol,
-    private_coin_layout,
+    mix_and_match_plan,
+    private_coin_plan,
     private_coin_protocol,
-    wraparound_coords,
+    run_plan,
 )
 from .randomness import PublicSeed
 
@@ -162,6 +152,16 @@ def gen_gaussian_samples(mu: np.ndarray, count: int,
 # ---------------------------------------------------------------------------
 # population configuration
 
+_JSON_KINDS = {int: "an integer", (int, float): "a number", str: "a string",
+               list: "an array", dict: "an object"}
+
+
+def _expect(value, kind, what: str):
+    """value, if it has the JSON type `kind` (booleans are not numbers)."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ParameterError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
 
 @dataclass
 class PopulationConfig:
@@ -174,7 +174,7 @@ class PopulationConfig:
     users: list[UserSpec]
     partition: list[list[int]] | None = None
     mean_modes: list[str] = field(default_factory=lambda: list(MEAN_MODES))
-    # trial-independent derived state (resource arrays, group layouts);
+    # trial-independent derived state (resource arrays, the protocol plan);
     # populations run to ~10^6 users, so these must not be rebuilt per trial
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -231,19 +231,26 @@ class PopulationConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PopulationConfig":
+        """Build a config from parsed JSON.  A value of the wrong JSON type is
+        rejected with ParameterError, never coerced."""
         users: list[UserSpec] = []
-        for entry in raw.get("users", []):
-            count = int(entry.get("count", 1))
+        for entry in _expect(_expect(raw, dict, "config").get("users", []), list, "users"):
+            count = _expect(_expect(entry, dict, "users entry").get("count", 1), int, "count")
             if count < 1:
                 raise ParameterError(f"user count must be >= 1, got {count}")
-            users.extend(UserSpec(m=int(entry["m"]), ell=int(entry["ell"]))
-                         for _ in range(count))
-        kwargs = {}
-        if "mean_modes" in raw:
-            kwargs["mean_modes"] = list(raw["mean_modes"])
-        return cls(d=int(raw["d"]), epsilon=float(raw["epsilon"]), s=int(raw["s"]),
-                   protocol=str(raw["protocol"]), users=users,
-                   partition=raw.get("partition"), **kwargs)
+            users += [UserSpec(m=_expect(entry["m"], int, "m"),
+                               ell=_expect(entry["ell"], int, "ell"))] * count
+        partition = raw.get("partition")
+        for group in [] if partition is None else _expect(partition, list, "partition"):
+            for i in _expect(group, list, "partition group"):
+                _expect(i, int, "partition entry")
+        modes = _expect(raw.get("mean_modes", list(MEAN_MODES)), list, "mean_modes")
+        for mode in modes:
+            _expect(mode, str, "mean mode")
+        return cls(d=_expect(raw["d"], int, "d"),
+                   epsilon=float(_expect(raw["epsilon"], (int, float), "epsilon")),
+                   s=_expect(raw["s"], int, "s"), protocol=_expect(raw["protocol"], str, "protocol"),
+                   users=users, partition=partition, mean_modes=list(modes))
 
     def to_dict(self) -> dict:
         # run-length encode the user list to keep large configs readable
@@ -279,251 +286,56 @@ def _trial_streams(master_seed: int, mode: str, trial_index: int
     return tuple(np.random.Generator(np.random.PCG64(k)) for k in kids)
 
 
-def _pad_mean(mu: np.ndarray, d_pad: int) -> np.ndarray:
-    if mu.shape[0] == d_pad:
-        return mu
-    out = np.zeros(d_pad)
-    out[:mu.shape[0]] = mu
-    return out
+class LawSource:
+    """Bit source that draws each transmitted bit from its exact law.
+
+    A quantized rotated coordinate is 1 with probability Phi(mu_rot[c]),
+    where mu_rot is the rotated mean, scaled by sqrt(block) after a block of
+    samples is aggregated: rotations are orthogonal, so rotated samples are
+    Gaussian with identity covariance around mu_rot, and distinct bits of
+    one repetition come from distinct (user, coordinate) pairs.  Only the
+    transmitted bits are drawn, one vectorized draw per repetition, and the
+    repetitions are drawn independently: exact where they use disjoint
+    samples, which holds for every protocol but hetero_comm.
+    """
+
+    def __init__(self, mu: np.ndarray, rng: np.random.Generator):
+        self.mu = mu
+        self.rng = rng
+
+    def bits(self, plan: Plan, r: int, spec: BrhtSpec | None) -> np.ndarray:
+        total, width = int(plan.runs[r][1].sum()), plan.width
+        mu_rot = self.mu if spec is None else brht_apply(spec, self.mu, keep=width)
+        if plan.blocks is None:
+            p = _flip_probs(mu_rot)[None, :]                     # the same for every row
+        else:
+            sizes, row_size = plan.blocks
+            p = _flip_probs(np.sqrt(sizes)[:, None] * mu_rot)[row_size]
+        draws = self.rng.random(total)
+        full = total - total % width     # only hetero_comm (no blocks) leaves a partial row
+        bits = np.empty(total, dtype=np.uint8)
+        bits[:full].reshape(-1, width)[...] = draws[:full].reshape(-1, width) < p
+        bits[full:] = draws[full:] < p[0, :total - full]
+        return bits
 
 
-def _law_private(n: int, d: int, ell: int, epsilon: float, mu: np.ndarray,
-                 rng: np.random.Generator) -> tuple[Decision, Transcript]:
-    """Exact-law twin of private_coin_protocol for a mean-mu population."""
-    ell_eff, group, n_sim = private_coin_layout(n, d, ell)
-    if n_sim == 0:
-        raise InsufficientPopulationError(
-            f"{n} users with {ell_eff}-bit blocks cannot fill one {d}-coordinate sample")
-    p = _flip_probs(mu)
-    sim = (rng.random((n_sim, d)) < p).astype(np.uint8)
-    verdict = bpmt_decide(sim, epsilon * SIGN_QUANTIZE_DISTANCE_FACTOR)
-    active = n_sim * group
-    lengths = np.zeros(n, dtype=np.int64)
-    lengths[:active] = ell_eff
-    transcript = Transcript.from_lengths(lengths)
-    transcript.data[:active * ell_eff] = sim.reshape(-1)
-    return Decision(verdict=verdict), transcript
-
-
-def _limited_offsets(config: "PopulationConfig", n: int, cohort_size: int,
-                     ell_eff: int, L: int) -> np.ndarray:
-    """Transcript offsets for the 7-cohort layout (constant across trials)."""
-    key = ("limited_offsets", n, cohort_size, ell_eff, L)
+def _plan(config: PopulationConfig, d: int) -> Plan:
+    """The protocol plan of `config` in dimension d, built once per config."""
+    key = ("plan", d, config.s)
     if key not in config._cache:
-        active = (cohort_size // (L // ell_eff)) * (L // ell_eff)
-        lengths = np.zeros(n, dtype=np.int64)
-        for r in range(REPETITIONS):
-            lengths[r * cohort_size:r * cohort_size + active] = ell_eff
-        config._cache[key] = np.concatenate([[0], np.cumsum(lengths)])
+        n, ell, eps, s = config.n_users(), int(config.ells()[0]), config.epsilon, config.s
+        if config.protocol == "private":
+            plan = private_coin_plan(n, d, min(ell, d), eps)
+        elif config.protocol == "limited":
+            plan = limited_coin_plan(n, d, min(ell, d), eps, s)
+        elif config.protocol == "hetero_samples":
+            plan = hetero_samples_plan(config.ms(), d, ell, eps, s)
+        elif config.protocol == "hetero_comm":
+            plan = hetero_comm_plan(config.ells(), d, eps, s)
+        else:
+            plan = mix_and_match_plan(config.users, d, eps, s, config.partition)
+        config._cache[key] = plan
     return config._cache[key]
-
-
-def _law_limited(config: "PopulationConfig", mu: np.ndarray, d_pad: int,
-                 seed: PublicSeed, rng: np.random.Generator) -> tuple[Decision, Transcript]:
-    n = config.n_users()
-    ell = int(config.ells()[0])
-    cohort_size = n // REPETITIONS
-    if cohort_size == 0:
-        raise InsufficientPopulationError(f"need at least {REPETITIONS} users, got {n}")
-    d_s, L, ell_eff, scale = limited_coin_params(d_pad, min(ell, d_pad), seed.size)
-    eps_eff = config.epsilon * scale
-    before = seed.consumed
-    chunks: list[np.ndarray] = []
-    rep_accepts: list[bool] = []
-    for _ in range(REPETITIONS):
-        spec = sample_brht(seed, d_pad, d_s)
-        mu_rot = brht_apply(spec, mu, keep=L)
-        decision_r, transcript_r = _law_private(cohort_size, L, ell_eff, eps_eff, mu_rot, rng)
-        rep_accepts.append(decision_r.verdict == ACCEPT)
-        chunks.append(transcript_r.data)
-    verdict = ACCEPT if all(rep_accepts) else "reject"
-    offsets = _limited_offsets(config, n, cohort_size, ell_eff, L)
-    merged = Transcript(offsets, np.concatenate(chunks), seed.consumed - before)
-    return Decision(verdict=verdict, repetition_accepts=tuple(rep_accepts)), merged
-
-
-def _law_hetero_samples(config: "PopulationConfig", mu: np.ndarray, d_pad: int,
-                        seed: PublicSeed, rng: np.random.Generator
-                        ) -> tuple[Decision, Transcript]:
-    m = config.ms()
-    n = m.shape[0]
-    if n < 2:
-        raise DegenerateInputError(f"pairwise referee needs >= 2 users, got {n}")
-    if np.any(m // REPETITIONS < 1):
-        raise DegenerateInputError("every user needs at least 7 samples")
-    ell = int(config.ells()[0])
-    share = hetero_share(ell, d_pad)
-    before = seed.consumed
-    specs = [sample_brht(seed, d_pad, share) for _ in range(REPETITIONS)]
-    N = hetero_pair_weight(m)
-    tau = hetero_threshold(config.epsilon, ell, N, d_pad, n)
-
-    mu_rot = np.stack([brht_apply(sp, mu, keep=share) for sp in specs])  # (7, share)
-    bits = np.empty((n, REPETITIONS, share), dtype=np.uint8)
-    for value in np.unique(m):
-        idx = np.flatnonzero(m == value)
-        scale = math.sqrt(int(value) // REPETITIONS)
-        p = _flip_probs(scale * mu_rot)                                  # (7, share)
-        bits[idx] = rng.random((idx.shape[0], REPETITIONS, share)) < p
-    rep_accepts = [
-        bpmt_decide_threshold(bits[:, t, :], tau) == ACCEPT for t in range(REPETITIONS)
-    ]
-    transcript = Transcript.from_lengths(np.full(n, REPETITIONS * share, dtype=np.int64),
-                                         public_bits_used=seed.consumed - before)
-    transcript.data[:] = bits.reshape(-1)
-    verdict = ACCEPT if all(rep_accepts) else "reject"
-    return Decision(verdict=verdict, repetition_accepts=tuple(rep_accepts)), transcript
-
-
-def _law_hetero_comm(config: "PopulationConfig", mu: np.ndarray, d_pad: int,
-                     seed: PublicSeed, rng: np.random.Generator
-                     ) -> tuple[Decision, Transcript]:
-    ells = config.ells()
-    n = ells.shape[0]
-    d_s, L, shares = hetero_comm_params(d_pad, ells, seed.size)
-    eps_inner = (config.epsilon * SIGN_QUANTIZE_DISTANCE_FACTOR
-                 * math.sqrt(L / (100.0 * d_pad)))
-    total_share = int(shares.sum())
-    if total_share < L:
-        raise InsufficientPopulationError(
-            f"{total_share} per-repetition bits cannot fill one {L}-coordinate sample")
-    users, coords = wraparound_coords(shares, L)
-    starts = np.cumsum(shares) - shares
-    j_flat = np.arange(total_share) - starts[users]
-    before = seed.consumed
-    transcript = Transcript.from_lengths(REPETITIONS * shares)
-    rep_accepts: list[bool] = []
-    n_sim = total_share // L
-    for r in range(REPETITIONS):
-        spec = sample_brht(seed, d_pad, d_s)
-        p = _flip_probs(brht_apply(spec, mu, keep=L))
-        transmitted = (rng.random(total_share) < p[coords]).astype(np.uint8)
-        sim = transmitted[:n_sim * L].reshape(n_sim, L)
-        rep_accepts.append(bpmt_decide(sim, eps_inner) == ACCEPT)
-        transcript.data[transcript.offsets[users] + r * shares[users] + j_flat] = transmitted
-    transcript.public_bits_used = seed.consumed - before
-    verdict = ACCEPT if all(rep_accepts) else "reject"
-    return Decision(verdict=verdict, repetition_accepts=tuple(rep_accepts)), transcript
-
-
-@dataclass
-class _MixLayout:
-    """Trial-independent geometry of a mix-and-match population."""
-
-    d_pad: int
-    s: int
-    L: int
-    K: int
-    group_min_m: np.ndarray
-    tau: float
-    offsets: np.ndarray      # transcript offsets in user order
-    gather: np.ndarray       # transcript.data = streams.reshape(-1)[gather]
-
-
-def _mix_layout(config: "PopulationConfig", d_pad: int) -> _MixLayout:
-    key = ("mix_layout", d_pad, config.s)
-    cached = config._cache.get(key)
-    if cached is not None:
-        return cached
-    users = config.users
-    n = len(users)
-    ells = config.ells()
-    ms = config.ms()
-    L = mix_and_match_keep_length(d_pad, ells, config.s)
-    partition = config.partition
-    if partition is None:
-        partition = greedy_partition(users, L)
-    seen = sorted(i for g in partition for i in g)
-    if seen != list(range(n)):
-        raise ParameterError("partition must cover every user exactly once")
-    need = REPETITIONS * L
-    for group in partition:
-        if int(ells[group].sum()) < need:
-            raise InfeasiblePartitionError(
-                f"group budget {int(ells[group].sum())} is below the requirement {need}")
-    K = len(partition)
-    if K < 2:
-        raise DegenerateInputError(f"pairwise referee needs >= 2 groups, got {K}")
-    group_min_m = np.array([int(ms[g].min()) for g in partition], dtype=np.int64)
-    if np.any(group_min_m // REPETITIONS < 1):
-        raise DegenerateInputError("every group needs min sample count >= 7")
-    N = hetero_pair_weight(group_min_m)
-    tau = hetero_threshold(config.epsilon, need, N, d_pad, K)
-
-    lengths = np.zeros(n, dtype=np.int64)
-    spans: list[tuple[int, int, int, int]] = []   # (user, group, start, span)
-    for j, group in enumerate(partition):
-        filled = 0
-        for i in group:
-            span = min(int(ells[i]), need - filled)
-            if span > 0:
-                spans.append((i, j, filled, span))
-                lengths[i] = span
-                filled += span
-    offsets = np.concatenate([[0], np.cumsum(lengths)])
-    gather = np.empty(int(offsets[-1]), dtype=np.int64)
-    for i, j, start, span in spans:
-        gather[offsets[i]:offsets[i + 1]] = j * need + np.arange(start, start + span)
-    layout = _MixLayout(d_pad=d_pad, s=config.s, L=L, K=K, group_min_m=group_min_m,
-                        tau=tau, offsets=offsets, gather=gather)
-    config._cache[key] = layout
-    return layout
-
-
-def _law_mix_and_match(config: "PopulationConfig", mu: np.ndarray, d_pad: int,
-                       seed: PublicSeed, rng: np.random.Generator
-                       ) -> tuple[Decision, Transcript]:
-    lay = _mix_layout(config, d_pad)
-    before = seed.consumed
-    specs = [sample_brht(seed, d_pad, lay.L) for _ in range(REPETITIONS)]
-    mu_rot = np.stack([brht_apply(sp, mu, keep=lay.L) for sp in specs])  # (7, L)
-
-    blocks = lay.group_min_m // REPETITIONS
-    p_of_block = {int(b): _flip_probs(math.sqrt(int(b)) * mu_rot)
-                  for b in np.unique(blocks)}
-    probs = np.stack([p_of_block[int(b)] for b in blocks])               # (K, 7, L)
-    streams = (rng.random((lay.K, REPETITIONS, lay.L)) < probs).astype(np.uint8)
-
-    rep_accepts = [
-        bpmt_decide_threshold(streams[:, t, :], lay.tau) == ACCEPT
-        for t in range(REPETITIONS)
-    ]
-    transcript = Transcript(lay.offsets, streams.reshape(-1)[lay.gather],
-                            seed.consumed - before)
-    verdict = ACCEPT if all(rep_accepts) else "reject"
-    return Decision(verdict=verdict, repetition_accepts=tuple(rep_accepts)), transcript
-
-
-def _literal_dispatch(config: "PopulationConfig", mu: np.ndarray, d_pad: int,
-                      seed: PublicSeed, rng: np.random.Generator
-                      ) -> tuple[Decision, Transcript]:
-    name = config.protocol
-    if name == "private":
-        samples = gen_gaussian_samples(mu, config.n_users(), rng)
-        return private_coin_protocol(samples, d_pad, min(int(config.ells()[0]), d_pad),
-                                     config.epsilon)
-    if name == "limited":
-        samples = gen_gaussian_samples(mu, config.n_users(), rng)
-        return limited_coin_protocol(samples, d_pad, min(int(config.ells()[0]), d_pad),
-                                     config.epsilon, seed)
-    if name == "hetero_samples":
-        per_user = [gen_gaussian_samples(mu, int(m), rng) for m in config.ms()]
-        return hetero_samples_protocol(per_user, config.ms(), d_pad,
-                                       int(config.ells()[0]), config.epsilon, seed)
-    if name == "hetero_comm":
-        samples = gen_gaussian_samples(mu, config.n_users(), rng)
-        return hetero_comm_protocol(samples, d_pad, config.ells(), config.epsilon, seed)
-    per_user = [gen_gaussian_samples(mu, int(m), rng) for m in config.ms()]
-    return mix_and_match_protocol(per_user, config.users, d_pad, config.epsilon, seed,
-                                  partition=config.partition)
-
-
-_LAW_DISPATCH = {
-    "limited": _law_limited,
-    "hetero_samples": _law_hetero_samples,
-    "hetero_comm": _law_hetero_comm,
-    "mix_and_match": _law_mix_and_match,
-}
 
 
 def run_trial(config: PopulationConfig, mean: MeanSpec, trial_index: int,
@@ -532,24 +344,26 @@ def run_trial(config: PopulationConfig, mean: MeanSpec, trial_index: int,
     """One full simulated protocol execution.
 
     Derives (mean, public-seed, data) streams from (master_seed, mode, trial),
-    draws the mean and the shared seed, and runs the configured protocol.
-    Dimensions that are not powers of two are embedded into the next power of
-    two: the mean is zero-padded and samples carry fresh unit-variance noise
-    in the padded coordinates (realized by sampling in the padded dimension).
+    draws the mean and the shared seed, and runs the configured protocol's
+    cached plan with the bit source of `sample_path`.  Dimensions that are
+    not powers of two are embedded into the next power of two: the mean is
+    zero-padded and samples carry fresh unit-variance noise in the padded
+    coordinates (realized by sampling in the padded dimension).
     """
     if sample_path not in ("law", "literal"):
         raise ParameterError(f"unknown sample path {sample_path!r}")
     mean_rng, public_rng, data_rng = _trial_streams(master_seed, mean.mode, trial_index)
-    mu = make_mean(mean, config.d, mean_rng)
     d_pad = next_pow2(config.d)
-    mu = _pad_mean(mu, d_pad)
+    mu = np.pad(make_mean(mean, config.d, mean_rng), (0, d_pad - config.d))
     seed = PublicSeed.random(config.s, public_rng)
-    if sample_path == "literal":
-        return _literal_dispatch(config, mu, d_pad, seed, data_rng)
-    if config.protocol == "private":
-        return _law_private(config.n_users(), d_pad, min(int(config.ells()[0]), d_pad),
-                            config.epsilon, mu, data_rng)
-    return _LAW_DISPATCH[config.protocol](config, mu, d_pad, seed, data_rng)
+    plan = _plan(config, d_pad)
+    if sample_path == "law":
+        source = LawSource(mu, data_rng)
+    elif plan.blocks is None:
+        source = LiteralSource(gen_gaussian_samples(mu, config.n_users(), data_rng))
+    else:
+        source = LiteralSource([gen_gaussian_samples(mu, int(m), data_rng) for m in config.ms()])
+    return run_plan(plan, seed, source)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +454,7 @@ def run_batch(config: PopulationConfig, trials: int, master_seed: int = 0,
             micros = (time.perf_counter_ns() - t0) // 1000 if timing else 0
             report = budget_audit(transcript, config)
             violations.extend(f"mode={mode} trial={trial}: {v}" for v in report.violations)
-            wrong_call = (decision.verdict == "reject") if mode == "null" \
+            wrong_call = (decision.verdict == REJECT) if mode == "null" \
                 else (decision.verdict == ACCEPT)
             wrong[mode] += int(wrong_call)
             records.append(TrialRecord(
@@ -743,7 +557,7 @@ def bpmt_error_rates(d: int, epsilon: float, n: int, trials: int,
     wrong = {"null": 0, "spike": 0, "spread": 0}
     for _ in range(trials):
         null_sample = (rng.random((n, d)) < 0.5).astype(np.uint8)
-        wrong["null"] += int(bpmt_decide(null_sample, epsilon) == "reject")
+        wrong["null"] += int(bpmt_decide(null_sample, epsilon) == REJECT)
         for name, p in alternatives.items():
             alt_sample = (rng.random((n, d)) < p).astype(np.uint8)
             wrong[name] += int(bpmt_decide(alt_sample, epsilon) == ACCEPT)

@@ -11,6 +11,16 @@ referee on the assembled binary samples.  Shared structure:
 * amplified protocols run 7 independent repetitions and accept only if every
   repetition accepts.
 
+Each protocol is written once, in three parts.  Its *plan* (`*_plan`) holds
+everything that does not depend on the trial: validation, layout, transform
+block length, threshold, transcript offsets.  A *bit source* returns the
+sign bits of the rotated, block-aggregated data of given users at given
+rotated coordinates: `LiteralSource` quantizes real samples, and the harness
+supplies a source that draws the bits from their exact law.  The *trial
+body* `run_plan` draws the transforms from the public seed, asks the source
+for each repetition's bits, runs the referee and assembles the transcript.
+The public `*_protocol` functions are plan + literal source + trial body.
+
 Budget flooring policy: coordinate-block sizes (private/limited `ell`, the
 per-repetition share of the heterogeneous-samples protocol, which doubles as
 a transform block length) are floored to powers of two; wrap-around stream
@@ -21,20 +31,22 @@ arithmetic needs no alignment.
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .binary_test import ACCEPT, REJECT, bpmt_decide, bpmt_decide_threshold, collision_statistic
+from .binary_test import ACCEPT, REJECT, bpmt_decide_threshold
 from .brht import BrhtSpec, RETENTION_FACTOR, brht_apply, is_pow2, pow2_floor, sample_brht
 from .errors import (
+    BudgetExhaustedError,
     DegenerateInputError,
     DimensionError,
     InfeasiblePartitionError,
     InsufficientPopulationError,
     ParameterError,
 )
-from .randomness import PublicSeed
+from .randomness import MAX_FIELD_DEGREE, PublicSeed
 
 __all__ = [
     "UserSpec",
@@ -45,6 +57,7 @@ __all__ = [
     "wraparound_coords",
     "assemble_wraparound",
     "greedy_partition",
+    "seed_block_length",
     "private_coin_protocol",
     "limited_coin_protocol",
     "hetero_samples_protocol",
@@ -53,6 +66,11 @@ __all__ = [
 ]
 
 REPETITIONS = 7
+# Halving the transform block length costs 4 more seed bits in each of the
+# 7 transforms.
+SEED_BITS_PER_HALVING = 4 * REPETITIONS
+# b four-wise signs are evaluations over GF(b), so b is capped by the field table.
+MAX_SIGN_BLOCKS = 1 << MAX_FIELD_DEGREE
 # Confidence/threshold constants baked into the protocol family.
 SIGN_QUANTIZE_DISTANCE_FACTOR = 1.0 / np.sqrt(8.0)   # Gaussian -> binary distance loss
 HETERO_DISTANCE_FACTOR = 1.0 / 80.0                  # heterogeneous referee prefactor
@@ -236,11 +254,6 @@ def greedy_partition(users: list[UserSpec], L: int) -> list[list[int]]:
     return groups
 
 
-def _amplified(rep_accepts: list[bool]) -> Decision:
-    verdict = ACCEPT if all(rep_accepts) else REJECT
-    return Decision(verdict=verdict, repetition_accepts=tuple(rep_accepts))
-
-
 def _check_common(d: int, epsilon: float) -> None:
     if not is_pow2(d):
         raise DimensionError(f"protocol dimension must be a power of two, got {d}")
@@ -248,8 +261,115 @@ def _check_common(d: int, epsilon: float) -> None:
         raise ParameterError(f"epsilon must be in (0, 1], got {epsilon}")
 
 
-def _seed_delta(seed: PublicSeed | None, before: int) -> int:
-    return 0 if seed is None else seed.consumed - before
+def _check_samples(samples: np.ndarray, d: int) -> np.ndarray:
+    samples = np.asarray(samples)
+    if samples.ndim != 2 or samples.shape[1] != d:
+        raise DimensionError(f"expected (n, {d}) samples, got shape {samples.shape}")
+    return samples
+
+
+def seed_block_length(d: int, s: int) -> int:
+    """d_s = d / 2^min(floor(s/28), log2 d): the finest block length for which
+    seven (d, d_s) transforms fit in s seed bits."""
+    if s < 0:
+        raise ParameterError(f"seed budget must be >= 0, got {s}")
+    return d >> min(s // SEED_BITS_PER_HALVING, int(d).bit_length() - 1)
+
+
+def _check_transforms(d: int, block: int, s: int) -> None:
+    """Reject seven (d, block) transforms that the four-wise sign field or the
+    s remaining seed bits cannot supply, before any seed bit is drawn."""
+    signs = d // block
+    if signs > MAX_SIGN_BLOCKS:
+        raise ParameterError(
+            f"d={d} with s={s} needs {signs} four-wise signs per transform; "
+            f"the GF(2^{MAX_FIELD_DEGREE}) sign field caps this at {MAX_SIGN_BLOCKS}")
+    need = REPETITIONS * 4 * (signs.bit_length() - 1)
+    if need > s:
+        raise BudgetExhaustedError(
+            f"seven ({d}, {block}) transforms need {need} public bits, only {s} left")
+
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+
+
+# ---------------------------------------------------------------------------
+# protocol core: a plan, a bit source, and the trial body that joins them
+
+
+@dataclass
+class Plan:
+    """The trial-independent part of one protocol run.
+
+    Repetition r draws a (d, block) transform from the public seed (none when
+    block is None) and transmits runs[r] = (users, lengths): users[i] sends
+    the next lengths[i] bits of the repetition's stream, and stream position
+    q carries coordinate q mod width of its sender's rotated vector (the
+    wrap-around layout).  Every full row of `width` positions is one referee
+    sample, tested at threshold tau.  `blocks` is None when each user holds
+    one sample; otherwise (sizes, row_size) builds row j from blocks of
+    sizes[row_size[j]] samples, and repetition r aggregates block r + 1.
+    `assemble` maps the repetitions' streams to user-major transcript data.
+    """
+
+    d: int
+    block: int | None
+    width: int
+    tau: float
+    runs: list[tuple[np.ndarray, np.ndarray]]
+    offsets: np.ndarray
+    blocks: tuple[np.ndarray, np.ndarray] | None = None
+    assemble: Callable[[list[np.ndarray]], np.ndarray] = np.concatenate
+
+
+class LiteralSource:
+    """Bit source that sign-quantizes real samples: an (n, d) matrix of single
+    samples, or one (m_k, d) array per user when the plan aggregates blocks."""
+
+    def __init__(self, samples):
+        self.samples = samples
+
+    def bits(self, plan: Plan, r: int, spec: BrhtSpec | None) -> np.ndarray:
+        users, lengths = plan.runs[r]
+        run_of, coords = wraparound_coords(lengths, plan.width)
+        if plan.blocks is None:
+            lo = int(users.min())
+            x = self.samples[lo:int(users.max()) + 1]
+            rotated = x if spec is None else brht_apply(spec, x, keep=plan.width)
+            return sign_quantize(rotated[users[run_of] - lo, coords])
+        sizes, row_size = plan.blocks
+        run_block = sizes[row_size[(np.cumsum(lengths) - lengths) // plan.width]]
+        quantized = np.empty((users.shape[0], plan.width), dtype=np.uint8)
+        for b in np.unique(run_block).tolist():
+            runs = np.flatnonzero(run_block == b)
+            stacked = np.stack([np.asarray(self.samples[users[i]], dtype=np.float64)
+                                [r * b:(r + 1) * b] for i in runs])
+            quantized[runs] = sign_quantize(
+                brht_apply(spec, aggregate_block(stacked, 1, b), keep=plan.width))
+        return quantized[run_of, coords]
+
+
+def run_plan(plan: Plan, seed: PublicSeed | None, source) -> tuple[Decision, Transcript]:
+    """The trial body every protocol and every bit source share.
+
+    `source.bits(plan, r, spec)` returns repetition r's stream under the
+    transform spec.  Amplified plans accept only if every repetition does.
+    """
+    before = 0 if seed is None else seed.consumed
+    rep_bits: list[np.ndarray] = []
+    rep_accepts: list[bool] = []
+    for r in range(len(plan.runs)):
+        spec = None if plan.block is None else sample_brht(seed, plan.d, plan.block)
+        bits = source.bits(plan, r, spec)
+        n_sim = bits.shape[0] // plan.width
+        sim = bits[:n_sim * plan.width].reshape(n_sim, plan.width)
+        rep_accepts.append(bpmt_decide_threshold(sim, plan.tau) == ACCEPT)
+        rep_bits.append(bits)
+    used = 0 if seed is None else seed.consumed - before
+    transcript = Transcript(plan.offsets, plan.assemble(rep_bits), used)
+    accepts = tuple(rep_accepts) if len(rep_accepts) > 1 else None
+    return Decision(ACCEPT if all(rep_accepts) else REJECT, accepts), transcript
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +385,22 @@ def private_coin_layout(n: int, d: int, ell: int) -> tuple[int, int, int]:
     return ell_eff, group, n // group
 
 
+def private_coin_plan(n: int, d: int, ell: int, epsilon: float) -> Plan:
+    """Plan of `private_coin_protocol` for n users."""
+    _check_common(d, epsilon)
+    ell_eff, group, n_sim = private_coin_layout(n, d, ell)
+    if n_sim == 0:
+        raise InsufficientPopulationError(
+            f"{n} users with {ell_eff}-bit blocks cannot fill one {d}-coordinate sample"
+        )
+    active = n_sim * group
+    lengths = np.zeros(n, dtype=np.int64)
+    lengths[:active] = ell_eff
+    eps = epsilon * SIGN_QUANTIZE_DISTANCE_FACTOR
+    return Plan(d=d, block=None, width=d, tau=0.5 * eps * eps,
+                runs=[(np.arange(active), lengths[:active])], offsets=_offsets(lengths))
+
+
 def private_coin_protocol(samples: np.ndarray, d: int, ell: int,
                           epsilon: float) -> tuple[Decision, Transcript]:
     """Each user quantizes its sample and sends one designated coordinate block.
@@ -273,29 +409,9 @@ def private_coin_protocol(samples: np.ndarray, d: int, ell: int,
     runs the centralized test at distance epsilon/sqrt(8).  Leftover users
     (an incomplete trailing group) stay silent.
     """
-    _check_common(d, epsilon)
-    samples = np.asarray(samples)
-    if samples.ndim != 2 or samples.shape[1] != d:
-        raise DimensionError(f"expected (n, {d}) samples, got shape {samples.shape}")
-    n = samples.shape[0]
-    ell_eff, group, n_sim = private_coin_layout(n, d, ell)
-    if n_sim == 0:
-        raise InsufficientPopulationError(
-            f"{n} users with {ell_eff}-bit blocks cannot fill one {d}-coordinate sample"
-        )
-    active = n_sim * group
-    quantized = sign_quantize(samples[:active]).reshape(n_sim, group, d)
-    sim = np.empty((n_sim, group, ell_eff), dtype=np.uint8)
-    for pos in range(group):
-        sim[:, pos, :] = quantized[:, pos, pos * ell_eff:(pos + 1) * ell_eff]
-    sim = sim.reshape(n_sim, d)
-    verdict = bpmt_decide(sim, epsilon * SIGN_QUANTIZE_DISTANCE_FACTOR)
-
-    lengths = np.zeros(n, dtype=np.int64)
-    lengths[:active] = ell_eff
-    transcript = Transcript.from_lengths(lengths)
-    transcript.data[:active * ell_eff] = sim.reshape(-1)  # user-major == sample-major here
-    return Decision(verdict=verdict), transcript
+    samples = _check_samples(samples, d)
+    return run_plan(private_coin_plan(samples.shape[0], d, ell, epsilon), None,
+                    LiteralSource(samples))
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +424,30 @@ def limited_coin_params(d: int, ell: int, s: int) -> tuple[int, int, int, float]
     d_s = d / 2^floor(s/28) (capped at 1), L = max(d_s, ell); the inner test
     runs at epsilon * sqrt(L / (100 d)).
     """
-    if s < 0:
-        raise ParameterError(f"seed budget must be >= 0, got {s}")
+    d_s = seed_block_length(d, s)
     if not (1 <= ell <= d):
         raise ParameterError(f"bit budget must be in 1..{d}, got {ell}")
-    exponent = min(s // 28, int(d).bit_length() - 1)
-    d_s = d >> exponent
     ell_eff = pow2_floor(ell)
     L = max(d_s, ell_eff)
     scale = np.sqrt(RETENTION_FACTOR * L / d)
     return d_s, L, ell_eff, scale
+
+
+def limited_coin_plan(n: int, d: int, ell: int, epsilon: float, s: int) -> Plan:
+    """Plan of `limited_coin_protocol` for n users and s seed bits."""
+    _check_common(d, epsilon)
+    cohort_size = n // REPETITIONS
+    if cohort_size == 0:
+        raise InsufficientPopulationError(f"need at least {REPETITIONS} users, got {n}")
+    d_s, L, ell_eff, scale = limited_coin_params(d, ell, s)
+    _check_transforms(d, d_s, s)
+    cohort = private_coin_plan(cohort_size, L, ell_eff, epsilon * scale)
+    users, cohort_lengths = cohort.runs[0]
+    lengths = np.zeros(n, dtype=np.int64)
+    for r in range(REPETITIONS):   # cohorts are contiguous in user order
+        lengths[r * cohort_size:r * cohort_size + users.shape[0]] = cohort_lengths
+    runs = [(users + r * cohort_size, cohort_lengths) for r in range(REPETITIONS)]
+    return Plan(d=d, block=d_s, width=L, tau=cohort.tau, runs=runs, offsets=_offsets(lengths))
 
 
 def limited_coin_protocol(samples: np.ndarray, d: int, ell: int, epsilon: float,
@@ -326,37 +456,14 @@ def limited_coin_protocol(samples: np.ndarray, d: int, ell: int, epsilon: float,
     freshly rotated-and-truncated view of its samples.
 
     Per repetition a (d, d_s) transform is drawn from the shared seed
-    (4*log2(d/d_s) bits, so all seven fit in s by construction); the cohort
-    keeps L = max(d_s, ell) coordinates and tests at distance
-    epsilon * sqrt(L/(100 d)).  Accept only if every repetition accepts.
+    (4*log2(d/d_s) bits, so all seven fit in the seed's remaining bits by
+    construction); the cohort keeps L = max(d_s, ell) coordinates and tests
+    at distance epsilon * sqrt(L/(100 d)).  Accept only if every repetition
+    accepts.
     """
-    _check_common(d, epsilon)
-    samples = np.asarray(samples)
-    if samples.ndim != 2 or samples.shape[1] != d:
-        raise DimensionError(f"expected (n, {d}) samples, got shape {samples.shape}")
-    n = samples.shape[0]
-    cohort_size = n // REPETITIONS
-    if cohort_size == 0:
-        raise InsufficientPopulationError(f"need at least {REPETITIONS} users, got {n}")
-    d_s, L, ell_eff, scale = limited_coin_params(d, ell, seed.size)
-    eps_eff = epsilon * scale
-
-    before = seed.consumed
-    lengths = np.zeros(n, dtype=np.int64)
-    chunks: list[np.ndarray] = []
-    rep_accepts: list[bool] = []
-    for r in range(REPETITIONS):
-        spec = sample_brht(seed, d, d_s)
-        cohort = samples[r * cohort_size:(r + 1) * cohort_size]
-        rotated = brht_apply(spec, cohort, keep=L)
-        decision_r, transcript_r = private_coin_protocol(rotated, L, ell_eff, eps_eff)
-        rep_accepts.append(decision_r.verdict == ACCEPT)
-        lengths[r * cohort_size:(r + 1) * cohort_size] = transcript_r.bits_sent
-        chunks.append(transcript_r.data)
-    transcript = Transcript.from_lengths(lengths, public_bits_used=_seed_delta(seed, before))
-    if transcript.total_bits:
-        transcript.data[:] = np.concatenate(chunks)  # cohorts are contiguous in user order
-    return _amplified(rep_accepts), transcript
+    samples = _check_samples(samples, d)
+    plan = limited_coin_plan(samples.shape[0], d, ell, epsilon, seed.remaining)
+    return run_plan(plan, seed, LiteralSource(samples))
 
 
 # ---------------------------------------------------------------------------
@@ -389,48 +496,46 @@ def hetero_threshold(epsilon: float, ell: int, N: float, d: int, n: int) -> floa
     return 0.5 * eps_prime * eps_prime
 
 
+def hetero_samples_plan(m: np.ndarray, d: int, ell: int, epsilon: float, s: int) -> Plan:
+    """Plan of `hetero_samples_protocol` for sample counts m and s seed bits."""
+    _check_common(d, epsilon)
+    m = np.asarray(m, dtype=np.int64)
+    n = m.shape[0]
+    if n < 2:
+        raise DegenerateInputError(f"pairwise referee needs >= 2 users, got {n}")
+    if np.any(m // REPETITIONS < 1):
+        raise DegenerateInputError("every user needs at least 7 samples")
+    share = hetero_share(ell, d)
+    _check_transforms(d, share, s)
+    tau = hetero_threshold(epsilon, ell, hetero_pair_weight(m), d, n)
+    run = (np.arange(n), np.full(n, share, dtype=np.int64))
+
+    def assemble(bits: list[np.ndarray]) -> np.ndarray:
+        # user k's message is its 7 shares back to back; viewing each share as
+        # one opaque element lets the interleave copy whole shares
+        whole = np.dtype((np.void, share))
+        return np.stack([b.view(whole) for b in bits], axis=1).view(np.uint8).reshape(-1)
+
+    return Plan(d=d, block=share, width=share, tau=tau, runs=[run] * REPETITIONS,
+                offsets=_offsets(np.full(n, REPETITIONS * share)),
+                blocks=np.unique(m // REPETITIONS, return_inverse=True), assemble=assemble)
+
+
 def hetero_samples_protocol(samples: list[np.ndarray], m: np.ndarray, d: int, ell: int,
                             epsilon: float, seed: PublicSeed) -> tuple[Decision, Transcript]:
     """Users with m_k samples aggregate floor(m_k/7) of them per repetition,
     rotate with one of 7 shared transforms, and send the quantized leading
     share.  The referee weights users by sqrt(floor(m/7)) pairwise.
     """
-    _check_common(d, epsilon)
     m = np.asarray(m, dtype=np.int64)
-    n = m.shape[0]
-    if len(samples) != n:
-        raise DimensionError(f"{len(samples)} sample sets for {n} users")
-    if n < 2:
-        raise DegenerateInputError(f"pairwise referee needs >= 2 users, got {n}")
-    if np.any(m // REPETITIONS < 1):
-        raise DegenerateInputError("every user needs at least 7 samples")
-    share = hetero_share(ell, d)
-
-    before = seed.consumed
-    specs = [sample_brht(seed, d, share) for _ in range(REPETITIONS)]
-    N = hetero_pair_weight(m)
-    tau = hetero_threshold(epsilon, ell, N, d, n)
-
-    rep_bits = np.empty((n, REPETITIONS, share), dtype=np.uint8)
-    for value in np.unique(m):
-        idx = np.flatnonzero(m == value)
-        block = int(value) // REPETITIONS
-        stacked = np.stack([np.asarray(samples[i], dtype=np.float64) for i in idx])
-        if stacked.shape[1:] != (value, d):
+    if len(samples) != m.shape[0]:
+        raise DimensionError(f"{len(samples)} sample sets for {m.shape[0]} users")
+    plan = hetero_samples_plan(m, d, ell, epsilon, seed.remaining)
+    for k, x in enumerate(samples):
+        if np.shape(x) != (m[k], d):
             raise DimensionError(
-                f"user samples must have shape ({value}, {d}), got {stacked.shape[1:]}")
-        for t in range(1, REPETITIONS + 1):
-            agg = aggregate_block(stacked, t, block)
-            rep_bits[idx, t - 1, :] = sign_quantize(brht_apply(specs[t - 1], agg, keep=share))
-
-    rep_accepts = [
-        bpmt_decide_threshold(rep_bits[:, t, :], tau) == ACCEPT for t in range(REPETITIONS)
-    ]
-    transcript = Transcript.from_lengths(
-        np.full(n, REPETITIONS * share, dtype=np.int64),
-        public_bits_used=_seed_delta(seed, before))
-    transcript.data[:] = rep_bits.reshape(-1)
-    return _amplified(rep_accepts), transcript
+                f"user samples must have shape ({m[k]}, {d}), got {np.shape(x)}")
+    return run_plan(plan, seed, LiteralSource(samples))
 
 
 # ---------------------------------------------------------------------------
@@ -442,13 +547,36 @@ def hetero_comm_params(d: int, ells: np.ndarray, s: int) -> tuple[int, int, np.n
     ells = np.asarray(ells, dtype=np.int64)
     if np.any(ells < 1):
         raise ParameterError("bit budgets must be >= 1")
-    if s < 0:
-        raise ParameterError(f"seed budget must be >= 0, got {s}")
-    exponent = min(s // 28, int(d).bit_length() - 1)
-    d_s = d >> exponent
-    L = min(d, max(d_s, pow2_floor(int(min(ells.max(), d)))))
-    shares = np.minimum(ells // REPETITIONS, L)
-    return d_s, L, shares
+    L = mix_and_match_keep_length(d, ells, s)
+    return seed_block_length(d, s), L, np.minimum(ells // REPETITIONS, L)
+
+
+def hetero_comm_plan(ells: np.ndarray, d: int, epsilon: float, s: int) -> Plan:
+    """Plan of `hetero_comm_protocol` for budgets ells and s seed bits."""
+    _check_common(d, epsilon)
+    d_s, L, shares = hetero_comm_params(d, ells, s)
+    _check_transforms(d, d_s, s)
+    total_share = int(shares.sum())
+    if total_share < L:
+        raise InsufficientPopulationError(
+            f"{total_share} per-repetition bits cannot fill one {L}-coordinate sample")
+    eps = epsilon * SIGN_QUANTIZE_DISTANCE_FACTOR * np.sqrt(RETENTION_FACTOR * L / d)
+    offsets = _offsets(REPETITIONS * shares)
+
+    def assemble(bits: list[np.ndarray]) -> np.ndarray:
+        # user k's message is its 7 shares back to back (repetition-major per user)
+        dest = np.repeat(offsets[:-1] - (np.cumsum(shares) - shares), shares)
+        dest += np.arange(total_share)
+        step = np.repeat(shares, shares)
+        data = np.empty(int(offsets[-1]), dtype=np.uint8)
+        for transmitted in bits:
+            data[dest] = transmitted
+            dest += step
+        return data
+
+    return Plan(d=d, block=d_s, width=L, tau=0.5 * eps * eps,
+                runs=[(np.arange(shares.shape[0]), shares)] * REPETITIONS,
+                offsets=offsets, assemble=assemble)
 
 
 def hetero_comm_protocol(samples: np.ndarray, d: int, ells: np.ndarray, epsilon: float,
@@ -459,42 +587,12 @@ def hetero_comm_protocol(samples: np.ndarray, d: int, ells: np.ndarray, epsilon:
     assembles full L-coordinate samples across users and tests at distance
     (epsilon/sqrt(8)) * sqrt(L/(100 d)).
     """
-    _check_common(d, epsilon)
-    samples = np.asarray(samples)
-    if samples.ndim != 2 or samples.shape[1] != d:
-        raise DimensionError(f"expected (n, {d}) samples, got shape {samples.shape}")
-    n = samples.shape[0]
+    samples = _check_samples(samples, d)
     ells = np.asarray(ells, dtype=np.int64)
-    if ells.shape != (n,):
+    if ells.shape != (samples.shape[0],):
         raise DimensionError(f"need one budget per user, got shape {ells.shape}")
-    d_s, L, shares = hetero_comm_params(d, ells, seed.size)
-    eps_inner = epsilon * SIGN_QUANTIZE_DISTANCE_FACTOR * np.sqrt(RETENTION_FACTOR * L / d)
-    total_share = int(shares.sum())
-    if total_share < L:
-        raise InsufficientPopulationError(
-            f"{total_share} per-repetition bits cannot fill one {L}-coordinate sample")
-
-    users, coords = wraparound_coords(shares, L)
-    before = seed.consumed
-    rep_accepts: list[bool] = []
-    per_rep_bits: list[np.ndarray] = []
-    for _ in range(REPETITIONS):
-        spec = sample_brht(seed, d, d_s)
-        quantized = sign_quantize(brht_apply(spec, samples, keep=L))
-        transmitted = quantized[users, coords]
-        n_sim = total_share // L
-        sim = transmitted[:n_sim * L].reshape(n_sim, L)
-        rep_accepts.append(bpmt_decide(sim, eps_inner) == ACCEPT)
-        per_rep_bits.append(transmitted)
-
-    transcript = Transcript.from_lengths(REPETITIONS * shares,
-                                         public_bits_used=_seed_delta(seed, before))
-    # user k's message is its 7 shares back to back (repetition-major per user)
-    starts = np.cumsum(shares) - shares
-    j_flat = np.arange(total_share) - starts[users]
-    for r, transmitted in enumerate(per_rep_bits):
-        transcript.data[transcript.offsets[users] + r * shares[users] + j_flat] = transmitted
-    return _amplified(rep_accepts), transcript
+    return run_plan(hetero_comm_plan(ells, d, epsilon, seed.remaining), seed,
+                    LiteralSource(samples))
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +602,67 @@ def hetero_comm_protocol(samples: np.ndarray, d: int, ells: np.ndarray, epsilon:
 def mix_and_match_keep_length(d: int, ells: np.ndarray, s: int) -> int:
     """L = max(d/2^floor(s/28), max ell), floored to a power of two, capped at d."""
     ells = np.asarray(ells, dtype=np.int64)
-    exponent = min(s // 28, int(d).bit_length() - 1)
-    d_s = d >> exponent
-    return min(d, max(d_s, pow2_floor(int(min(ells.max(), d)))))
+    return min(d, max(seed_block_length(d, s), pow2_floor(int(min(ells.max(), d)))))
+
+
+def mix_and_match_plan(users: list[UserSpec], d: int, epsilon: float, s: int,
+                       partition: list[list[int]] | None = None) -> Plan:
+    """Plan of `mix_and_match_protocol` for s seed bits."""
+    _check_common(d, epsilon)
+    n = len(users)
+    ells = np.array([u.ell for u in users], dtype=np.int64)
+    ms = np.array([u.m for u in users], dtype=np.int64)
+    L = mix_and_match_keep_length(d, ells, s)
+    _check_transforms(d, L, s)
+    if partition is None:
+        partition = greedy_partition(users, L)
+
+    sizes = np.array([len(group) for group in partition], dtype=np.int64)
+    order = np.array([i for group in partition for i in group], dtype=np.int64)
+    if order.shape[0] != n or not np.array_equal(np.sort(order), np.arange(n)):
+        raise ParameterError("partition must cover every user exactly once")
+    need, K = REPETITIONS * L, len(partition)
+    group = np.repeat(np.arange(K), sizes)
+    budget = np.bincount(group, weights=ells[order], minlength=K)
+    if np.any(budget < need):
+        raise InfeasiblePartitionError(
+            f"group budget {int(budget[budget < need][0])} is below the requirement {need}")
+    if K < 2:
+        raise DegenerateInputError(f"pairwise referee needs >= 2 groups, got {K}")
+    first = np.cumsum(sizes) - sizes
+    group_min_m = np.minimum.reduceat(ms[order], first)
+    if np.any(group_min_m // REPETITIONS < 1):
+        raise DegenerateInputError("every group needs min sample count >= 7")
+    tau = hetero_threshold(epsilon, need, hetero_pair_weight(group_min_m), d, K)
+
+    # In group order, user k fills positions [start, start + span) of its
+    # group's 7L-position stream; position p is coordinate p mod L of the
+    # user's repetition-(p div L) vector.
+    ells_o = ells[order]
+    cum = np.cumsum(ells_o) - ells_o
+    start = np.minimum(cum - cum[first][group], need)
+    span = np.minimum(ells_o, need - start)
+    runs = []
+    for r in range(REPETITIONS):
+        sent = np.minimum(start + span, (r + 1) * L) - np.maximum(start, r * L)
+        runs.append((order[sent > 0], sent[sent > 0]))
+
+    # transcript position -> index into the concatenated repetition streams,
+    # built in place: it has one entry per transmitted bit
+    by_user = np.argsort(order)
+    lengths = span[by_user]
+    offsets = _offsets(lengths)
+    index = np.int32 if need * K < 2 ** 31 else np.int64
+    p = np.repeat((start[by_user] - offsets[:-1]).astype(index), lengths)
+    p += np.arange(p.shape[0], dtype=index)
+    gather = np.repeat((group[by_user] * L).astype(index), lengths)
+    gather += p % L
+    p //= L
+    p *= K * L
+    gather += p
+    return Plan(d=d, block=L, width=L, tau=tau, runs=runs, offsets=offsets,
+                blocks=np.unique(group_min_m // REPETITIONS, return_inverse=True),
+                assemble=lambda bits: np.concatenate(bits)[gather])
 
 
 def mix_and_match_protocol(samples: list[np.ndarray], users: list[UserSpec], d: int,
@@ -522,64 +678,11 @@ def mix_and_match_protocol(samples: list[np.ndarray], users: list[UserSpec], d: 
     of the heterogeneous-samples referee with weights floor(m'/7) and
     effective budget 7L.
     """
-    _check_common(d, epsilon)
-    n = len(users)
-    if len(samples) != n:
-        raise DimensionError(f"{len(samples)} sample sets for {n} users")
-    ells = np.array([u.ell for u in users], dtype=np.int64)
-    ms = np.array([u.m for u in users], dtype=np.int64)
-    L = mix_and_match_keep_length(d, ells, seed.size)
-    if partition is None:
-        partition = greedy_partition(users, L)
-
-    seen = sorted(i for group in partition for i in group)
-    if seen != list(range(n)):
-        raise ParameterError("partition must cover every user exactly once")
-    need = REPETITIONS * L
-    for group in partition:
-        if int(ells[group].sum()) < need:
-            raise InfeasiblePartitionError(
-                f"group budget {int(ells[group].sum())} is below the requirement {need}")
-    K = len(partition)
-    if K < 2:
-        raise DegenerateInputError(f"pairwise referee needs >= 2 groups, got {K}")
-    group_min_m = np.array([int(ms[g].min()) for g in partition], dtype=np.int64)
-    if np.any(group_min_m // REPETITIONS < 1):
-        raise DegenerateInputError("every group needs min sample count >= 7")
-
-    before = seed.consumed
-    specs = [sample_brht(seed, d, L) for _ in range(REPETITIONS)]
-    N = hetero_pair_weight(group_min_m)
-    tau = hetero_threshold(epsilon, REPETITIONS * L, N, d, K)
-
-    lengths = np.zeros(n, dtype=np.int64)
-    sims = np.empty((K, REPETITIONS, L), dtype=np.uint8)
-    message_of: dict[int, np.ndarray] = {}
-    for j, group in enumerate(partition):
-        block = int(group_min_m[j]) // REPETITIONS
-        filled = 0
-        for i in group:
-            span = min(int(ells[i]), need - filled)
-            if span <= 0:
-                lengths[i] = 0
-                continue
-            arr = np.asarray(samples[i], dtype=np.float64)
-            if arr.ndim != 2 or arr.shape[0] < ms[i] or arr.shape[1] != d:
-                raise DimensionError(f"user {i} samples must have shape ({ms[i]}, {d})")
-            quantized = np.empty((REPETITIONS, L), dtype=np.uint8)
-            for t in range(1, REPETITIONS + 1):
-                agg = aggregate_block(arr[:group_min_m[j]], t, block)
-                quantized[t - 1] = sign_quantize(brht_apply(specs[t - 1], agg, keep=L))
-            positions = np.arange(filled, filled + span)
-            message_of[i] = quantized[positions // L, positions % L]
-            sims[j].reshape(-1)[positions] = message_of[i]
-            lengths[i] = span
-            filled += span
-
-    rep_accepts = [
-        bpmt_decide_threshold(sims[:, t, :], tau) == ACCEPT for t in range(REPETITIONS)
-    ]
-    transcript = Transcript.from_lengths(lengths, public_bits_used=_seed_delta(seed, before))
-    for i, msg in message_of.items():
-        transcript.data[transcript.offsets[i]:transcript.offsets[i + 1]] = msg
-    return _amplified(rep_accepts), transcript
+    if len(samples) != len(users):
+        raise DimensionError(f"{len(samples)} sample sets for {len(users)} users")
+    plan = mix_and_match_plan(users, d, epsilon, seed.remaining, partition)
+    for i in np.flatnonzero(np.diff(plan.offsets)):
+        arr = np.asarray(samples[i])
+        if arr.ndim != 2 or arr.shape[0] < users[i].m or arr.shape[1] != d:
+            raise DimensionError(f"user {i} samples must have shape ({users[i].m}, {d})")
+    return run_plan(plan, seed, LiteralSource(samples))

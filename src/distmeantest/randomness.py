@@ -50,6 +50,8 @@ _IRREDUCIBLE_EXPONENTS = {
 }
 
 _IRREDUCIBLE = {k: sum(1 << e for e in exps) for k, exps in _IRREDUCIBLE_EXPONENTS.items()}
+# Largest k with a table polynomial: b four-wise signs need b <= 2^MAX_FIELD_DEGREE.
+MAX_FIELD_DEGREE = max(_IRREDUCIBLE)
 
 
 def gf_mul(a: int, b: int, k: int) -> int:

@@ -159,3 +159,19 @@ class TestInfeasibleInputs:
         code = main(["run", "--config", str(path), "--trials", "2"])
         assert code == EXIT_INFEASIBLE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("raw,named", [
+        ([{"d": 8, "epsilon": 1.0, "s": 0, "protocol": "private"}], "config must be an object"),
+        ({"d": 8, "epsilon": 1.0, "s": 0, "protocol": "mix_and_match",
+          "users": [{"m": 7, "ell": 56, "count": 4}], "partition": [["a"], [1, 2, 3]]},
+         "partition"),
+        ({"d": 8, "epsilon": 1.0, "s": 0, "protocol": "private",
+          "users": [{"m": 1, "ell": 8, "count": 16}], "mean_modes": "null"}, "mean_modes"),
+    ], ids=["top_level_list", "string_partition_entry", "string_mean_modes"])
+    def test_wrongly_typed_config(self, tmp_path, capsys, raw, named):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(raw))
+        code = main(["run", "--config", str(path), "--trials", "2"])
+        assert code == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible:") and named in err, err

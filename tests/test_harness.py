@@ -255,12 +255,48 @@ class TestRunTrial:
         assert abs(t2[0] - t2[1]) < 0.1, f"type2 {t2}"
         assert 0.0 < t1[0] < 1.0 or 0.0 < t2[0] < 1.0  # comparison is informative
 
+    @pytest.mark.parametrize("cfg", [
+        PopulationConfig(d=2, epsilon=1.0, s=28, protocol="limited",
+                         users=[UserSpec(1, 2)] * 7000, mean_modes=["null", "spike"]),
+        PopulationConfig(d=2, epsilon=1.0, s=0, protocol="hetero_samples",
+                         users=[UserSpec(m, 14) for m in (2240, 4480)] * 10,
+                         mean_modes=["null", "spike"]),
+        pytest.param(
+            PopulationConfig(d=8, epsilon=1.0, s=0, protocol="hetero_comm",
+                             users=[UserSpec(1, 7), UserSpec(1, 14), UserSpec(1, 28)] * 400,
+                             mean_modes=["null", "spike"]),
+            marks=pytest.mark.xfail(strict=True, reason=(
+                "the law path draws the seven repetitions independently, but each "
+                "user's single sample feeds all seven; with s=0 they are identical"))),
+        PopulationConfig(d=2, epsilon=1.0, s=0, protocol="mix_and_match",
+                         users=[UserSpec(m, 7) for m in (2240, 3360, 4480, 5600)] * 5,
+                         mean_modes=["null", "spike"]),
+    ], ids=["limited", "hetero_samples", "hetero_comm", "mix_and_match"])
+    def test_law_matches_literal_rates_amplified(self, cfg):
+        # Populations sized so the type-I rate sits inside (0, 1); the
+        # tolerance is the one of test_law_matches_literal_rates.
+        est = {path: estimate_error(cfg, trials=400, master_seed=21, sample_path=path)
+               for path in ("law", "literal")}
+        t1 = (est["law"].type1_rate, est["literal"].type1_rate)
+        t2 = (est["law"].type2_rates["spike"], est["literal"].type2_rates["spike"])
+        assert abs(t1[0] - t1[1]) < 0.1, f"type1 {t1}"
+        assert abs(t2[0] - t2[1]) < 0.1, f"type2 {t2}"
+        assert 0.0 < t1[0] < 1.0 or 0.0 < t2[0] < 1.0
+
     def test_non_pow2_dimension_padded(self):
         cfg = PopulationConfig(d=6, epsilon=1.0, s=0, protocol="private",
                                users=[UserSpec(1, 6)] * 16)
         _, tr = run_trial(cfg, MeanSpec("spike", 1.0), 0)
         assert budget_audit(tr, cfg).ok
         assert int(tr.bits_sent.max()) <= 6
+
+    @pytest.mark.parametrize("protocol,m,ell", [("limited", 1, 1), ("hetero_samples", 7, 7)])
+    def test_field_cap_is_rejected_up_front(self, protocol, m, ell):
+        cfg = PopulationConfig(d=1 << 17, epsilon=1.0, s=476, protocol=protocol,
+                               users=[UserSpec(m, ell)] * 7)
+        for path in ("law", "literal"):
+            with pytest.raises(ParameterError, match="GF"):
+                run_trial(cfg, MeanSpec("null", 0.0), 0, sample_path=path)
 
     def test_bad_sample_path(self):
         with pytest.raises(ParameterError):

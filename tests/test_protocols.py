@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from distmeantest import (
+    BudgetExhaustedError,
     DegenerateInputError,
     DimensionError,
     InfeasiblePartitionError,
@@ -231,6 +232,33 @@ class TestLimitedCoin:
     def test_too_few_users(self):
         with pytest.raises(InsufficientPopulationError):
             limited_coin_protocol(RNG.standard_normal((6, 8)), 8, 4, 0.5, fresh_seed(0))
+
+
+class TestSeedPlanning:
+    def test_partly_used_seed_runs_within_what_is_left(self):
+        # 74 of 84 bits left: d_s = 64/4, seven (64, 16) transforms at 8 bits each
+        seed = fresh_seed(84)
+        seed.draw_bits(10)
+        _, transcript = limited_coin_protocol(RNG.standard_normal((28, 64)), 64, 8, 1.0, seed)
+        assert transcript.public_bits_used == 56
+        assert seed.consumed == 66
+
+    def test_partly_used_seed_too_short_is_rejected_before_drawing(self):
+        # share 2 on d=8 needs seven 8-bit transforms, but only 46 bits are left
+        seed = fresh_seed(56)
+        seed.draw_bits(10)
+        samples = [RNG.standard_normal((7, 8)) for _ in range(3)]
+        with pytest.raises(BudgetExhaustedError):
+            hetero_samples_protocol(samples, np.full(3, 7), 8, 14, 1.0, seed)
+        assert seed.consumed == 10
+
+    def test_field_cap_is_rejected_before_drawing(self):
+        # 476 bits fund d_s = 1, i.e. 2^17 signs per transform: beyond GF(2^16)
+        d = 1 << 17
+        seed = fresh_seed(476)
+        with pytest.raises(ParameterError, match=r"d=131072 with s=476 .* 65536"):
+            limited_coin_protocol(np.zeros((7, d)), d, 1, 1.0, seed)
+        assert seed.consumed == 0
 
 
 class TestHeteroShareAndWeights:
