@@ -158,3 +158,39 @@ class TestFieldArithmetic:
     def test_unsupported_degree_rejected(self):
         with pytest.raises(ParameterError):
             gf_mul(1, 1, 17)
+
+
+def oracle_signs(raw: np.ndarray, k: int) -> list[int]:
+    """Signs from the scalar field code: the lowest bit of the cubic at every point."""
+    coeffs = tuple(int("".join(map(str, raw[i * k:(i + 1) * k])), 2) for i in range(4))
+    return [-1 if gf_poly_eval(coeffs, x, k) & 1 else 1 for x in range(1 << k)]
+
+
+class TestSignsMatchFieldOracle:
+    """`fourwise_rademacher` against `gf_poly_eval` at every point of GF(2^k)."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_seed_small_fields(self, k):
+        length = 4 * k
+        for value in range(1 << length):
+            seed = PublicSeed.from_int(value, length)
+            drawn = fourwise_rademacher(seed, 1 << k)
+            assert drawn.signs.tolist() == oracle_signs(seed.bits, k), f"seed {value}"
+
+    @pytest.mark.parametrize("k", range(4, 17))
+    def test_fixed_seeds_large_fields(self, k):
+        length = 4 * k
+        rng = np.random.default_rng(1000 + k)
+        seeds = [np.zeros(length, np.uint8), np.ones(length, np.uint8)]
+        # The oracle costs ~10 us per point, so the widest fields get one random seed.
+        seeds += [rng.integers(0, 2, length, dtype=np.uint8) for _ in range(3 if k <= 12 else 1)]
+        for bits in seeds:
+            drawn = fourwise_rademacher(PublicSeed(bits.copy()), 1 << k)
+            assert drawn.bits_consumed == length
+            assert drawn.signs.tolist() == oracle_signs(bits, k), f"seed {bits.tolist()}"
+
+    def test_field_cap_checked_before_draw(self):
+        seed = PublicSeed(np.zeros(100, np.uint8))
+        with pytest.raises(ParameterError, match="17"):
+            fourwise_rademacher(seed, 1 << 17)
+        assert seed.consumed == 0
