@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .errors import MeanTestError
+from .errors import MeanTestError, ParameterError
 from .harness import (
     PopulationConfig,
     calibrate,
@@ -66,6 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _with_param(config: PopulationConfig, param: str, value: float) -> PopulationConfig:
+    if param != "epsilon" and not value.is_integer():
+        raise ParameterError(f"--param {param} needs integer values, got {value:g}")
     base = config.to_dict()
     base.pop("partition", None)  # layouts change with the swept parameter
     if param == "s":
@@ -129,13 +131,13 @@ def _cmd_sweep(args) -> int:
     values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     if not values:
         raise MeanTestError("sweep needs at least one value")
+    variants = [_with_param(config, args.param, value) for value in values]
     alt_modes = [m for m in config.mean_modes if m != "null"]
     header = ["param", "value", "trials", "type1_rate"]
     header += [f"type2_{mode}" for mode in alt_modes]
     header.append("ci_halfwidth")
     rows = [",".join(header)]
-    for value in values:
-        variant = _with_param(config, args.param, value)
+    for value, variant in zip(values, variants):
         est = estimate_error(variant, args.trials, master_seed=args.seed,
                              sample_path=args.path)
         cells = [args.param, f"{value:g}", str(est.trials), repr(est.type1_rate)]

@@ -16,6 +16,11 @@ bit source, to the shared trial body.  Only the bit source differs:
 * ``law``      — `LawSource` draws each transmitted bit directly from its
   exact Bernoulli law; it never draws a bit that is not sent.
 
+Either way the `Transcript` holds the repetition streams as the bit source
+returned them.  The audit and the trial records read only its lengths and
+counts, so no trial builds the user-major messages; they are built on the
+first read of the transcript's data (`message`, `serialize`).
+
 The law path is the default: it makes six-figure populations tractable on a
 single core.  The paths also agree jointly across repetitions except for
 hetero_comm, whose seven repetitions all reuse each user's one sample while
@@ -163,6 +168,18 @@ def _expect(value, kind, what: str):
     return value
 
 
+def _expect_fields(raw, what: str, required: tuple[str, ...], optional: tuple[str, ...]) -> None:
+    """Check that raw is a JSON object holding every required key and no key
+    outside required + optional."""
+    _expect(raw, dict, what)
+    unknown = [key for key in raw if key not in required + optional]
+    if unknown:
+        raise ParameterError(f"{what} has unknown field {unknown[0]!r}")
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise ParameterError(f"{what} is missing required field {missing[0]!r}")
+
+
 @dataclass
 class PopulationConfig:
     """An instance of the distributed testing problem plus simulation choices."""
@@ -231,11 +248,15 @@ class PopulationConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PopulationConfig":
-        """Build a config from parsed JSON.  A value of the wrong JSON type is
-        rejected with ParameterError, never coerced."""
+        """Build a config from parsed JSON.  A value of the wrong JSON type, an
+        unknown key or a missing required key is rejected with
+        ParameterError; nothing is coerced or ignored."""
+        _expect_fields(raw, "config", ("d", "epsilon", "s", "protocol"),
+                       ("users", "partition", "mean_modes"))
         users: list[UserSpec] = []
-        for entry in _expect(_expect(raw, dict, "config").get("users", []), list, "users"):
-            count = _expect(_expect(entry, dict, "users entry").get("count", 1), int, "count")
+        for entry in _expect(raw.get("users", []), list, "users"):
+            _expect_fields(entry, "users entry", ("m", "ell"), ("count",))
+            count = _expect(entry.get("count", 1), int, "count")
             if count < 1:
                 raise ParameterError(f"user count must be >= 1, got {count}")
             users += [UserSpec(m=_expect(entry["m"], int, "m"),

@@ -12,14 +12,17 @@ referee on the assembled binary samples.  Shared structure:
   repetition accepts.
 
 Each protocol is written once, in three parts.  Its *plan* (`*_plan`) holds
-everything that does not depend on the trial: validation, layout, transform
-block length, threshold, transcript offsets.  A *bit source* returns the
-sign bits of the rotated, block-aggregated data of given users at given
-rotated coordinates: `LiteralSource` quantizes real samples, and the harness
-supplies a source that draws the bits from their exact law.  The *trial
-body* `run_plan` draws the transforms from the public seed, asks the source
-for each repetition's bits, runs the referee and assembles the transcript.
-The public `*_protocol` functions are plan + literal source + trial body.
+everything that does not depend on the trial: validation, transform block
+length, threshold, and the layout, stated once as each repetition's runs of
+senders (the transcript offsets are derived from them).  A *bit source*
+returns the sign bits of the rotated, block-aggregated data of given users
+at given rotated coordinates: `LiteralSource` quantizes real samples, and
+the harness supplies a source that draws the bits from their exact law.  The
+*trial body* `run_plan` draws the transforms from the public seed, asks the
+source for each repetition's bits, runs the referee and hands the
+repetition streams with the plan's runs to the `Transcript`, which builds
+the per-user messages only when they are first read.  The public
+`*_protocol` functions are plan + literal source + trial body.
 
 Budget flooring policy: coordinate-block sizes (private/limited `ell`, the
 per-repetition share of the heterogeneous-samples protocol, which doubles as
@@ -31,8 +34,7 @@ arithmetic needs no alignment.
 from __future__ import annotations
 
 import struct
-from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,14 +110,32 @@ class Transcript:
 
     `data` holds every transmitted bit (0/1 uint8) with user k's message at
     data[offsets[k]:offsets[k+1]]; lengths are exact integers, never padded.
+    Given `runs`, `data` is instead the list of repetition streams those runs
+    lay out (see `Plan`), and the user-major bits are built from them on the
+    first read of `data` and kept: a user's message is its per-repetition
+    segments, in repetition order.  Counts and lengths never build them.
     """
 
-    def __init__(self, offsets: np.ndarray, data: np.ndarray, public_bits_used: int = 0):
+    def __init__(self, offsets: np.ndarray, data, public_bits_used: int = 0,
+                 runs: list[tuple[np.ndarray, np.ndarray]] | None = None):
         self.offsets = np.asarray(offsets, dtype=np.int64)
-        self.data = np.asarray(data, dtype=np.uint8)
         self.public_bits_used = int(public_bits_used)
-        if self.offsets.ndim != 1 or self.offsets[0] != 0 or self.offsets[-1] != self.data.shape[0]:
+        if runs is None:
+            self._data = np.asarray(data, dtype=np.uint8)
+            sizes = [self._data.shape[0]]
+        else:
+            self._data, self._streams, self._runs = None, data, runs
+            sizes = [stream.shape[0] for stream in data]
+            if sizes != [int(lengths.sum()) for _, lengths in runs]:
+                raise ParameterError("repetition streams do not match their runs")
+        if self.offsets.ndim != 1 or self.offsets[0] != 0 or self.offsets[-1] != sum(sizes):
             raise ParameterError("malformed transcript offsets")
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            self._data = _user_major(self.offsets, self._runs, self._streams)
+        return self._data
 
     @property
     def n_users(self) -> int:
@@ -127,7 +147,7 @@ class Transcript:
 
     @property
     def total_bits(self) -> int:
-        return int(self.data.shape[0])
+        return int(self.offsets[-1])
 
     def message(self, k: int) -> np.ndarray:
         return self.data[self.offsets[k]:self.offsets[k + 1]]
@@ -182,6 +202,19 @@ def aggregate_block(samples: np.ndarray, t: int, block: int) -> np.ndarray:
         raise ParameterError(f"block {t} of size {block} does not fit in {m} samples")
     window = samples[..., (t - 1) * block:t * block, :]
     return window.sum(axis=-2) / np.sqrt(block)
+
+
+def _user_major(offsets: np.ndarray, runs: list[tuple[np.ndarray, np.ndarray]],
+                streams: list[np.ndarray]) -> np.ndarray:
+    """Transcript data from repetition streams: user k's message is its
+    segment of every repetition's stream, in repetition order."""
+    data = np.empty(int(offsets[-1]), dtype=np.uint8)
+    end = offsets[:-1].copy()      # where each user's next segment goes
+    for (users, lengths), stream in zip(runs, streams):
+        shift = end[users] - (np.cumsum(lengths) - lengths)
+        data[np.repeat(shift, lengths) + np.arange(stream.shape[0])] = stream
+        end[users] += lengths
+    return data
 
 
 def wraparound_coords(lengths: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -290,10 +323,6 @@ def _check_transforms(d: int, block: int, s: int) -> None:
             f"seven ({d}, {block}) transforms need {need} public bits, only {s} left")
 
 
-def _offsets(lengths: np.ndarray) -> np.ndarray:
-    return np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
-
-
 # ---------------------------------------------------------------------------
 # protocol core: a plan, a bit source, and the trial body that joins them
 
@@ -310,17 +339,34 @@ class Plan:
     sample, tested at threshold tau.  `blocks` is None when each user holds
     one sample; otherwise (sizes, row_size) builds row j from blocks of
     sizes[row_size[j]] samples, and repetition r aggregates block r + 1.
-    `assemble` maps the repetitions' streams to user-major transcript data.
+
+    `runs` is the whole layout: a user sends at most one segment per
+    repetition, and its message is its segments in repetition order, so the
+    transcript offsets of the n_users users (silent ones included) are
+    derived from it.  A repetition whose referee would get fewer than two
+    rows is rejected here, before any seed bit is drawn.
     """
 
     d: int
     block: int | None
     width: int
     tau: float
+    n_users: int
     runs: list[tuple[np.ndarray, np.ndarray]]
-    offsets: np.ndarray
     blocks: tuple[np.ndarray, np.ndarray] | None = None
-    assemble: Callable[[list[np.ndarray]], np.ndarray] = np.concatenate
+    offsets: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        lengths = np.zeros(self.n_users, dtype=np.int64)
+        for r, (users, sent) in enumerate(self.runs):
+            lengths[users] += sent
+            total = int(sent.sum())
+            if total // self.width < 2:
+                raise InsufficientPopulationError(
+                    f"repetition {r} sends {total} bits, which fill "
+                    f"{total // self.width} full {self.width}-coordinate samples; "
+                    f"the referee needs 2")
+        self.offsets = np.concatenate([[0], np.cumsum(lengths)])
 
 
 class LiteralSource:
@@ -367,7 +413,7 @@ def run_plan(plan: Plan, seed: PublicSeed | None, source) -> tuple[Decision, Tra
         rep_accepts.append(bpmt_decide_threshold(sim, plan.tau) == ACCEPT)
         rep_bits.append(bits)
     used = 0 if seed is None else seed.consumed - before
-    transcript = Transcript(plan.offsets, plan.assemble(rep_bits), used)
+    transcript = Transcript(plan.offsets, rep_bits, used, plan.runs)
     accepts = tuple(rep_accepts) if len(rep_accepts) > 1 else None
     return Decision(ACCEPT if all(rep_accepts) else REJECT, accepts), transcript
 
@@ -389,16 +435,10 @@ def private_coin_plan(n: int, d: int, ell: int, epsilon: float) -> Plan:
     """Plan of `private_coin_protocol` for n users."""
     _check_common(d, epsilon)
     ell_eff, group, n_sim = private_coin_layout(n, d, ell)
-    if n_sim == 0:
-        raise InsufficientPopulationError(
-            f"{n} users with {ell_eff}-bit blocks cannot fill one {d}-coordinate sample"
-        )
     active = n_sim * group
-    lengths = np.zeros(n, dtype=np.int64)
-    lengths[:active] = ell_eff
     eps = epsilon * SIGN_QUANTIZE_DISTANCE_FACTOR
-    return Plan(d=d, block=None, width=d, tau=0.5 * eps * eps,
-                runs=[(np.arange(active), lengths[:active])], offsets=_offsets(lengths))
+    return Plan(d=d, block=None, width=d, tau=0.5 * eps * eps, n_users=n,
+                runs=[(np.arange(active), np.full(active, ell_eff, dtype=np.int64))])
 
 
 def private_coin_protocol(samples: np.ndarray, d: int, ell: int,
@@ -437,17 +477,12 @@ def limited_coin_plan(n: int, d: int, ell: int, epsilon: float, s: int) -> Plan:
     """Plan of `limited_coin_protocol` for n users and s seed bits."""
     _check_common(d, epsilon)
     cohort_size = n // REPETITIONS
-    if cohort_size == 0:
-        raise InsufficientPopulationError(f"need at least {REPETITIONS} users, got {n}")
     d_s, L, ell_eff, scale = limited_coin_params(d, ell, s)
     _check_transforms(d, d_s, s)
     cohort = private_coin_plan(cohort_size, L, ell_eff, epsilon * scale)
-    users, cohort_lengths = cohort.runs[0]
-    lengths = np.zeros(n, dtype=np.int64)
-    for r in range(REPETITIONS):   # cohorts are contiguous in user order
-        lengths[r * cohort_size:r * cohort_size + users.shape[0]] = cohort_lengths
-    runs = [(users + r * cohort_size, cohort_lengths) for r in range(REPETITIONS)]
-    return Plan(d=d, block=d_s, width=L, tau=cohort.tau, runs=runs, offsets=_offsets(lengths))
+    users, lengths = cohort.runs[0]
+    runs = [(users + r * cohort_size, lengths) for r in range(REPETITIONS)]
+    return Plan(d=d, block=d_s, width=L, tau=cohort.tau, n_users=n, runs=runs)
 
 
 def limited_coin_protocol(samples: np.ndarray, d: int, ell: int, epsilon: float,
@@ -509,16 +544,8 @@ def hetero_samples_plan(m: np.ndarray, d: int, ell: int, epsilon: float, s: int)
     _check_transforms(d, share, s)
     tau = hetero_threshold(epsilon, ell, hetero_pair_weight(m), d, n)
     run = (np.arange(n), np.full(n, share, dtype=np.int64))
-
-    def assemble(bits: list[np.ndarray]) -> np.ndarray:
-        # user k's message is its 7 shares back to back; viewing each share as
-        # one opaque element lets the interleave copy whole shares
-        whole = np.dtype((np.void, share))
-        return np.stack([b.view(whole) for b in bits], axis=1).view(np.uint8).reshape(-1)
-
-    return Plan(d=d, block=share, width=share, tau=tau, runs=[run] * REPETITIONS,
-                offsets=_offsets(np.full(n, REPETITIONS * share)),
-                blocks=np.unique(m // REPETITIONS, return_inverse=True), assemble=assemble)
+    return Plan(d=d, block=share, width=share, tau=tau, n_users=n, runs=[run] * REPETITIONS,
+                blocks=np.unique(m // REPETITIONS, return_inverse=True))
 
 
 def hetero_samples_protocol(samples: list[np.ndarray], m: np.ndarray, d: int, ell: int,
@@ -556,27 +583,9 @@ def hetero_comm_plan(ells: np.ndarray, d: int, epsilon: float, s: int) -> Plan:
     _check_common(d, epsilon)
     d_s, L, shares = hetero_comm_params(d, ells, s)
     _check_transforms(d, d_s, s)
-    total_share = int(shares.sum())
-    if total_share < L:
-        raise InsufficientPopulationError(
-            f"{total_share} per-repetition bits cannot fill one {L}-coordinate sample")
     eps = epsilon * SIGN_QUANTIZE_DISTANCE_FACTOR * np.sqrt(RETENTION_FACTOR * L / d)
-    offsets = _offsets(REPETITIONS * shares)
-
-    def assemble(bits: list[np.ndarray]) -> np.ndarray:
-        # user k's message is its 7 shares back to back (repetition-major per user)
-        dest = np.repeat(offsets[:-1] - (np.cumsum(shares) - shares), shares)
-        dest += np.arange(total_share)
-        step = np.repeat(shares, shares)
-        data = np.empty(int(offsets[-1]), dtype=np.uint8)
-        for transmitted in bits:
-            data[dest] = transmitted
-            dest += step
-        return data
-
-    return Plan(d=d, block=d_s, width=L, tau=0.5 * eps * eps,
-                runs=[(np.arange(shares.shape[0]), shares)] * REPETITIONS,
-                offsets=offsets, assemble=assemble)
+    return Plan(d=d, block=d_s, width=L, tau=0.5 * eps * eps, n_users=shares.shape[0],
+                runs=[(np.arange(shares.shape[0]), shares)] * REPETITIONS)
 
 
 def hetero_comm_protocol(samples: np.ndarray, d: int, ells: np.ndarray, epsilon: float,
@@ -646,23 +655,8 @@ def mix_and_match_plan(users: list[UserSpec], d: int, epsilon: float, s: int,
     for r in range(REPETITIONS):
         sent = np.minimum(start + span, (r + 1) * L) - np.maximum(start, r * L)
         runs.append((order[sent > 0], sent[sent > 0]))
-
-    # transcript position -> index into the concatenated repetition streams,
-    # built in place: it has one entry per transmitted bit
-    by_user = np.argsort(order)
-    lengths = span[by_user]
-    offsets = _offsets(lengths)
-    index = np.int32 if need * K < 2 ** 31 else np.int64
-    p = np.repeat((start[by_user] - offsets[:-1]).astype(index), lengths)
-    p += np.arange(p.shape[0], dtype=index)
-    gather = np.repeat((group[by_user] * L).astype(index), lengths)
-    gather += p % L
-    p //= L
-    p *= K * L
-    gather += p
-    return Plan(d=d, block=L, width=L, tau=tau, runs=runs, offsets=offsets,
-                blocks=np.unique(group_min_m // REPETITIONS, return_inverse=True),
-                assemble=lambda bits: np.concatenate(bits)[gather])
+    return Plan(d=d, block=L, width=L, tau=tau, n_users=n, runs=runs,
+                blocks=np.unique(group_min_m // REPETITIONS, return_inverse=True))
 
 
 def mix_and_match_protocol(samples: list[np.ndarray], users: list[UserSpec], d: int,

@@ -123,9 +123,11 @@ class TestSweep:
         assert code == EXIT_INFEASIBLE
         capsys.readouterr()
 
-    def test_invalid_swept_value(self, config_path, capsys):
-        code = main(["sweep", "--config", config_path, "--param", "ell",
-                     "--values", "0", "--trials", "3"])
+    @pytest.mark.parametrize("param,value", [
+        ("ell", "0"), ("s", "inf"), ("s", "1e400"), ("ell", "4.7")])
+    def test_invalid_swept_value(self, config_path, capsys, param, value):
+        code = main(["sweep", "--config", config_path, "--param", param,
+                     "--values", value, "--trials", "3"])
         assert code == EXIT_INFEASIBLE
         capsys.readouterr()
 
@@ -167,7 +169,19 @@ class TestInfeasibleInputs:
          "partition"),
         ({"d": 8, "epsilon": 1.0, "s": 0, "protocol": "private",
           "users": [{"m": 1, "ell": 8, "count": 16}], "mean_modes": "null"}, "mean_modes"),
-    ], ids=["top_level_list", "string_partition_entry", "string_mean_modes"])
+        ({"d": 8, "epsilon": 1.0, "s": 0, "protocol": "mix_and_match",
+          "users": [{"m": 7, "ell": 56, "count": 4}], "partitions": [[0, 1], [2, 3]]},
+         "unknown field 'partitions'"),
+        ({"d": 8, "epsilon": 1.0, "s": 0, "protocol": "private",
+          "users": [{"m": 1, "ell": 8, "count": 16}], "mean_mode": ["null"]},
+         "unknown field 'mean_mode'"),
+        ({"d": 8, "epsilon": 1.0, "s": 0, "protocol": "private",
+          "users": [{"m": 1, "ell": 8, "cnt": 16}]}, "unknown field 'cnt'"),
+        ({"d": 8, "epsilon": 1.0, "s": 0, "protocol": "private",
+          "users": [{"ell": 8, "count": 16}]}, "missing required field 'm'"),
+    ], ids=["top_level_list", "string_partition_entry", "string_mean_modes",
+            "unknown_top_level_key", "unknown_mean_mode_key", "unknown_users_key",
+            "missing_m"])
     def test_wrongly_typed_config(self, tmp_path, capsys, raw, named):
         path = tmp_path / "typed.json"
         path.write_text(json.dumps(raw))

@@ -27,6 +27,7 @@ from distmeantest import (
     sign_quantize,
     write_records_csv,
 )
+from distmeantest import protocols
 from distmeantest.binary_test import ACCEPT, REJECT
 from distmeantest.harness import CSV_COLUMNS, bpmt_spike_alternative, bpmt_spread_alternative
 from distmeantest.protocols import Decision
@@ -373,6 +374,18 @@ class TestRunBatch:
         result = run_batch(cfg, trials=2, protocol_runner=stub)
         assert len(result.audit_violations) == 2 * 32
         assert "mode=null trial=0" in result.audit_violations[0]
+
+    @pytest.mark.parametrize("path", ["law", "literal"])
+    @pytest.mark.parametrize("cfg", structural_configs(),
+                             ids=[c.protocol for c in structural_configs()])
+    def test_trials_never_build_transcript_data(self, cfg, path, monkeypatch):
+        # the audit and the records read lengths and counts only
+        def refuse(*args):
+            raise AssertionError("a trial built user-major transcript data")
+        monkeypatch.setattr(protocols, "_user_major", refuse)
+        result = run_batch(cfg, trials=2, master_seed=3, sample_path=path)
+        assert len(result.records) == 2 * len(cfg.mean_modes)
+        assert result.audit_violations == []
 
     def test_trials_validation(self):
         with pytest.raises(ParameterError):

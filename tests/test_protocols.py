@@ -234,6 +234,21 @@ class TestLimitedCoin:
             limited_coin_protocol(RNG.standard_normal((6, 8)), 8, 4, 0.5, fresh_seed(0))
 
 
+class TestOneRowLayouts:
+    # each case leaves some repetition's referee a single full row
+    @pytest.mark.parametrize("run,s", [
+        (lambda seed: hetero_comm_protocol(RNG.standard_normal((8, 8)), 8,
+                                           np.array([7] * 4 + [14] * 4), 1.0, seed), 28),
+        (lambda seed: private_coin_protocol(RNG.standard_normal((2, 8)), 8, 4, 1.0), 0),
+        (lambda seed: limited_coin_protocol(RNG.standard_normal((14, 8)), 8, 4, 1.0, seed), 0),
+    ], ids=["hetero_comm", "private", "limited"])
+    def test_rejected_before_any_seed_bit(self, run, s):
+        seed = fresh_seed(s)
+        with pytest.raises(InsufficientPopulationError):
+            run(seed)
+        assert seed.consumed == 0
+
+
 class TestSeedPlanning:
     def test_partly_used_seed_runs_within_what_is_left(self):
         # 74 of 84 bits left: d_s = 64/4, seven (64, 16) transforms at 8 bits each
