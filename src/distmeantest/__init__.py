@@ -17,6 +17,7 @@ from .binary_test import (
     bpmt_decide_threshold,
     bpmt_moments_oracle,
     collision_statistic,
+    collision_statistic_counts,
 )
 from .brht import (
     BrhtSpec,

@@ -35,6 +35,7 @@ __all__ = [
     "REJECT",
     "BpmtMoments",
     "collision_statistic",
+    "collision_statistic_counts",
     "bpmt_decide",
     "bpmt_decide_threshold",
     "bpmt_moments_oracle",
@@ -61,10 +62,17 @@ def _check_bits(samples: np.ndarray) -> np.ndarray:
 def collision_statistic(samples: np.ndarray) -> float:
     """Exact T for an (n, d) 0/1 matrix; integer numerator, one division."""
     samples = _check_bits(samples)
-    n = samples.shape[0]
-    ones = samples.sum(axis=0, dtype=np.int64)
-    centered_doubled = 2 * ones - n                     # 2 * S_i, exact int
-    numerator = int(np.dot(centered_doubled, centered_doubled)) - samples.shape[1] * n
+    return collision_statistic_counts(samples.sum(axis=0, dtype=np.int64), samples.shape[0])
+
+
+def collision_statistic_counts(ones: np.ndarray, n: int) -> float:
+    """Exact T from the integer column sums `ones` of n >= 2 binary samples.
+
+    The column sums are sufficient: T depends on the samples only through
+    them.  Callers guarantee n >= 2 and 0 <= ones <= n.
+    """
+    centered_doubled = 2 * np.asarray(ones, dtype=np.int64) - n    # 2 * S_i, exact int
+    numerator = int(np.dot(centered_doubled, centered_doubled)) - centered_doubled.shape[0] * n
     return numerator / (4.0 * n * (n - 1))
 
 

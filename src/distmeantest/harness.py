@@ -12,14 +12,18 @@ builds the protocol's plan once per config (cached in
 bit source, to the shared trial body.  Only the bit source differs:
 
 * ``literal``  — `LiteralSource` sign-quantizes every user's real Gaussian
-  samples.
-* ``law``      — `LawSource` draws each transmitted bit directly from its
-  exact Bernoulli law; it never draws a bit that is not sent.
+  samples and sums the bits per column.
+* ``law``      — `LawSource` draws each repetition's column counts from
+  their exact law, one binomial per flip probability and column; the bits
+  are drawn only when the transcript is read, from their exact law given
+  those counts, and never a bit that is not sent.
 
-Either way the `Transcript` holds the repetition streams as the bit source
-returned them.  The audit and the trial records read only its lengths and
-counts, so no trial builds the user-major messages; they are built on the
-first read of the transcript's data (`message`, `serialize`).
+The referee reads only the column counts.  The `Transcript` holds the
+repetition streams as the bit source returned them (arrays, or the law
+path's deferred draws).  The audit and the trial records read only its
+lengths and counts, so no trial draws or builds the user-major messages;
+they are built on the first read of the transcript's data (`message`,
+`serialize`).
 
 The law path is the default: it makes six-figure populations tractable on a
 single core.  The paths also agree jointly across repetitions except for
@@ -308,36 +312,48 @@ def _trial_streams(master_seed: int, mode: str, trial_index: int
 
 
 class LawSource:
-    """Bit source that draws each transmitted bit from its exact law.
+    """Bit source that draws each repetition's column counts from their exact
+    law, and its transmitted bits only when the transcript is read.
 
     A quantized rotated coordinate is 1 with probability Phi(mu_rot[c]),
     where mu_rot is the rotated mean, scaled by sqrt(block) after a block of
     samples is aggregated: rotations are orthogonal, so rotated samples are
     Gaussian with identity covariance around mu_rot, and distinct bits of
-    one repetition come from distinct (user, coordinate) pairs.  Only the
-    transmitted bits are drawn, one vectorized draw per repetition, and the
-    repetitions are drawn independently: exact where they use disjoint
-    samples, which holds for every protocol but hetero_comm.
+    one repetition come from distinct (user, coordinate) pairs.  The rows of
+    one flip-probability group are therefore i.i.d., and a column's count
+    over them is one binomial draw.  The stream is drawn from the exact
+    conditional law given those counts: in each group and column the ones
+    sit on a uniformly random subset of the group's rows, and a trailing
+    partial row (hetero_comm only) is drawn bit by bit.  Repetitions are drawn
+    independently: exact where they use disjoint samples, which holds for
+    every protocol but hetero_comm.
     """
 
     def __init__(self, mu: np.ndarray, rng: np.random.Generator):
         self.mu = mu
         self.rng = rng
 
-    def bits(self, plan: Plan, r: int, spec: BrhtSpec | None) -> np.ndarray:
-        total, width = int(plan.runs[r][1].sum()), plan.width
-        mu_rot = self.mu if spec is None else brht_apply(spec, self.mu, keep=width)
+    def draw(self, plan: Plan, r: int, spec: BrhtSpec | None):
+        """Repetition r's column counts over its full rows, and a callable that
+        draws its stream given them."""
+        mu_rot = self.mu if spec is None else brht_apply(spec, self.mu, keep=plan.width)
         if plan.blocks is None:
-            p = _flip_probs(mu_rot)[None, :]                     # the same for every row
+            p = _flip_probs(mu_rot)[None, :]
         else:
-            sizes, row_size = plan.blocks
-            p = _flip_probs(np.sqrt(sizes)[:, None] * mu_rot)[row_size]
-        draws = self.rng.random(total)
-        full = total - total % width     # only hetero_comm (no blocks) leaves a partial row
-        bits = np.empty(total, dtype=np.uint8)
-        bits[:full].reshape(-1, width)[...] = draws[:full].reshape(-1, width) < p
-        bits[full:] = draws[full:] < p[0, :total - full]
-        return bits
+            p = _flip_probs(np.sqrt(plan.blocks[0])[:, None] * mu_rot)
+        counts = self.rng.binomial(plan.group_rows[r][:, None], p)     # (groups, width)
+        return counts.sum(axis=0), lambda: self._stream(plan, r, counts, p)
+
+    def _stream(self, plan: Plan, r: int, counts: np.ndarray, p: np.ndarray) -> np.ndarray:
+        rows = plan.group_rows[r]
+        full = np.empty((int(rows.sum()), plan.width), dtype=np.uint8)
+        row_group = np.zeros(full.shape[0], dtype=np.int64) if plan.blocks is None \
+            else plan.blocks[1]
+        for g, n_g in enumerate(rows.tolist()):
+            ones_first = np.arange(n_g)[:, None] < counts[g]
+            full[row_group == g] = self.rng.permuted(ones_first, axis=0)
+        rest = plan.totals[r] - full.size
+        return np.concatenate([full.reshape(-1), self.rng.random(rest) < p[0, :rest]])
 
 
 def _plan(config: PopulationConfig, d: int) -> Plan:

@@ -15,14 +15,16 @@ Each protocol is written once, in three parts.  Its *plan* (`*_plan`) holds
 everything that does not depend on the trial: validation, transform block
 length, threshold, and the layout, stated once as each repetition's runs of
 senders (the transcript offsets are derived from them).  A *bit source*
-returns the sign bits of the rotated, block-aggregated data of given users
-at given rotated coordinates: `LiteralSource` quantizes real samples, and
-the harness supplies a source that draws the bits from their exact law.  The
-*trial body* `run_plan` draws the transforms from the public seed, asks the
-source for each repetition's bits, runs the referee and hands the
-repetition streams with the plan's runs to the `Transcript`, which builds
-the per-user messages only when they are first read.  The public
-`*_protocol` functions are plan + literal source + trial body.
+returns, for one repetition, the column counts of the referee's full rows
+and the stream of sign bits of the rotated, block-aggregated data of the
+senders at their rotated coordinates: `LiteralSource` quantizes real
+samples, and the harness supplies a source that draws the counts from their
+exact law and the stream only on demand.  The *trial body* `run_plan` draws
+the transforms from the public seed, asks the source for each repetition,
+referees the counts and hands the repetition streams with the plan's runs
+to the `Transcript`, which builds the per-user messages only when they are
+first read.  The public `*_protocol` functions are plan + literal source +
+trial body.
 
 Budget flooring policy: coordinate-block sizes (private/limited `ell`, the
 per-repetition share of the heterogeneous-samples protocol, which doubles as
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binary_test import ACCEPT, REJECT, bpmt_decide_threshold
+from .binary_test import ACCEPT, REJECT, collision_statistic_counts
 from .brht import BrhtSpec, RETENTION_FACTOR, brht_apply, is_pow2, pow2_floor, sample_brht
 from .errors import (
     BudgetExhaustedError,
@@ -94,10 +96,12 @@ class UserSpec:
 
 @dataclass
 class Decision:
-    """Referee outcome; repetition_accepts is set by the amplified protocols."""
+    """Referee outcome; repetition_accepts is set by the amplified protocols,
+    and statistics (each repetition's collision statistic T) by `run_plan`."""
 
     verdict: str
     repetition_accepts: tuple[bool, ...] | None = None
+    statistics: tuple[float, ...] | None = None
 
     def consistent(self) -> bool:
         if self.repetition_accepts is None:
@@ -110,31 +114,46 @@ class Transcript:
 
     `data` holds every transmitted bit (0/1 uint8) with user k's message at
     data[offsets[k]:offsets[k+1]]; lengths are exact integers, never padded.
-    Given `runs`, `data` is instead the list of repetition streams those runs
-    lay out (see `Plan`), and the user-major bits are built from them on the
-    first read of `data` and kept: a user's message is its per-repetition
-    segments, in repetition order.  Counts and lengths never build them.
+    Given a plan's `runs` and stream `totals` (see `Plan`), `data` is instead
+    the list of repetition streams those runs lay out, each an array or a
+    zero-argument callable that draws it.  On the first read of `data` the
+    streams are resolved in repetition order and the user-major bits are built
+    from them and kept: a user's message is its per-repetition segments, in
+    repetition order.  Counts and lengths never build them.
     """
 
     def __init__(self, offsets: np.ndarray, data, public_bits_used: int = 0,
-                 runs: list[tuple[np.ndarray, np.ndarray]] | None = None):
+                 runs: list[tuple[np.ndarray, np.ndarray]] | None = None,
+                 totals: tuple[int, ...] | None = None):
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.public_bits_used = int(public_bits_used)
         if runs is None:
-            self._data = np.asarray(data, dtype=np.uint8)
-            sizes = [self._data.shape[0]]
+            self._data, self._streams = np.asarray(data, dtype=np.uint8), []
+            totals = (self._data.shape[0],)
         else:
-            self._data, self._streams, self._runs = None, data, runs
-            sizes = [stream.shape[0] for stream in data]
-            if sizes != [int(lengths.sum()) for _, lengths in runs]:
+            self._data, self._streams, self._runs, self._totals = None, list(data), runs, totals
+            if len(self._streams) != len(runs) or len(totals) != len(runs) or any(
+                    not callable(stream) and stream.shape[0] != total
+                    for stream, total in zip(self._streams, totals)):
                 raise ParameterError("repetition streams do not match their runs")
-        if self.offsets.ndim != 1 or self.offsets[0] != 0 or self.offsets[-1] != sum(sizes):
+        if self.offsets.ndim != 1 or self.offsets[0] != 0 or self.offsets[-1] != sum(totals):
             raise ParameterError("malformed transcript offsets")
+
+    @property
+    def streams(self) -> list[np.ndarray]:
+        """The repetition streams, resolved in repetition order on first read
+        (none for a transcript built from user-major data)."""
+        for r, stream in enumerate(self._streams):
+            if callable(stream):
+                stream = self._streams[r] = stream()
+                if stream.shape[0] != self._totals[r]:
+                    raise ParameterError("repetition streams do not match their runs")
+        return self._streams
 
     @property
     def data(self) -> np.ndarray:
         if self._data is None:
-            self._data = _user_major(self.offsets, self._runs, self._streams)
+            self._data = _user_major(self.offsets, self._runs, self.streams)
         return self._data
 
     @property
@@ -343,8 +362,12 @@ class Plan:
     `runs` is the whole layout: a user sends at most one segment per
     repetition, and its message is its segments in repetition order, so the
     transcript offsets of the n_users users (silent ones included) are
-    derived from it.  A repetition whose referee would get fewer than two
-    rows is rejected here, before any seed bit is drawn.
+    derived from it, once, with `totals` (each repetition's stream length)
+    and `group_rows` (each repetition's full rows per flip-probability group:
+    one group when `blocks` is None, else one per block size, whose rows are
+    every repetition's rows).  A repetition whose referee would get fewer than
+    two rows, or a threshold that is not finite and >= 0, is rejected here,
+    before any seed bit is drawn.
     """
 
     d: int
@@ -355,18 +378,28 @@ class Plan:
     runs: list[tuple[np.ndarray, np.ndarray]]
     blocks: tuple[np.ndarray, np.ndarray] | None = None
     offsets: np.ndarray = field(init=False)
+    totals: tuple[int, ...] = field(init=False)
+    group_rows: list[np.ndarray] = field(init=False)
 
     def __post_init__(self):
+        if not (np.isfinite(self.tau) and self.tau >= 0.0):
+            raise ParameterError(f"threshold must be finite and >= 0, got {self.tau}")
+        self.tau = float(self.tau)
+        self.totals = tuple(int(sent.sum()) for _, sent in self.runs)
         lengths = np.zeros(self.n_users, dtype=np.int64)
-        for r, (users, sent) in enumerate(self.runs):
+        for r, ((users, sent), total) in enumerate(zip(self.runs, self.totals)):
             lengths[users] += sent
-            total = int(sent.sum())
             if total // self.width < 2:
                 raise InsufficientPopulationError(
                     f"repetition {r} sends {total} bits, which fill "
                     f"{total // self.width} full {self.width}-coordinate samples; "
                     f"the referee needs 2")
         self.offsets = np.concatenate([[0], np.cumsum(lengths)])
+        if self.blocks is None:
+            self.group_rows = [np.array([total // self.width]) for total in self.totals]
+        else:
+            sizes, row_size = self.blocks
+            self.group_rows = [np.bincount(row_size, minlength=sizes.shape[0])] * len(self.runs)
 
 
 class LiteralSource:
@@ -376,7 +409,13 @@ class LiteralSource:
     def __init__(self, samples):
         self.samples = samples
 
-    def bits(self, plan: Plan, r: int, spec: BrhtSpec | None) -> np.ndarray:
+    def draw(self, plan: Plan, r: int, spec: BrhtSpec | None) -> tuple[np.ndarray, np.ndarray]:
+        """Repetition r's column counts over its full rows, and its bits."""
+        bits = self._bits(plan, r, spec)
+        full = plan.totals[r] - plan.totals[r] % plan.width
+        return bits[:full].reshape(-1, plan.width).sum(axis=0, dtype=np.int64), bits
+
+    def _bits(self, plan: Plan, r: int, spec: BrhtSpec | None) -> np.ndarray:
         users, lengths = plan.runs[r]
         run_of, coords = wraparound_coords(lengths, plan.width)
         if plan.blocks is None:
@@ -399,23 +438,26 @@ class LiteralSource:
 def run_plan(plan: Plan, seed: PublicSeed | None, source) -> tuple[Decision, Transcript]:
     """The trial body every protocol and every bit source share.
 
-    `source.bits(plan, r, spec)` returns repetition r's stream under the
-    transform spec.  Amplified plans accept only if every repetition does.
+    `source.draw(plan, r, spec)` returns repetition r's column counts over its
+    full rows under the transform spec, and its stream (an array, or a
+    callable the transcript resolves on first read).  The referee reads only
+    the counts: a repetition rejects iff its collision statistic exceeds
+    `plan.tau`, and amplified plans accept only if every repetition does.
     """
     before = 0 if seed is None else seed.consumed
-    rep_bits: list[np.ndarray] = []
-    rep_accepts: list[bool] = []
-    for r in range(len(plan.runs)):
+    streams: list = []
+    statistics: list[float] = []
+    for r, total in enumerate(plan.totals):
         spec = None if plan.block is None else sample_brht(seed, plan.d, plan.block)
-        bits = source.bits(plan, r, spec)
-        n_sim = bits.shape[0] // plan.width
-        sim = bits[:n_sim * plan.width].reshape(n_sim, plan.width)
-        rep_accepts.append(bpmt_decide_threshold(sim, plan.tau) == ACCEPT)
-        rep_bits.append(bits)
+        ones, stream = source.draw(plan, r, spec)
+        statistics.append(collision_statistic_counts(ones, total // plan.width))
+        streams.append(stream)
     used = 0 if seed is None else seed.consumed - before
-    transcript = Transcript(plan.offsets, rep_bits, used, plan.runs)
-    accepts = tuple(rep_accepts) if len(rep_accepts) > 1 else None
-    return Decision(ACCEPT if all(rep_accepts) else REJECT, accepts), transcript
+    transcript = Transcript(plan.offsets, streams, used, plan.runs, plan.totals)
+    rep_accepts = tuple(t <= plan.tau for t in statistics)
+    accepts = rep_accepts if len(rep_accepts) > 1 else None
+    verdict = ACCEPT if all(rep_accepts) else REJECT
+    return Decision(verdict, accepts, tuple(statistics)), transcript
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from distmeantest import (
     bpmt_decide_threshold,
     bpmt_moments_oracle,
     collision_statistic,
+    collision_statistic_counts,
 )
 
 RNG = np.random.default_rng(20240818)
@@ -92,6 +93,14 @@ class TestCollisionStatistic:
             collision_statistic(np.array([[0, 2], [1, 0]]))
         with pytest.raises(ParameterError):
             collision_statistic(np.array([[0.0, 0.5], [1.0, 0.0]]))
+
+
+class TestCollisionStatisticCounts:
+    def test_counts_give_the_statistic_of_their_samples(self):
+        for _ in range(50):
+            n, d = int(RNG.integers(2, 40)), int(RNG.integers(1, 20))
+            x = RNG.integers(0, 2, size=(n, d)).astype(np.uint8)
+            assert collision_statistic_counts(x.sum(axis=0), n) == collision_statistic(x)
 
 
 class TestDecisionRules:

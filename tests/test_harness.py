@@ -7,6 +7,7 @@ import pytest
 
 from distmeantest import (
     MEAN_MODES,
+    PublicSeed,
     CalibrationFailedError,
     MeanSpec,
     ParameterError,
@@ -15,6 +16,8 @@ from distmeantest import (
     TrialRecord,
     UserSpec,
     bpmt_error_rates,
+    bpmt_moments_oracle,
+    brht_apply,
     budget_audit,
     calibrate,
     calibrate_bpmt,
@@ -23,12 +26,13 @@ from distmeantest import (
     make_mean,
     run_batch,
     run_trial,
+    sample_brht,
     sign_flip_prob,
     sign_quantize,
     write_records_csv,
 )
-from distmeantest import protocols
-from distmeantest.binary_test import ACCEPT, REJECT
+from distmeantest import harness, protocols
+from distmeantest.binary_test import ACCEPT, REJECT, collision_statistic
 from distmeantest.harness import CSV_COLUMNS, bpmt_spike_alternative, bpmt_spread_alternative
 from distmeantest.protocols import Decision
 
@@ -490,3 +494,76 @@ class TestEndToEndRates:
                                users=[UserSpec(1, 16)] * 512)
         est = estimate_error(cfg, trials=200, master_seed=17)
         assert est.worst_rate == 0.0, (est.type1_rate, est.type2_rates)
+
+
+class TestLawStreams:
+    @pytest.mark.parametrize("cfg", structural_configs(),
+                             ids=[c.protocol for c in structural_configs()])
+    def test_streams_read_back_reproduce_the_referee(self, cfg):
+        # the law path referees column counts and draws the bits on read;
+        # refereeing the bits read back must give the same T and verdicts
+        plan = harness._plan(cfg, cfg.d)
+        for mode in ("null", "spike"):
+            mean = MeanSpec(mode, 0.0 if mode == "null" else cfg.epsilon)
+            for trial in range(5):
+                dec, tr = run_trial(cfg, mean, trial, master_seed=2, sample_path="law")
+                streams = tr.streams
+                assert len(streams) == len(dec.statistics) == len(plan.runs)
+                for stream, total, t in zip(streams, plan.totals, dec.statistics):
+                    assert stream.dtype == np.uint8 and stream.shape == (total,)
+                    assert set(np.unique(stream).tolist()) <= {0, 1}
+                    rows = total // plan.width
+                    assert collision_statistic(
+                        stream[:rows * plan.width].reshape(rows, plan.width)) == t
+                accepts = tuple(t <= plan.tau for t in dec.statistics)
+                assert accepts == (dec.repetition_accepts or (dec.verdict == ACCEPT,))
+                assert dec.consistent() and budget_audit(tr, cfg).ok
+
+    def test_ones_land_on_uniformly_random_rows(self):
+        # private, spike of norm 1: coordinate 0 of every row is 1 with
+        # probability Phi(1), the others with 1/2, whatever the row
+        cfg = small_config(mean_modes=["null", "spike"])
+        bits = np.array([run_trial(cfg, MeanSpec("spike", 1.0), trial, master_seed=4)[1].streams[0]
+                         for trial in range(400)]).reshape(400, -1, cfg.d)
+        freq = bits.mean(axis=0)                       # (rows, d)
+        assert np.all(np.abs(freq[:, 0] - sign_flip_prob(1.0)) < 0.1)
+        assert np.all(np.abs(freq[:, 1:] - 0.5) < 0.12)
+
+
+class TestStatisticsMatchOracle:
+    # transforms that draw no seed bit fix the rotation, so each
+    # repetition's T has the oracle's closed-form mean
+    TRIALS = 150
+
+    @pytest.mark.parametrize("path", ["law", "literal"])
+    @pytest.mark.parametrize("mode", ["null", "spike"])
+    def test_private(self, path, mode):
+        cfg = small_config(mean_modes=["null", "spike"])          # 32 rows of d = 8
+        mean = MeanSpec(mode, 0.0 if mode == "null" else cfg.epsilon)
+        mu = make_mean(mean, cfg.d, np.random.default_rng(0))
+        oracle = bpmt_moments_oracle(np.array([sign_flip_prob(v) for v in mu]), 32)
+        self._check(cfg, mean, path, oracle)
+
+    @pytest.mark.parametrize("path", ["law", "literal"])
+    @pytest.mark.parametrize("mode", ["null", "spike"])
+    def test_hetero_samples(self, path, mode):
+        # ell = 7d gives share = d: one (d, d) transform per repetition, no seed bit
+        d = 8
+        ms = np.array([7, 14, 21] * 8)
+        cfg = PopulationConfig(d=d, epsilon=1.0, s=0, protocol="hetero_samples",
+                               users=[UserSpec(int(m), 7 * d) for m in ms],
+                               mean_modes=["null", "spike"])
+        mean = MeanSpec(mode, 0.0 if mode == "null" else cfg.epsilon)
+        mu = make_mean(mean, d, np.random.default_rng(0))
+        spec = sample_brht(PublicSeed.random(0, np.random.default_rng(0)), d, d)
+        assert spec.bits_consumed == 0
+        mu_rot = brht_apply(spec, mu)
+        p = np.array([[sign_flip_prob(np.sqrt(m // 7) * v) for v in mu_rot] for m in ms])
+        self._check(cfg, mean, path, bpmt_moments_oracle(p, ms.shape[0]))
+
+    def _check(self, cfg, mean, path, oracle):
+        stats = np.concatenate([
+            run_trial(cfg, mean, trial, master_seed=6, sample_path=path)[0].statistics
+            for trial in range(self.TRIALS)])
+        tolerance = 4.0 * math.sqrt(oracle.var_bound / stats.shape[0])
+        assert abs(stats.mean() - oracle.mean_t) <= tolerance, (stats.mean(), oracle.mean_t)

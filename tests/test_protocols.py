@@ -32,7 +32,13 @@ from distmeantest import (
     wraparound_coords,
 )
 from distmeantest.binary_test import ACCEPT, REJECT
-from distmeantest.protocols import hetero_comm_params, limited_coin_params, mix_and_match_keep_length
+from distmeantest.protocols import (
+    Plan,
+    hetero_comm_params,
+    hetero_samples_plan,
+    limited_coin_params,
+    mix_and_match_keep_length,
+)
 
 RNG = np.random.default_rng(20240819)
 
@@ -641,3 +647,50 @@ class TestDecision:
     def test_plain_verdict(self):
         assert Decision(ACCEPT).consistent()
         assert not Decision("maybe").consistent()
+
+
+def two_row_plan(tau: float = 0.1) -> Plan:
+    # four users send 4 bits each: two full 8-coordinate rows
+    return Plan(d=8, block=None, width=8, tau=tau, n_users=4,
+                runs=[(np.arange(4), np.full(4, 4, dtype=np.int64))])
+
+
+class TestPlan:
+    @pytest.mark.parametrize("tau", [-1e-12, -2.0, float("inf"), float("nan")])
+    def test_bad_threshold_rejected(self, tau):
+        with pytest.raises(ParameterError, match="threshold"):
+            two_row_plan(tau)
+
+    def test_totals_and_group_rows(self):
+        # block sizes floor(m/7) = 1, 2, 1: two rows of size 1, one of size 2
+        plan = hetero_samples_plan(np.array([7, 14, 13]), 8, 56, 1.0, 0)
+        assert plan.totals == (3 * 8,) * REPETITIONS
+        assert [rows.tolist() for rows in plan.group_rows] == [[2, 1]] * REPETITIONS
+        plan = two_row_plan()
+        assert plan.totals == (16,) and plan.group_rows[0].tolist() == [2]
+
+
+class TestDeferredStreams:
+    def test_streams_are_drawn_once_in_repetition_order(self):
+        plan = two_row_plan()
+        drawn = []
+
+        def stream(r):
+            def draw():
+                drawn.append(r)
+                return np.full(16, r, dtype=np.uint8)
+            return draw
+
+        runs = plan.runs * 2
+        t = Transcript(np.arange(5) * 8, [stream(0), stream(1)], 0, runs, plan.totals * 2)
+        assert drawn == [] and t.total_bits == 32
+        assert t.message(2).tolist() == [0] * 4 + [1] * 4
+        t.serialize()
+        assert drawn == [0, 1]
+
+    def test_stream_of_wrong_length_rejected_on_read(self):
+        plan = two_row_plan()
+        t = Transcript(plan.offsets, [lambda: np.zeros(15, dtype=np.uint8)], 0,
+                       plan.runs, plan.totals)
+        with pytest.raises(ParameterError, match="streams"):
+            t.data
