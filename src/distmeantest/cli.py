@@ -17,6 +17,8 @@ import sys
 
 from .errors import MeanTestError, ParameterError
 from .harness import (
+    MAX_MULTIPLIER,
+    SAMPLE_PATHS,
     PopulationConfig,
     calibrate,
     estimate_error,
@@ -33,7 +35,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="population config JSON")
     p.add_argument("--trials", type=int, default=200, help="trials per mean mode")
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--path", choices=("law", "literal"), default="law",
+    p.add_argument("--path", choices=SAMPLE_PATHS, default="law",
                    help="transcript sampling path")
 
 
@@ -53,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     cal_p = sub.add_parser("calibrate", help="double the population until the target holds")
     _add_common(cal_p)
     cal_p.add_argument("--target", type=float, default=0.1, help="worst-rate target")
-    cal_p.add_argument("--max-multiplier", type=int, default=1 << 14)
+    cal_p.add_argument("--max-multiplier", type=int, default=MAX_MULTIPLIER)
     cal_p.add_argument("--json", dest="json_out")
 
     sweep_p = sub.add_parser("sweep", help="re-estimate while varying one parameter")

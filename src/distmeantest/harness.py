@@ -9,14 +9,21 @@ Two sampling paths give every repetition's bits the same law.  Both run
 the protocol once, as written in :mod:`distmeantest.protocols`: `run_trial`
 builds the protocol's plan once per config (cached in
 ``PopulationConfig._cache``) and hands it, with the trial's public seed and a
-bit source, to the shared trial body.  Only the bit source differs:
+bit source, to the shared trial body, which draws the trial's seven
+transforms first and then calls the source once for the whole trial.  The
+plan states its flip-probability groups (one group of block size 1 when
+each user holds one sample) and, in `Plan.reads_blocks`, whether
+repetition r reads block r + 1 of each sender's samples or the sender's one
+sample.  Only the bit source differs:
 
 * ``literal``  — `LiteralSource` sign-quantizes every user's real Gaussian
-  samples and sums the bits per column.
-* ``law``      — `LawSource` draws each repetition's column counts from
-  their exact law, one binomial per flip probability and column; the bits
-  are drawn only when the transcript is read, from their exact law given
-  those counts, and never a bit that is not sent.
+  samples, laid out as the plan's `reads_blocks` says, and sums the bits per
+  column.
+* ``law``      — `LawSource` draws every repetition's column counts from
+  their exact law in one binomial call, one draw per repetition, flip
+  probability group and column; the bits are drawn only when the transcript
+  is read, from their exact law given those counts, and never a bit that is
+  not sent.
 
 The referee reads only the column counts.  The `Transcript` holds the
 repetition streams as the bit source returned them (arrays, or the law
@@ -66,6 +73,8 @@ from .randomness import PublicSeed
 __all__ = [
     "MEAN_MODES",
     "PROTOCOL_NAMES",
+    "SAMPLE_PATHS",
+    "MAX_MULTIPLIER",
     "MeanSpec",
     "PopulationConfig",
     "TrialRecord",
@@ -91,6 +100,9 @@ __all__ = [
 
 MEAN_MODES = ("null", "spike", "spread", "random_direction")
 PROTOCOL_NAMES = ("private", "limited", "hetero_samples", "hetero_comm", "mix_and_match")
+SAMPLE_PATHS = ("law", "literal")
+# the largest population multiplier `calibrate` tries by default
+MAX_MULTIPLIER = 1 << 14
 
 CSV_COLUMNS = ("trial", "mean_mode", "verdict", "bits_total", "public_bits_used", "wall_micros")
 
@@ -99,16 +111,14 @@ CSV_COLUMNS = ("trial", "mean_mode", "verdict", "bits_total", "public_bits_used"
 # mean vectors and Gaussian sampling
 
 
-def sign_flip_prob(mu_i: float) -> float:
-    """P(coordinate with mean mu_i quantizes to 1) = 0.5 * erfc(-mu_i/sqrt(2))."""
-    return 0.5 * math.erfc(-float(mu_i) / math.sqrt(2.0))
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
-def _flip_probs(mu: np.ndarray) -> np.ndarray:
-    """Vectorized sign_flip_prob for the small arrays the law path needs."""
-    flat = np.asarray(mu, dtype=np.float64).reshape(-1)
-    out = np.array([sign_flip_prob(v) for v in flat])
-    return out.reshape(np.asarray(mu).shape)
+def sign_flip_prob(mu):
+    """P(coordinate with mean mu quantizes to 1) = 0.5 * erfc(-mu/sqrt(2)),
+    elementwise over a scalar or an array of means."""
+    return (0.5 * np.asarray(_ERFC(-np.asarray(mu, dtype=np.float64) / math.sqrt(2.0)),
+                             dtype=np.float64))[()]
 
 
 @dataclass(frozen=True)
@@ -184,9 +194,26 @@ def _expect_fields(raw, what: str, required: tuple[str, ...], optional: tuple[st
         raise ParameterError(f"{what} is missing required field {missing[0]!r}")
 
 
-@dataclass
+def _check_modes(modes) -> None:
+    """Mean modes must be known, distinct, and include 'null' for type-I
+    estimation."""
+    for mode in modes:
+        if mode not in MEAN_MODES:
+            raise ParameterError(f"unknown mean mode {mode!r}")
+    if len(set(modes)) != len(modes) or "null" not in modes:
+        raise ParameterError(
+            f"mean modes must be distinct and include 'null' for type-I estimation, got {modes}")
+
+
+@dataclass(frozen=True)
 class PopulationConfig:
-    """An instance of the distributed testing problem plus simulation choices."""
+    """An instance of the distributed testing problem plus simulation choices.
+
+    Frozen: the protocol plan is cached on the config, so no field may be
+    reassigned after construction (`scaled` and `from_dict` build new
+    configs).  Mutating the `users` list in place is not guarded against and
+    not supported.
+    """
 
     d: int
     epsilon: float
@@ -210,11 +237,7 @@ class PopulationConfig:
             raise ParameterError(f"unknown protocol {self.protocol!r}")
         if not self.users:
             raise ParameterError("population must contain at least one user")
-        for mode in self.mean_modes:
-            if mode not in MEAN_MODES:
-                raise ParameterError(f"unknown mean mode {mode!r}")
-        if "null" not in self.mean_modes:
-            raise ParameterError("mean_modes must include 'null' for type-I estimation")
+        _check_modes(self.mean_modes)
         if self.partition is not None and self.protocol != "mix_and_match":
             raise ParameterError("explicit partitions only apply to mix_and_match")
         self._validate_population()
@@ -312,19 +335,21 @@ def _trial_streams(master_seed: int, mode: str, trial_index: int
 
 
 class LawSource:
-    """Bit source that draws each repetition's column counts from their exact
-    law, and its transmitted bits only when the transcript is read.
+    """Bit source that draws a trial's column counts from their exact law,
+    and each repetition's transmitted bits only when the transcript is read.
 
     A quantized rotated coordinate is 1 with probability Phi(mu_rot[c]),
     where mu_rot is the rotated mean, scaled by sqrt(block) after a block of
-    samples is aggregated: rotations are orthogonal, so rotated samples are
-    Gaussian with identity covariance around mu_rot, and distinct bits of
-    one repetition come from distinct (user, coordinate) pairs.  The rows of
-    one flip-probability group are therefore i.i.d., and a column's count
-    over them is one binomial draw.  The stream is drawn from the exact
-    conditional law given those counts: in each group and column the ones
-    sit on a uniformly random subset of the group's rows, and a trailing
-    partial row (hetero_comm only) is drawn bit by bit.  Repetitions are drawn
+    samples is aggregated (block 1 when each user holds one sample):
+    rotations are orthogonal, so rotated samples are Gaussian with identity
+    covariance around mu_rot, and distinct bits of one repetition come from
+    distinct (user, coordinate) pairs.  The rows of one flip-probability group
+    are therefore i.i.d., and a column's count over them is one binomial
+    draw; all repetitions' counts are one binomial call over a (repetitions,
+    groups, width) array.  Each stream is drawn from the exact conditional
+    law given its counts: in each group and column the ones sit on a
+    uniformly random subset of the group's rows, and a trailing partial row
+    (hetero_comm only) is drawn bit by bit.  Repetitions are drawn
     independently: exact where they use disjoint samples, which holds for
     every protocol but hetero_comm.
     """
@@ -333,22 +358,20 @@ class LawSource:
         self.mu = mu
         self.rng = rng
 
-    def draw(self, plan: Plan, r: int, spec: BrhtSpec | None):
-        """Repetition r's column counts over its full rows, and a callable that
-        draws its stream given them."""
-        mu_rot = self.mu if spec is None else brht_apply(spec, self.mu, keep=plan.width)
-        if plan.blocks is None:
-            p = _flip_probs(mu_rot)[None, :]
-        else:
-            p = _flip_probs(np.sqrt(plan.blocks[0])[:, None] * mu_rot)
-        counts = self.rng.binomial(plan.group_rows[r][:, None], p)     # (groups, width)
-        return counts.sum(axis=0), lambda: self._stream(plan, r, counts, p)
+    def draw(self, plan: Plan, specs: list[BrhtSpec | None]):
+        """Each repetition's column counts over its full rows, and a callable
+        per repetition that draws its stream given them."""
+        mu_rot = np.array([self.mu if spec is None else brht_apply(spec, self.mu, keep=plan.width)
+                           for spec in specs])
+        p = sign_flip_prob(np.sqrt(plan.groups[0])[:, None] * mu_rot[:, None, :])
+        # one draw per repetition, group and column, in that order
+        counts = self.rng.binomial(np.array(plan.group_rows)[:, :, None], p)
+        return counts.sum(axis=1), [lambda r=r: self._stream(plan, r, counts[r], p[r])
+                                    for r in range(len(specs))]
 
     def _stream(self, plan: Plan, r: int, counts: np.ndarray, p: np.ndarray) -> np.ndarray:
-        rows = plan.group_rows[r]
-        full = np.empty((int(rows.sum()), plan.width), dtype=np.uint8)
-        row_group = np.zeros(full.shape[0], dtype=np.int64) if plan.blocks is None \
-            else plan.blocks[1]
+        rows, row_group = plan.group_rows[r], plan.groups[1]
+        full = np.empty((row_group.shape[0], plan.width), dtype=np.uint8)
         for g, n_g in enumerate(rows.tolist()):
             ones_first = np.arange(n_g)[:, None] < counts[g]
             full[row_group == g] = self.rng.permuted(ones_first, axis=0)
@@ -387,7 +410,7 @@ def run_trial(config: PopulationConfig, mean: MeanSpec, trial_index: int,
     zero-padded and samples carry fresh unit-variance noise in the padded
     coordinates (realized by sampling in the padded dimension).
     """
-    if sample_path not in ("law", "literal"):
+    if sample_path not in SAMPLE_PATHS:
         raise ParameterError(f"unknown sample path {sample_path!r}")
     mean_rng, public_rng, data_rng = _trial_streams(master_seed, mean.mode, trial_index)
     d_pad = next_pow2(config.d)
@@ -396,10 +419,10 @@ def run_trial(config: PopulationConfig, mean: MeanSpec, trial_index: int,
     plan = _plan(config, d_pad)
     if sample_path == "law":
         source = LawSource(mu, data_rng)
-    elif plan.blocks is None:
-        source = LiteralSource(gen_gaussian_samples(mu, config.n_users(), data_rng))
-    else:
+    elif plan.reads_blocks:
         source = LiteralSource([gen_gaussian_samples(mu, int(m), data_rng) for m in config.ms()])
+    else:
+        source = LiteralSource(gen_gaussian_samples(mu, config.n_users(), data_rng))
     return run_plan(plan, seed, source)
 
 
@@ -475,8 +498,7 @@ def run_batch(config: PopulationConfig, trials: int, master_seed: int = 0,
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     modes = list(mean_modes) if mean_modes is not None else list(config.mean_modes)
-    if "null" not in modes:
-        raise ParameterError("mean modes must include 'null'")
+    _check_modes(modes)
     records: list[TrialRecord] = []
     violations: list[str] = []
     wrong: dict[str, int] = {mode: 0 for mode in modes}
@@ -535,7 +557,7 @@ class CalibrationResult:
 
 
 def calibrate(config: PopulationConfig, target_error: float, trials: int = 200,
-              master_seed: int = 0, max_multiplier: int = 1 << 14,
+              master_seed: int = 0, max_multiplier: int = MAX_MULTIPLIER,
               sample_path: str = "law") -> CalibrationResult:
     """Double the population until the worst measured rate meets the target.
 

@@ -14,17 +14,19 @@ referee on the assembled binary samples.  Shared structure:
 Each protocol is written once, in three parts.  Its *plan* (`*_plan`) holds
 everything that does not depend on the trial: validation, transform block
 length, threshold, and the layout, stated once as each repetition's runs of
-senders (the transcript offsets are derived from them).  A *bit source*
-returns, for one repetition, the column counts of the referee's full rows
-and the stream of sign bits of the rotated, block-aggregated data of the
-senders at their rotated coordinates: `LiteralSource` quantizes real
-samples, and the harness supplies a source that draws the counts from their
-exact law and the stream only on demand.  The *trial body* `run_plan` draws
-the transforms from the public seed, asks the source for each repetition,
-referees the counts and hands the repetition streams with the plan's runs
-to the `Transcript`, which builds the per-user messages only when they are
-first read.  The public `*_protocol` functions are plan + literal source +
-trial body.
+senders (the transcript offsets are derived from them), with the
+flip-probability groups of the referee's rows and whether repetition r reads
+block r + 1 of each sender's samples or the sender's one sample.  A *bit
+source* returns, for a whole trial, each repetition's column counts over the
+referee's full rows and its stream of sign bits of the rotated,
+block-aggregated data of the senders at their rotated coordinates:
+`LiteralSource` quantizes real samples, and the harness supplies a source
+that draws the counts from their exact law and the streams only on demand.
+The *trial body* `run_plan` draws all of the trial's transforms from the
+public seed, calls the source once, referees the counts and hands the
+repetition streams with the plan's runs to the `Transcript`, which builds
+the per-user messages only when they are first read.  The public
+`*_protocol` functions are plan + literal source + trial body.
 
 Budget flooring policy: coordinate-block sizes (private/limited `ell`, the
 per-repetition share of the heterogeneous-samples protocol, which doubles as
@@ -188,13 +190,6 @@ class Transcript:
         offsets = np.concatenate([[0], np.cumsum(lengths)])
         return cls(offsets, np.zeros(int(offsets[-1]), dtype=np.uint8), public_bits_used)
 
-    def fill_block(self, user_indices: np.ndarray, bits: np.ndarray) -> None:
-        """Write equal-length messages for a batch of users (bits: (u, len))."""
-        if bits.size == 0:
-            return
-        idx = self.offsets[np.asarray(user_indices)][:, None] + np.arange(bits.shape[1])
-        self.data[idx] = bits
-
 
 # ---------------------------------------------------------------------------
 # encoding / assembly primitives
@@ -355,19 +350,25 @@ class Plan:
     the next lengths[i] bits of the repetition's stream, and stream position
     q carries coordinate q mod width of its sender's rotated vector (the
     wrap-around layout).  Every full row of `width` positions is one referee
-    sample, tested at threshold tau.  `blocks` is None when each user holds
-    one sample; otherwise (sizes, row_size) builds row j from blocks of
-    sizes[row_size[j]] samples, and repetition r aggregates block r + 1.
+    sample, tested at threshold tau.  Every repetition has the same number
+    of full rows.
+
+    `blocks` is given by the plans whose users aggregate samples: row j's
+    senders sum blocks of blocks[j] samples, and repetition r reads block
+    r + 1 of each sender's samples.  Without it each user holds one sample,
+    which every repetition reads; `reads_blocks` states which.  Rows whose
+    senders share a block size share their bits' law: `groups` is (the block
+    size of each flip-probability group, the group of each full row), one
+    group of block size 1 when each user holds one sample, and
+    `group_rows[r]` counts repetition r's full rows per group.
 
     `runs` is the whole layout: a user sends at most one segment per
     repetition, and its message is its segments in repetition order, so the
     transcript offsets of the n_users users (silent ones included) are
-    derived from it, once, with `totals` (each repetition's stream length)
-    and `group_rows` (each repetition's full rows per flip-probability group:
-    one group when `blocks` is None, else one per block size, whose rows are
-    every repetition's rows).  A repetition whose referee would get fewer than
-    two rows, or a threshold that is not finite and >= 0, is rejected here,
-    before any seed bit is drawn.
+    derived from it, once, with `totals` (each repetition's stream length).
+    A repetition whose referee would get fewer than two rows, or a threshold
+    that is not finite and >= 0, is rejected here, before any seed bit is
+    drawn.
     """
 
     d: int
@@ -376,10 +377,17 @@ class Plan:
     tau: float
     n_users: int
     runs: list[tuple[np.ndarray, np.ndarray]]
-    blocks: tuple[np.ndarray, np.ndarray] | None = None
+    blocks: np.ndarray | None = None
     offsets: np.ndarray = field(init=False)
     totals: tuple[int, ...] = field(init=False)
+    groups: tuple[np.ndarray, np.ndarray] = field(init=False)
     group_rows: list[np.ndarray] = field(init=False)
+
+    @property
+    def reads_blocks(self) -> bool:
+        """Whether repetition r reads block r + 1 of each sender's samples,
+        rather than the sender's one sample."""
+        return self.blocks is not None
 
     def __post_init__(self):
         if not (np.isfinite(self.tau) and self.tau >= 0.0):
@@ -395,36 +403,38 @@ class Plan:
                     f"{total // self.width} full {self.width}-coordinate samples; "
                     f"the referee needs 2")
         self.offsets = np.concatenate([[0], np.cumsum(lengths)])
-        if self.blocks is None:
-            self.group_rows = [np.array([total // self.width]) for total in self.totals]
-        else:
-            sizes, row_size = self.blocks
-            self.group_rows = [np.bincount(row_size, minlength=sizes.shape[0])] * len(self.runs)
+        rows = self.totals[0] // self.width
+        sizes, row_group = np.unique(self.blocks if self.reads_blocks else np.ones(rows, np.int64),
+                                     return_inverse=True)
+        if any(total // self.width != row_group.shape[0] for total in self.totals):
+            raise ParameterError(f"every repetition must fill the plan's {row_group.shape[0]} rows")
+        self.groups = (sizes, row_group)
+        self.group_rows = [np.bincount(row_group, minlength=sizes.shape[0])] * len(self.runs)
 
 
 class LiteralSource:
     """Bit source that sign-quantizes real samples: an (n, d) matrix of single
-    samples, or one (m_k, d) array per user when the plan aggregates blocks."""
+    samples, or one (m_k, d) array per user when the plan reads blocks.  It
+    quantizes the trial's repetitions one after another."""
 
     def __init__(self, samples):
         self.samples = samples
 
-    def draw(self, plan: Plan, r: int, spec: BrhtSpec | None) -> tuple[np.ndarray, np.ndarray]:
-        """Repetition r's column counts over its full rows, and its bits."""
-        bits = self._bits(plan, r, spec)
-        full = plan.totals[r] - plan.totals[r] % plan.width
-        return bits[:full].reshape(-1, plan.width).sum(axis=0, dtype=np.int64), bits
+    def draw(self, plan: Plan, specs: list[BrhtSpec | None]):
+        """Each repetition's column counts over its full rows, and its bits."""
+        streams = [self._bits(plan, r, spec) for r, spec in enumerate(specs)]
+        return [bits[:t - t % plan.width].reshape(-1, plan.width).sum(axis=0, dtype=np.int64)
+                for bits, t in zip(streams, plan.totals)], streams
 
     def _bits(self, plan: Plan, r: int, spec: BrhtSpec | None) -> np.ndarray:
         users, lengths = plan.runs[r]
         run_of, coords = wraparound_coords(lengths, plan.width)
-        if plan.blocks is None:
+        if not plan.reads_blocks:
             lo = int(users.min())
             x = self.samples[lo:int(users.max()) + 1]
             rotated = x if spec is None else brht_apply(spec, x, keep=plan.width)
             return sign_quantize(rotated[users[run_of] - lo, coords])
-        sizes, row_size = plan.blocks
-        run_block = sizes[row_size[(np.cumsum(lengths) - lengths) // plan.width]]
+        run_block = plan.blocks[(np.cumsum(lengths) - lengths) // plan.width]
         quantized = np.empty((users.shape[0], plan.width), dtype=np.uint8)
         for b in np.unique(run_block).tolist():
             runs = np.flatnonzero(run_block == b)
@@ -438,26 +448,26 @@ class LiteralSource:
 def run_plan(plan: Plan, seed: PublicSeed | None, source) -> tuple[Decision, Transcript]:
     """The trial body every protocol and every bit source share.
 
-    `source.draw(plan, r, spec)` returns repetition r's column counts over its
-    full rows under the transform spec, and its stream (an array, or a
-    callable the transcript resolves on first read).  The referee reads only
-    the counts: a repetition rejects iff its collision statistic exceeds
-    `plan.tau`, and amplified plans accept only if every repetition does.
+    The trial's transforms are drawn from the public seed first, in
+    repetition order; then one call `source.draw(plan, specs)` returns each
+    repetition's column counts over its full rows under its transform spec,
+    and each repetition's stream (an array, or a callable the transcript
+    resolves on first read).  The referee reads only the counts: a
+    repetition rejects iff its collision statistic exceeds `plan.tau`, and
+    amplified plans accept only if every repetition does.
     """
     before = 0 if seed is None else seed.consumed
-    streams: list = []
-    statistics: list[float] = []
-    for r, total in enumerate(plan.totals):
-        spec = None if plan.block is None else sample_brht(seed, plan.d, plan.block)
-        ones, stream = source.draw(plan, r, spec)
-        statistics.append(collision_statistic_counts(ones, total // plan.width))
-        streams.append(stream)
+    specs = [None if plan.block is None else sample_brht(seed, plan.d, plan.block)
+             for _ in plan.runs]
     used = 0 if seed is None else seed.consumed - before
+    ones, streams = source.draw(plan, specs)
+    statistics = tuple(collision_statistic_counts(counts, total // plan.width)
+                       for counts, total in zip(ones, plan.totals))
     transcript = Transcript(plan.offsets, streams, used, plan.runs, plan.totals)
     rep_accepts = tuple(t <= plan.tau for t in statistics)
     accepts = rep_accepts if len(rep_accepts) > 1 else None
     verdict = ACCEPT if all(rep_accepts) else REJECT
-    return Decision(verdict, accepts, tuple(statistics)), transcript
+    return Decision(verdict, accepts, statistics), transcript
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +597,7 @@ def hetero_samples_plan(m: np.ndarray, d: int, ell: int, epsilon: float, s: int)
     tau = hetero_threshold(epsilon, ell, hetero_pair_weight(m), d, n)
     run = (np.arange(n), np.full(n, share, dtype=np.int64))
     return Plan(d=d, block=share, width=share, tau=tau, n_users=n, runs=[run] * REPETITIONS,
-                blocks=np.unique(m // REPETITIONS, return_inverse=True))
+                blocks=m // REPETITIONS)
 
 
 def hetero_samples_protocol(samples: list[np.ndarray], m: np.ndarray, d: int, ell: int,
@@ -698,7 +708,7 @@ def mix_and_match_plan(users: list[UserSpec], d: int, epsilon: float, s: int,
         sent = np.minimum(start + span, (r + 1) * L) - np.maximum(start, r * L)
         runs.append((order[sent > 0], sent[sent > 0]))
     return Plan(d=d, block=L, width=L, tau=tau, n_users=n, runs=runs,
-                blocks=np.unique(group_min_m // REPETITIONS, return_inverse=True))
+                blocks=group_min_m // REPETITIONS)
 
 
 def mix_and_match_protocol(samples: list[np.ndarray], users: list[UserSpec], d: int,

@@ -162,6 +162,17 @@ class TestInfeasibleInputs:
         assert code == EXIT_INFEASIBLE
         capsys.readouterr()
 
+    def test_duplicate_mean_modes(self, tmp_path, capsys):
+        # a repeated mode would run and count its trials twice
+        cfg = {"d": 8, "epsilon": 1.0, "s": 0, "protocol": "private",
+               "users": [{"m": 1, "ell": 8, "count": 16}],
+               "mean_modes": ["null", "null", "spike"]}
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["run", "--config", str(path), "--trials", "2"])
+        assert code == EXIT_INFEASIBLE
+        assert "distinct" in capsys.readouterr().err
+
     @pytest.mark.parametrize("raw,named", [
         ([{"d": 8, "epsilon": 1.0, "s": 0, "protocol": "private"}], "config must be an object"),
         ({"d": 8, "epsilon": 1.0, "s": 0, "protocol": "mix_and_match",

@@ -1,5 +1,7 @@
 """Harness tests: mean generation, configs, trials, auditing, calibration."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -182,10 +184,17 @@ class TestPopulationConfig:
         dict(partition=[[0]]),                   # partitions are mix-only
         dict(users=[UserSpec(2, 8)] * 4),        # private wants m=1
         dict(users=[UserSpec(1, 8), UserSpec(1, 4)]),  # private wants uniform ell
+        dict(mean_modes=["null", "null", "spike"]),  # a mode counted twice
     ])
     def test_validation(self, overrides):
         with pytest.raises(ParameterError):
             small_config(**overrides)
+
+    def test_frozen(self):
+        # plans are cached on the config, so a reassigned field would be ignored
+        cfg = small_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.epsilon = 0.25
 
     def test_from_dict_bad_count(self):
         with pytest.raises(ParameterError):
@@ -396,6 +405,8 @@ class TestRunBatch:
             run_batch(small_config(), trials=0)
         with pytest.raises(ParameterError):
             run_batch(small_config(), trials=5, mean_modes=["spike"])
+        with pytest.raises(ParameterError):
+            run_batch(small_config(), trials=5, mean_modes=["null", "null", "spike"])
 
 
 class TestRecordsCsv:
@@ -528,6 +539,51 @@ class TestLawStreams:
         freq = bits.mean(axis=0)                       # (rows, d)
         assert np.all(np.abs(freq[:, 0] - sign_flip_prob(1.0)) < 0.1)
         assert np.all(np.abs(freq[:, 1:] - 0.5) < 0.12)
+
+
+# One sha256 per (structural config, path) over trials 0-2 x {null, spike} at
+# master_seed=2: each transcript's serialize(), then the repr of its public
+# bits used, verdict, repetition accepts and statistics.  Recorded with
+# numpy 2.4.6; both paths draw from numpy's random streams, whose values a
+# different numpy release may change.
+TRANSCRIPT_DIGESTS = {
+    ("private", "law"):
+        "6fd81fb5553c535bc2a1da6b10d06a58796ef6a4979034d19811bb4e29f500ef",
+    ("private", "literal"):
+        "9ba664e0b7a56f775096127ca5a81445f615357391f882688a3f7f14ec40dc8a",
+    ("limited", "law"):
+        "802123a0a46ba65ce44e37252efeeb158f221a7a35d12da40f1c2985b9bd9d83",
+    ("limited", "literal"):
+        "077877c71fdcf88c13c62b11b83c20b6336d1038e95f46b67b10ad2d318c7b0e",
+    ("hetero_samples", "law"):
+        "57561f455dcb1a6965dbfbed9d0dd3f17e4fa633e375aae9fb118b5443934f24",
+    ("hetero_samples", "literal"):
+        "9ea55f51049db48b81c4f3c043d00a261b35dc8324d99f73bc38aebaeae65ff5",
+    ("hetero_comm", "law"):
+        "f381c08ed7e23aa67fbf4ca32dcf9d4eb7df5a734978f87b999797babb6adfec",
+    ("hetero_comm", "literal"):
+        "49e33c077785fcc3702907597827b21af7ea588afc698fc4db866c8f89eb0f1b",
+    ("mix_and_match", "law"):
+        "2e8b7e1ec7044a325b933f2cf17e770c086513f6ab9f7fe6f8538885703d5551",
+    ("mix_and_match", "literal"):
+        "f9b1d7e75d4efc9c64f44049703ab8d6ae0c8ffc82b5b54ffce7e2604b0016f8",
+}
+
+
+class TestTranscriptDigests:
+    @pytest.mark.parametrize("path", ["law", "literal"])
+    @pytest.mark.parametrize("cfg", structural_configs(),
+                             ids=[c.protocol for c in structural_configs()])
+    def test_transcripts_are_byte_stable(self, cfg, path):
+        h = hashlib.sha256()
+        for mode in ("null", "spike"):
+            mean = MeanSpec(mode, 0.0 if mode == "null" else cfg.epsilon)
+            for trial in range(3):
+                dec, tr = run_trial(cfg, mean, trial, master_seed=2, sample_path=path)
+                h.update(tr.serialize())
+                h.update(repr((tr.public_bits_used, dec.verdict, dec.repetition_accepts,
+                               dec.statistics)).encode())
+        assert h.hexdigest() == TRANSCRIPT_DIGESTS[cfg.protocol, path]
 
 
 class TestStatisticsMatchOracle:

@@ -623,13 +623,6 @@ class TestTranscript:
         assert t.public_bits_used == 12
         assert t.message(1).shape == (5,)
 
-    def test_fill_block(self):
-        t = Transcript.from_lengths(np.array([3, 3, 3]))
-        t.fill_block(np.array([0, 2]), np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8))
-        assert t.message(0).tolist() == [1, 1, 0]
-        assert t.message(1).tolist() == [0, 0, 0]
-        assert t.message(2).tolist() == [0, 1, 1]
-
     def test_malformed_offsets(self):
         with pytest.raises(ParameterError):
             Transcript(np.array([1, 3]), np.zeros(3, dtype=np.uint8))
