@@ -17,8 +17,10 @@ repetition r reads block r + 1 of each sender's samples or the sender's one
 sample.  Only the bit source differs:
 
 * ``literal``  — `LiteralSource` sign-quantizes every user's real Gaussian
-  samples, laid out as the plan's `reads_blocks` says, and sums the bits per
-  column.
+  samples and sums the bits per column.  A trial draws all of its samples in
+  one call, as consecutive rows of one array, user after user, and passes
+  the row where each user's samples start; the plan's `reads_blocks` says
+  which rows each repetition reads.
 * ``law``      — `LawSource` draws every repetition's column counts from
   their exact law in one binomial call, one draw per repetition, flip
   probability group and column; the bits are drawn only when the transcript
@@ -161,11 +163,15 @@ def make_mean(spec: MeanSpec, d: int, stream: np.random.Generator) -> np.ndarray
 
 def gen_gaussian_samples(mu: np.ndarray, count: int,
                          stream: np.random.Generator) -> np.ndarray:
-    """count i.i.d. draws from the identity-covariance Gaussian around mu."""
+    """count i.i.d. draws from the identity-covariance Gaussian around mu, as
+    the rows of one (count, d) array; mu is added in place, so the draw needs
+    no second array of that size."""
     mu = np.asarray(mu, dtype=np.float64)
     if count < 1:
         raise ParameterError(f"sample count must be >= 1, got {count}")
-    return stream.standard_normal((count, mu.shape[0])) + mu
+    samples = stream.standard_normal((count, mu.shape[0]))
+    samples += mu
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +411,8 @@ def run_trial(config: PopulationConfig, mean: MeanSpec, trial_index: int,
 
     Derives (mean, public-seed, data) streams from (master_seed, mode, trial),
     draws the mean and the shared seed, and runs the configured protocol's
-    cached plan with the bit source of `sample_path`.  Dimensions that are
+    cached plan with the bit source of `sample_path`; the literal path draws
+    every user's samples as consecutive rows of one array.  Dimensions that are
     not powers of two are embedded into the next power of two: the mean is
     zero-padded and samples carry fresh unit-variance noise in the padded
     coordinates (realized by sampling in the padded dimension).
@@ -419,10 +426,9 @@ def run_trial(config: PopulationConfig, mean: MeanSpec, trial_index: int,
     plan = _plan(config, d_pad)
     if sample_path == "law":
         source = LawSource(mu, data_rng)
-    elif plan.reads_blocks:
-        source = LiteralSource([gen_gaussian_samples(mu, int(m), data_rng) for m in config.ms()])
     else:
-        source = LiteralSource(gen_gaussian_samples(mu, config.n_users(), data_rng))
+        ms = config.ms()
+        source = LiteralSource(gen_gaussian_samples(mu, int(ms.sum()), data_rng), np.cumsum(ms) - ms)
     return run_plan(plan, seed, source)
 
 

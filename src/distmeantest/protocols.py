@@ -285,7 +285,7 @@ def greedy_partition(users: list[UserSpec], L: int) -> list[list[int]]:
         raise InfeasiblePartitionError(
             f"population holds {total} message bits, below the per-group requirement {need}"
         )
-    order = sorted(range(len(users)), key=lambda i: (-users[i].m, i))
+    order = np.argsort([-u.m for u in users], kind="stable").tolist()
     groups: list[list[int]] = []
     current: list[int] = []
     budget = 0
@@ -413,12 +413,19 @@ class Plan:
 
 
 class LiteralSource:
-    """Bit source that sign-quantizes real samples: an (n, d) matrix of single
-    samples, or one (m_k, d) array per user when the plan reads blocks.  It
-    quantizes the trial's repetitions one after another."""
+    """Bit source that sign-quantizes real samples.
 
-    def __init__(self, samples):
+    `samples` is one (rows, d) array holding every user's samples as
+    consecutive rows, and user k's samples start at row first[k].  In
+    repetition r a sender reads row first[k] when each user holds one sample,
+    and the `block` rows from first[k] + r * block when the plan reads blocks;
+    their scaled sum is written into a gathered float row, so such samples
+    must be float64.  The trial's repetitions are quantized one after another.
+    """
+
+    def __init__(self, samples: np.ndarray, first: np.ndarray):
         self.samples = samples
+        self.first = first
 
     def draw(self, plan: Plan, specs: list[BrhtSpec | None]):
         """Each repetition's column counts over its full rows, and its bits."""
@@ -427,22 +434,40 @@ class LiteralSource:
                 for bits, t in zip(streams, plan.totals)], streams
 
     def _bits(self, plan: Plan, r: int, spec: BrhtSpec | None) -> np.ndarray:
+        """Repetition r's stream: the senders' rows (a slice of the rows they
+        span, or one gathered row per sender, block-aggregated where blocks
+        are longer than one sample), rotated in one call, and sign-quantized
+        at the sent (row, coordinate) pairs."""
         users, lengths = plan.runs[r]
         run_of, coords = wraparound_coords(lengths, plan.width)
-        if not plan.reads_blocks:
-            lo = int(users.min())
-            x = self.samples[lo:int(users.max()) + 1]
-            rotated = x if spec is None else brht_apply(spec, x, keep=plan.width)
-            return sign_quantize(rotated[users[run_of] - lo, coords])
-        run_block = plan.blocks[(np.cumsum(lengths) - lengths) // plan.width]
-        quantized = np.empty((users.shape[0], plan.width), dtype=np.uint8)
-        for b in np.unique(run_block).tolist():
-            runs = np.flatnonzero(run_block == b)
-            stacked = np.stack([np.asarray(self.samples[users[i]], dtype=np.float64)
-                                [r * b:(r + 1) * b] for i in runs])
-            quantized[runs] = sign_quantize(
-                brht_apply(spec, aggregate_block(stacked, 1, b), keep=plan.width))
-        return quantized[run_of, coords]
+        rows = self.first[users]
+        if plan.reads_blocks:
+            block = plan.blocks[(np.cumsum(lengths) - lengths) // plan.width]
+            rows = rows + r * block
+            x = self.samples[rows]
+            for b in np.unique(block[block > 1]).tolist():
+                senders = np.flatnonzero(block == b)
+                x[senders] = aggregate_block(self.samples[rows[senders, None] + np.arange(b)], 1, b)
+            picked = run_of
+        else:
+            lo = int(rows.min())
+            x = self.samples[lo:int(rows.max()) + 1]
+            picked = rows[run_of] - lo
+        rotated = x if spec is None else brht_apply(spec, x, keep=plan.width)
+        return sign_quantize(rotated[picked, coords])
+
+
+def _user_rows(samples: list, m: list[int] | np.ndarray, d: int, exact: bool) -> LiteralSource:
+    """The literal source of per-user sample arrays: every user's array is
+    checked, silent users included, and then all are concatenated once as
+    float64 rows.  User k's array must have d columns and m[k] rows, or at
+    least m[k] rows when not `exact`; `first` follows the actual row counts."""
+    arrays = [np.asarray(x) for x in samples]
+    for k, x in enumerate(arrays):
+        if x.ndim != 2 or x.shape[1] != d or x.shape[0] < m[k] or (exact and x.shape[0] != m[k]):
+            raise DimensionError(f"user {k} samples must have shape ({m[k]}, {d}), got {x.shape}")
+    counts = np.array([x.shape[0] for x in arrays], dtype=np.int64)
+    return LiteralSource(np.concatenate(arrays, dtype=np.float64), np.cumsum(counts) - counts)
 
 
 def run_plan(plan: Plan, seed: PublicSeed | None, source) -> tuple[Decision, Transcript]:
@@ -503,7 +528,7 @@ def private_coin_protocol(samples: np.ndarray, d: int, ell: int,
     """
     samples = _check_samples(samples, d)
     return run_plan(private_coin_plan(samples.shape[0], d, ell, epsilon), None,
-                    LiteralSource(samples))
+                    LiteralSource(samples, np.arange(samples.shape[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +575,7 @@ def limited_coin_protocol(samples: np.ndarray, d: int, ell: int, epsilon: float,
     """
     samples = _check_samples(samples, d)
     plan = limited_coin_plan(samples.shape[0], d, ell, epsilon, seed.remaining)
-    return run_plan(plan, seed, LiteralSource(samples))
+    return run_plan(plan, seed, LiteralSource(samples, np.arange(samples.shape[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -610,11 +635,7 @@ def hetero_samples_protocol(samples: list[np.ndarray], m: np.ndarray, d: int, el
     if len(samples) != m.shape[0]:
         raise DimensionError(f"{len(samples)} sample sets for {m.shape[0]} users")
     plan = hetero_samples_plan(m, d, ell, epsilon, seed.remaining)
-    for k, x in enumerate(samples):
-        if np.shape(x) != (m[k], d):
-            raise DimensionError(
-                f"user samples must have shape ({m[k]}, {d}), got {np.shape(x)}")
-    return run_plan(plan, seed, LiteralSource(samples))
+    return run_plan(plan, seed, _user_rows(samples, m, d, exact=True))
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +674,7 @@ def hetero_comm_protocol(samples: np.ndarray, d: int, ells: np.ndarray, epsilon:
     if ells.shape != (samples.shape[0],):
         raise DimensionError(f"need one budget per user, got shape {ells.shape}")
     return run_plan(hetero_comm_plan(ells, d, epsilon, seed.remaining), seed,
-                    LiteralSource(samples))
+                    LiteralSource(samples, np.arange(samples.shape[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -727,8 +748,4 @@ def mix_and_match_protocol(samples: list[np.ndarray], users: list[UserSpec], d: 
     if len(samples) != len(users):
         raise DimensionError(f"{len(samples)} sample sets for {len(users)} users")
     plan = mix_and_match_plan(users, d, epsilon, seed.remaining, partition)
-    for i in np.flatnonzero(np.diff(plan.offsets)):
-        arr = np.asarray(samples[i])
-        if arr.ndim != 2 or arr.shape[0] < users[i].m or arr.shape[1] != d:
-            raise DimensionError(f"user {i} samples must have shape ({users[i].m}, {d})")
-    return run_plan(plan, seed, LiteralSource(samples))
+    return run_plan(plan, seed, _user_rows(samples, [u.m for u in users], d, exact=False))

@@ -570,20 +570,91 @@ TRANSCRIPT_DIGESTS = {
 }
 
 
+def wider_configs():
+    """Wider layouts than `structural_configs`: transforms of d = 4096 and
+    256, larger shares and keep lengths, a dimension that is padded, a
+    trailing partial row, and an explicit partition with silent users and
+    block sizes 1 to 3."""
+    return {
+        "limited-d4096": PopulationConfig(d=4096, epsilon=1.0, s=336, protocol="limited",
+                                          users=[UserSpec(1, 8)] * 56),
+        "limited-d256": PopulationConfig(d=256, epsilon=1.0, s=224, protocol="limited",
+                                         users=[UserSpec(1, 2)] * 112),
+        "hetero_samples-d64": PopulationConfig(
+            d=64, epsilon=1.0, s=168, protocol="hetero_samples",
+            users=[UserSpec(m, 28) for m in (7, 14, 21, 35)] * 4),
+        "hetero_comm-d64": PopulationConfig(
+            d=64, epsilon=1.0, s=140, protocol="hetero_comm",
+            users=[UserSpec(1, ell) for ell in (7, 14, 28, 56)] * 8),
+        "hetero_comm-d12": PopulationConfig(
+            d=12, epsilon=1.0, s=84, protocol="hetero_comm",
+            users=[UserSpec(1, ell) for ell in (7, 14, 21)] * 8),
+        "mix_and_match-d64": PopulationConfig(
+            d=64, epsilon=1.0, s=112, protocol="mix_and_match",
+            users=[UserSpec(m, 15) for m in (7, 14, 9, 21, 8, 12, 7, 30)] * 3),
+        "mix_and_match-partition": PopulationConfig(
+            d=8, epsilon=1.0, s=28, protocol="mix_and_match",
+            users=[UserSpec(m, 20) for m in (7, 14, 21, 28, 35, 42, 16)] * 2,
+            partition=[[0, 7, 13], [1, 2, 3, 4], [5, 9, 10], [6, 8, 11, 12]]),
+    }
+
+
+# Digests of `wider_configs()`, taken as `TRANSCRIPT_DIGESTS` are.
+WIDER_DIGESTS = {
+    ("limited-d4096", "law"):
+        "6009a4713cc7c11278ccf8c87b10b2fae9ceb043a858a882b580cd4a67028ea7",
+    ("limited-d4096", "literal"):
+        "47d6805e67d8c51a4edead6920471361cd5c71a5d83bf542231a047c57f6ebaa",
+    ("limited-d256", "law"):
+        "7c66b60dd2432a8e16ecd836776573d080999956ecd414468134f371569df9c0",
+    ("limited-d256", "literal"):
+        "e97440d6b270480516160fd42db9bce2fca100720e34f3ad9a1f128ef3ab992a",
+    ("hetero_samples-d64", "law"):
+        "f788c34acd4ad57da564c3d67eed912938f312585763c0f93debc5c00e3c765b",
+    ("hetero_samples-d64", "literal"):
+        "20296ef0261ed0a0294a214b7c81f1a6b3c36f3596d1921f815d02de08f79ccf",
+    ("hetero_comm-d64", "law"):
+        "4ff905d3d29ccae4d013190133bc676dec64f6d7324e8cedcf0233abec6eb14c",
+    ("hetero_comm-d64", "literal"):
+        "7c93fad99ee96e1ae77f5cca31e9478f345e6a596967941b546e729178bcce49",
+    ("hetero_comm-d12", "law"):
+        "1d704dbc2e0f61aa5777c3be904bbfd47905631d2b2839fe4bda045f540b7a09",
+    ("hetero_comm-d12", "literal"):
+        "4fedfbc9401e3a3c5e7ea53fc94bf41c7bb95d71f4ac03f4612dc1bdf5e986d5",
+    ("mix_and_match-d64", "law"):
+        "f53f31bb90da4c9923eb9c886d1b1c50c44edacee7535c26d38827520eaebcc0",
+    ("mix_and_match-d64", "literal"):
+        "e6f4c9fc108b5b0fb1b2439ad2b189428fe756d931785eb5ffe5c080ce550987",
+    ("mix_and_match-partition", "law"):
+        "196768d523fa69fc663aee708004a1eaa8b94e9757b836183dd810382f7c73b7",
+    ("mix_and_match-partition", "literal"):
+        "12a3a9204c80eb19f65b817d4016fe313d487a7678a13f4ae6c94f2cf190dae0",
+}
+
+
+def transcript_digest(cfg, path):
+    h = hashlib.sha256()
+    for mode in ("null", "spike"):
+        mean = MeanSpec(mode, 0.0 if mode == "null" else cfg.epsilon)
+        for trial in range(3):
+            dec, tr = run_trial(cfg, mean, trial, master_seed=2, sample_path=path)
+            h.update(tr.serialize())
+            h.update(repr((tr.public_bits_used, dec.verdict, dec.repetition_accepts,
+                           dec.statistics)).encode())
+    return h.hexdigest()
+
+
 class TestTranscriptDigests:
     @pytest.mark.parametrize("path", ["law", "literal"])
     @pytest.mark.parametrize("cfg", structural_configs(),
                              ids=[c.protocol for c in structural_configs()])
     def test_transcripts_are_byte_stable(self, cfg, path):
-        h = hashlib.sha256()
-        for mode in ("null", "spike"):
-            mean = MeanSpec(mode, 0.0 if mode == "null" else cfg.epsilon)
-            for trial in range(3):
-                dec, tr = run_trial(cfg, mean, trial, master_seed=2, sample_path=path)
-                h.update(tr.serialize())
-                h.update(repr((tr.public_bits_used, dec.verdict, dec.repetition_accepts,
-                               dec.statistics)).encode())
-        assert h.hexdigest() == TRANSCRIPT_DIGESTS[cfg.protocol, path]
+        assert transcript_digest(cfg, path) == TRANSCRIPT_DIGESTS[cfg.protocol, path]
+
+    @pytest.mark.parametrize("path", ["law", "literal"])
+    @pytest.mark.parametrize("name", list(wider_configs()))
+    def test_wider_transcripts_are_byte_stable(self, name, path):
+        assert transcript_digest(wider_configs()[name], path) == WIDER_DIGESTS[name, path]
 
 
 class TestStatisticsMatchOracle:

@@ -353,6 +353,15 @@ class TestHeteroSamples:
                 for t in range(REPETITIONS)])
             assert np.array_equal(transcript.message(k), expect), f"user {k}"
 
+    def test_integer_samples_match_float(self):
+        # block means of integer samples are not truncated to integers
+        d, ms = 8, np.array([7, 14, 21, 35])
+        ints = [RNG.integers(-3, 4, size=(m, d)) for m in ms]
+        out = [hetero_samples_protocol(samples, ms, d, 28, 1.0, fresh_seed(56, entropy=3))
+               for samples in (ints, [x.astype(np.float64) for x in ints])]
+        assert out[0][0] == out[1][0]
+        assert out[0][1].serialize() == out[1][1].serialize()
+
     def test_under_seven_samples_rejected(self):
         samples = [RNG.standard_normal((6, 4)), RNG.standard_normal((7, 4))]
         with pytest.raises(DegenerateInputError):
@@ -559,6 +568,39 @@ class TestMixAndMatch:
             sign_quantize(fwht(samples[0][t])) for t in range(REPETITIONS)])
         positions = np.arange(0, 30)
         assert np.array_equal(transcript.message(0), q0[positions // L, positions % L])
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 3)), "not samples"], ids=["shape", "string"])
+    def test_silent_user_samples_checked(self, bad):
+        # users 0 and 1 fill group 0's 56-bit stream, so user 3 sends nothing;
+        # its samples are checked all the same
+        d = 8
+        users = [UserSpec(14, 30), UserSpec(7, 30), UserSpec(21, 56), UserSpec(7, 30)]
+        samples = [RNG.standard_normal((u.m, d)) for u in users[:3]] + [bad]
+        with pytest.raises(DimensionError):
+            mix_and_match_protocol(samples, users, d, 1.0, fresh_seed(0),
+                                   partition=[[0, 1, 3], [2]])
+
+    def test_extra_rows_are_not_read(self):
+        # a user may hold more rows than its m: the transcript is the one of
+        # the arrays cut to m rows, whatever the extra rows hold
+        d = 16
+        users = [UserSpec(m, 15) for m in (7, 14, 9, 21, 8, 12, 7, 30)]
+        cut = [RNG.standard_normal((u.m, d)) + 0.1 for u in users]
+        extra = [np.vstack([x, RNG.standard_normal((k + 1, d))]) for k, x in enumerate(cut)]
+        out = [mix_and_match_protocol(samples, users, d, 0.8, fresh_seed(56, entropy=8))
+               for samples in (cut, extra)]
+        assert out[0][0] == out[1][0]
+        assert out[0][1].serialize() == out[1][1].serialize()
+
+    def test_integer_samples_match_float(self):
+        # block means of integer samples are not truncated to integers
+        d = 16
+        users = [UserSpec(m, 15) for m in (14, 21, 28, 35, 14, 21, 28, 35)]
+        ints = [RNG.integers(-3, 4, size=(u.m, d)) for u in users]
+        out = [mix_and_match_protocol(samples, users, d, 1.0, fresh_seed(56, entropy=3))
+               for samples in (ints, [x.astype(np.float64) for x in ints])]
+        assert out[0][0] == out[1][0]
+        assert out[0][1].serialize() == out[1][1].serialize()
 
     def test_underfunded_group_rejected(self):
         d = 8
