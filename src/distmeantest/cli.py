@@ -82,6 +82,15 @@ def _with_param(config: PopulationConfig, param: str, value: float) -> Populatio
     return PopulationConfig.from_dict(base)
 
 
+def _emit(summary: dict, json_out: str | None) -> None:
+    """Print the summary as JSON, and write it to json_out when given."""
+    text = json.dumps(summary, indent=2, sort_keys=True)
+    if json_out:
+        with open(json_out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    print(text)
+
+
 def _cmd_run(args) -> int:
     config = PopulationConfig.from_json_file(args.config)
     batch = run_batch(config, args.trials, master_seed=args.seed,
@@ -96,11 +105,7 @@ def _cmd_run(args) -> int:
         "ci_halfwidth": est.ci_halfwidth,
         "audit_violations": len(batch.audit_violations),
     }
-    text = json.dumps(summary, indent=2, sort_keys=True)
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _emit(summary, args.json_out)
     if batch.audit_violations:
         for line in batch.audit_violations[:20]:
             print(f"audit: {line}", file=sys.stderr)
@@ -120,11 +125,7 @@ def _cmd_calibrate(args) -> int:
         "type2_rates": result.estimate.type2_rates,
         "scaling_constant": result.scaling_constant,
     }
-    text = json.dumps(summary, indent=2, sort_keys=True)
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _emit(summary, args.json_out)
     return EXIT_OK
 
 
@@ -166,6 +167,11 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_sweep(args)
     except (MeanTestError, OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except MemoryError:
+        # raised with an empty message, e.g. by a users entry whose count
+        # no list can hold
+        print("infeasible: the configuration does not fit in memory", file=sys.stderr)
         return EXIT_INFEASIBLE
 
 

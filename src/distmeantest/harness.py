@@ -7,14 +7,14 @@ type-I/type-II rates with exact bit auditing on every transcript.
 
 Two sampling paths give every repetition's bits the same law.  Both run
 the protocol once, as written in :mod:`distmeantest.protocols`: `run_trial`
-builds the protocol's plan once per config (cached in
-``PopulationConfig._cache``) and hands it, with the trial's public seed and a
-bit source, to the shared trial body, which draws the trial's seven
-transforms first and then calls the source once for the whole trial.  The
-plan states its flip-probability groups (one group of block size 1 when
-each user holds one sample) and, in `Plan.reads_blocks`, whether
-repetition r reads block r + 1 of each sender's samples or the sender's one
-sample.  Only the bit source differs:
+hands the config's plan (`PopulationConfig.plan`, built on first use and
+kept on the config), with the trial's public seed and a bit source, to the
+shared trial body, which draws the trial's seven transforms first and then
+calls the source once for the whole trial.  The plan states its
+flip-probability groups (one group of block size 1 when each user holds one
+sample) and, in `Plan.reads_blocks`, whether repetition r reads block r + 1
+of each sender's samples or the sender's one sample.  Only the bit source
+differs:
 
 * ``literal``  — `LiteralSource` sign-quantizes every user's real Gaussian
   samples and sums the bits per column.  A trial draws all of its samples in
@@ -42,10 +42,12 @@ the law path draws them independently; the test suite covers both facts.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -215,10 +217,11 @@ def _check_modes(modes) -> None:
 class PopulationConfig:
     """An instance of the distributed testing problem plus simulation choices.
 
-    Frozen: the protocol plan is cached on the config, so no field may be
-    reassigned after construction (`scaled` and `from_dict` build new
-    configs).  Mutating the `users` list in place is not guarded against and
-    not supported.
+    Frozen: the resource arrays and the protocol plan are derived once, on
+    first use, and kept on the config (populations run to ~10^6 users, so
+    they must not be rebuilt per trial); no field may be reassigned after
+    construction (`scaled` and `from_dict` build new configs).  Mutating the
+    `users` list in place is not guarded against and not supported.
     """
 
     d: int
@@ -228,9 +231,6 @@ class PopulationConfig:
     users: list[UserSpec]
     partition: list[list[int]] | None = None
     mean_modes: list[str] = field(default_factory=lambda: list(MEAN_MODES))
-    # trial-independent derived state (resource arrays, the protocol plan);
-    # populations run to ~10^6 users, so these must not be rebuilt per trial
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -261,14 +261,29 @@ class PopulationConfig:
         return len(self.users)
 
     def ms(self) -> np.ndarray:
-        if "ms" not in self._cache:
-            self._cache["ms"] = np.array([u.m for u in self.users], dtype=np.int64)
-        return self._cache["ms"]
+        return self._resources[0]
 
     def ells(self) -> np.ndarray:
-        if "ells" not in self._cache:
-            self._cache["ells"] = np.array([u.ell for u in self.users], dtype=np.int64)
-        return self._cache["ells"]
+        return self._resources[1]
+
+    @cached_property
+    def _resources(self) -> np.ndarray:
+        """Every user's sample count (row 0) and bit budget (row 1)."""
+        return np.array([[u.m for u in self.users], [u.ell for u in self.users]], dtype=np.int64)
+
+    @cached_property
+    def plan(self) -> Plan:
+        """The protocol plan, in the dimension padded to a power of two."""
+        d, n, ell = next_pow2(self.d), self.n_users(), int(self.ells()[0])
+        if self.protocol == "private":
+            return private_coin_plan(n, d, min(ell, d), self.epsilon)
+        if self.protocol == "limited":
+            return limited_coin_plan(n, d, min(ell, d), self.epsilon, self.s)
+        if self.protocol == "hetero_samples":
+            return hetero_samples_plan(self.ms(), d, ell, self.epsilon, self.s)
+        if self.protocol == "hetero_comm":
+            return hetero_comm_plan(self.ells(), d, self.epsilon, self.s)
+        return mix_and_match_plan(self.users, d, self.epsilon, self.s, self.partition)
 
     def scaled(self, multiplier: int) -> "PopulationConfig":
         """Repeat the user mix `multiplier` times (partition recomputed)."""
@@ -308,12 +323,8 @@ class PopulationConfig:
 
     def to_dict(self) -> dict:
         # run-length encode the user list to keep large configs readable
-        runs: list[dict] = []
-        for u in self.users:
-            if runs and runs[-1]["m"] == u.m and runs[-1]["ell"] == u.ell:
-                runs[-1]["count"] += 1
-            else:
-                runs.append({"m": u.m, "ell": u.ell, "count": 1})
+        runs = [{"m": u.m, "ell": u.ell, "count": len(list(group))}
+                for u, group in itertools.groupby(self.users)]
         out = {"d": self.d, "epsilon": self.epsilon, "s": self.s,
                "protocol": self.protocol, "users": runs,
                "mean_modes": list(self.mean_modes)}
@@ -371,37 +382,18 @@ class LawSource:
                            for spec in specs])
         p = sign_flip_prob(np.sqrt(plan.groups[0])[:, None] * mu_rot[:, None, :])
         # one draw per repetition, group and column, in that order
-        counts = self.rng.binomial(np.array(plan.group_rows)[:, :, None], p)
+        counts = self.rng.binomial(plan.group_rows[:, None], p)
         return counts.sum(axis=1), [lambda r=r: self._stream(plan, r, counts[r], p[r])
                                     for r in range(len(specs))]
 
     def _stream(self, plan: Plan, r: int, counts: np.ndarray, p: np.ndarray) -> np.ndarray:
-        rows, row_group = plan.group_rows[r], plan.groups[1]
+        rows, row_group = plan.group_rows, plan.groups[1]
         full = np.empty((row_group.shape[0], plan.width), dtype=np.uint8)
         for g, n_g in enumerate(rows.tolist()):
             ones_first = np.arange(n_g)[:, None] < counts[g]
             full[row_group == g] = self.rng.permuted(ones_first, axis=0)
         rest = plan.totals[r] - full.size
         return np.concatenate([full.reshape(-1), self.rng.random(rest) < p[0, :rest]])
-
-
-def _plan(config: PopulationConfig, d: int) -> Plan:
-    """The protocol plan of `config` in dimension d, built once per config."""
-    key = ("plan", d, config.s)
-    if key not in config._cache:
-        n, ell, eps, s = config.n_users(), int(config.ells()[0]), config.epsilon, config.s
-        if config.protocol == "private":
-            plan = private_coin_plan(n, d, min(ell, d), eps)
-        elif config.protocol == "limited":
-            plan = limited_coin_plan(n, d, min(ell, d), eps, s)
-        elif config.protocol == "hetero_samples":
-            plan = hetero_samples_plan(config.ms(), d, ell, eps, s)
-        elif config.protocol == "hetero_comm":
-            plan = hetero_comm_plan(config.ells(), d, eps, s)
-        else:
-            plan = mix_and_match_plan(config.users, d, eps, s, config.partition)
-        config._cache[key] = plan
-    return config._cache[key]
 
 
 def run_trial(config: PopulationConfig, mean: MeanSpec, trial_index: int,
@@ -420,10 +412,9 @@ def run_trial(config: PopulationConfig, mean: MeanSpec, trial_index: int,
     if sample_path not in SAMPLE_PATHS:
         raise ParameterError(f"unknown sample path {sample_path!r}")
     mean_rng, public_rng, data_rng = _trial_streams(master_seed, mean.mode, trial_index)
-    d_pad = next_pow2(config.d)
-    mu = np.pad(make_mean(mean, config.d, mean_rng), (0, d_pad - config.d))
+    plan = config.plan
+    mu = np.pad(make_mean(mean, config.d, mean_rng), (0, plan.d - config.d))
     seed = PublicSeed.random(config.s, public_rng)
-    plan = _plan(config, d_pad)
     if sample_path == "law":
         source = LawSource(mu, data_rng)
     else:

@@ -112,16 +112,18 @@ class Decision:
 
 
 class Transcript:
-    """Per-user transmitted bits in compressed row storage, plus seed usage.
+    """Per-user transmitted bits, plus seed usage.
 
-    `data` holds every transmitted bit (0/1 uint8) with user k's message at
-    data[offsets[k]:offsets[k+1]]; lengths are exact integers, never padded.
-    Given a plan's `runs` and stream `totals` (see `Plan`), `data` is instead
-    the list of repetition streams those runs lay out, each an array or a
-    zero-argument callable that draws it.  On the first read of `data` the
-    streams are resolved in repetition order and the user-major bits are built
-    from them and kept: a user's message is its per-repetition segments, in
-    repetition order.  Counts and lengths never build them.
+    The bits are held as a plan's `runs` (see `Plan`) and the repetition
+    streams they lay out, each stream an array or a zero-argument callable
+    that draws it, with `totals` the streams' lengths.  User-major input
+    (`data` with user k's message at data[offsets[k]:offsets[k+1]]) is the
+    one-run layout in which every user sends its whole message, so the data
+    is the one stream.  Lengths are exact integers, never padded.  On the
+    first read of `data` the streams are resolved in repetition order and the
+    user-major bits are built from them and kept: a user's message is its
+    per-repetition segments, in repetition order.  Counts and lengths never
+    build them.
     """
 
     def __init__(self, offsets: np.ndarray, data, public_bits_used: int = 0,
@@ -130,21 +132,22 @@ class Transcript:
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.public_bits_used = int(public_bits_used)
         if runs is None:
-            self._data, self._streams = np.asarray(data, dtype=np.uint8), []
-            totals = (self._data.shape[0],)
-        else:
-            self._data, self._streams, self._runs, self._totals = None, list(data), runs, totals
-            if len(self._streams) != len(runs) or len(totals) != len(runs) or any(
-                    not callable(stream) and stream.shape[0] != total
-                    for stream, total in zip(self._streams, totals)):
-                raise ParameterError("repetition streams do not match their runs")
+            data = [np.asarray(data, dtype=np.uint8)]
+            runs = [(np.arange(self.offsets.shape[0] - 1), np.diff(self.offsets))]
+            totals = (data[0].shape[0],)
+        self._data, self._streams, self._runs, self._totals = None, list(data), runs, totals
+        if len(self._streams) != len(runs) or len(totals) != len(runs) or any(
+                not callable(stream) and stream.shape[0] != total
+                for stream, total in zip(self._streams, totals)):
+            raise ParameterError("repetition streams do not match their runs")
         if self.offsets.ndim != 1 or self.offsets[0] != 0 or self.offsets[-1] != sum(totals):
             raise ParameterError("malformed transcript offsets")
 
     @property
     def streams(self) -> list[np.ndarray]:
         """The repetition streams, resolved in repetition order on first read
-        (none for a transcript built from user-major data)."""
+        (the data, as one stream, for a transcript built from user-major
+        data)."""
         for r, stream in enumerate(self._streams):
             if callable(stream):
                 stream = self._streams[r] = stream()
@@ -360,7 +363,8 @@ class Plan:
     senders share a block size share their bits' law: `groups` is (the block
     size of each flip-probability group, the group of each full row), one
     group of block size 1 when each user holds one sample, and
-    `group_rows[r]` counts repetition r's full rows per group.
+    `group_rows` counts the full rows per group, the same in every
+    repetition.
 
     `runs` is the whole layout: a user sends at most one segment per
     repetition, and its message is its segments in repetition order, so the
@@ -381,7 +385,7 @@ class Plan:
     offsets: np.ndarray = field(init=False)
     totals: tuple[int, ...] = field(init=False)
     groups: tuple[np.ndarray, np.ndarray] = field(init=False)
-    group_rows: list[np.ndarray] = field(init=False)
+    group_rows: np.ndarray = field(init=False)
 
     @property
     def reads_blocks(self) -> bool:
@@ -409,7 +413,7 @@ class Plan:
         if any(total // self.width != row_group.shape[0] for total in self.totals):
             raise ParameterError(f"every repetition must fill the plan's {row_group.shape[0]} rows")
         self.groups = (sizes, row_group)
-        self.group_rows = [np.bincount(row_group, minlength=sizes.shape[0])] * len(self.runs)
+        self.group_rows = np.bincount(row_group, minlength=sizes.shape[0])
 
 
 class LiteralSource:
@@ -470,25 +474,26 @@ def _user_rows(samples: list, m: list[int] | np.ndarray, d: int, exact: bool) ->
     return LiteralSource(np.concatenate(arrays, dtype=np.float64), np.cumsum(counts) - counts)
 
 
-def run_plan(plan: Plan, seed: PublicSeed | None, source) -> tuple[Decision, Transcript]:
+def run_plan(plan: Plan, seed: PublicSeed, source) -> tuple[Decision, Transcript]:
     """The trial body every protocol and every bit source share.
 
     The trial's transforms are drawn from the public seed first, in
-    repetition order; then one call `source.draw(plan, specs)` returns each
-    repetition's column counts over its full rows under its transform spec,
-    and each repetition's stream (an array, or a callable the transcript
-    resolves on first read).  The referee reads only the counts: a
-    repetition rejects iff its collision statistic exceeds `plan.tau`, and
-    amplified plans accept only if every repetition does.
+    repetition order (a plan without transforms draws none, so its seed may
+    be empty), and the transcript records the seed bits they consumed.  Then
+    one call `source.draw(plan, specs)` returns each repetition's column
+    counts over its full rows under its transform spec, and each
+    repetition's stream (an array, or a callable the transcript resolves on
+    first read).  The referee reads only the counts: a repetition rejects
+    iff its collision statistic exceeds `plan.tau`, and amplified plans
+    accept only if every repetition does.
     """
-    before = 0 if seed is None else seed.consumed
+    before = seed.consumed
     specs = [None if plan.block is None else sample_brht(seed, plan.d, plan.block)
              for _ in plan.runs]
-    used = 0 if seed is None else seed.consumed - before
     ones, streams = source.draw(plan, specs)
     statistics = tuple(collision_statistic_counts(counts, total // plan.width)
                        for counts, total in zip(ones, plan.totals))
-    transcript = Transcript(plan.offsets, streams, used, plan.runs, plan.totals)
+    transcript = Transcript(plan.offsets, streams, seed.consumed - before, plan.runs, plan.totals)
     rep_accepts = tuple(t <= plan.tau for t in statistics)
     accepts = rep_accepts if len(rep_accepts) > 1 else None
     verdict = ACCEPT if all(rep_accepts) else REJECT
@@ -527,7 +532,7 @@ def private_coin_protocol(samples: np.ndarray, d: int, ell: int,
     (an incomplete trailing group) stay silent.
     """
     samples = _check_samples(samples, d)
-    return run_plan(private_coin_plan(samples.shape[0], d, ell, epsilon), None,
+    return run_plan(private_coin_plan(samples.shape[0], d, ell, epsilon), PublicSeed(np.zeros(0)),
                     LiteralSource(samples, np.arange(samples.shape[0])))
 
 
@@ -608,21 +613,28 @@ def hetero_threshold(epsilon: float, ell: int, N: float, d: int, n: int) -> floa
     return 0.5 * eps_prime * eps_prime
 
 
+def _pairwise_referee(m: np.ndarray, ell: int, d: int, epsilon: float) -> tuple[float, np.ndarray]:
+    """(threshold, block size floor(m_k/7) of each sender) of the
+    heterogeneous-samples referee over senders holding m_k samples and ell
+    message bits each."""
+    if m.shape[0] < 2:
+        raise DegenerateInputError(f"pairwise referee needs >= 2 senders, got {m.shape[0]}")
+    if np.any(m < REPETITIONS):
+        raise DegenerateInputError("every sender needs at least 7 samples")
+    return hetero_threshold(epsilon, ell, hetero_pair_weight(m), d, m.shape[0]), m // REPETITIONS
+
+
 def hetero_samples_plan(m: np.ndarray, d: int, ell: int, epsilon: float, s: int) -> Plan:
     """Plan of `hetero_samples_protocol` for sample counts m and s seed bits."""
     _check_common(d, epsilon)
     m = np.asarray(m, dtype=np.int64)
     n = m.shape[0]
-    if n < 2:
-        raise DegenerateInputError(f"pairwise referee needs >= 2 users, got {n}")
-    if np.any(m // REPETITIONS < 1):
-        raise DegenerateInputError("every user needs at least 7 samples")
+    tau, blocks = _pairwise_referee(m, ell, d, epsilon)
     share = hetero_share(ell, d)
     _check_transforms(d, share, s)
-    tau = hetero_threshold(epsilon, ell, hetero_pair_weight(m), d, n)
     run = (np.arange(n), np.full(n, share, dtype=np.int64))
     return Plan(d=d, block=share, width=share, tau=tau, n_users=n, runs=[run] * REPETITIONS,
-                blocks=m // REPETITIONS)
+                blocks=blocks)
 
 
 def hetero_samples_protocol(samples: list[np.ndarray], m: np.ndarray, d: int, ell: int,
@@ -709,13 +721,8 @@ def mix_and_match_plan(users: list[UserSpec], d: int, epsilon: float, s: int,
     if np.any(budget < need):
         raise InfeasiblePartitionError(
             f"group budget {int(budget[budget < need][0])} is below the requirement {need}")
-    if K < 2:
-        raise DegenerateInputError(f"pairwise referee needs >= 2 groups, got {K}")
     first = np.cumsum(sizes) - sizes
-    group_min_m = np.minimum.reduceat(ms[order], first)
-    if np.any(group_min_m // REPETITIONS < 1):
-        raise DegenerateInputError("every group needs min sample count >= 7")
-    tau = hetero_threshold(epsilon, need, hetero_pair_weight(group_min_m), d, K)
+    tau, blocks = _pairwise_referee(np.minimum.reduceat(ms[order], first), need, d, epsilon)
 
     # In group order, user k fills positions [start, start + span) of its
     # group's 7L-position stream; position p is coordinate p mod L of the
@@ -728,8 +735,7 @@ def mix_and_match_plan(users: list[UserSpec], d: int, epsilon: float, s: int,
     for r in range(REPETITIONS):
         sent = np.minimum(start + span, (r + 1) * L) - np.maximum(start, r * L)
         runs.append((order[sent > 0], sent[sent > 0]))
-    return Plan(d=d, block=L, width=L, tau=tau, n_users=n, runs=runs,
-                blocks=group_min_m // REPETITIONS)
+    return Plan(d=d, block=L, width=L, tau=tau, n_users=n, runs=runs, blocks=blocks)
 
 
 def mix_and_match_protocol(samples: list[np.ndarray], users: list[UserSpec], d: int,

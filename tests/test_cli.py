@@ -173,6 +173,17 @@ class TestInfeasibleInputs:
         assert code == EXIT_INFEASIBLE
         assert "distinct" in capsys.readouterr().err
 
+    def test_count_beyond_memory(self, tmp_path, capsys):
+        # 10^15 users need an 8 PB list, whose allocation fails at once
+        cfg = {"d": 8, "epsilon": 1.0, "s": 0, "protocol": "private",
+               "users": [{"m": 1, "ell": 8, "count": 10 ** 15}]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["run", "--config", str(path), "--trials", "2"])
+        assert code == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible:") and "memory" in err, err
+
     @pytest.mark.parametrize("raw,named", [
         ([{"d": 8, "epsilon": 1.0, "s": 0, "protocol": "private"}], "config must be an object"),
         ({"d": 8, "epsilon": 1.0, "s": 0, "protocol": "mix_and_match",

@@ -33,7 +33,7 @@ from distmeantest import (
     sign_quantize,
     write_records_csv,
 )
-from distmeantest import harness, protocols
+from distmeantest import protocols
 from distmeantest.binary_test import ACCEPT, REJECT, collision_statistic
 from distmeantest.harness import CSV_COLUMNS, bpmt_spike_alternative, bpmt_spread_alternative
 from distmeantest.protocols import Decision
@@ -513,7 +513,7 @@ class TestLawStreams:
     def test_streams_read_back_reproduce_the_referee(self, cfg):
         # the law path referees column counts and draws the bits on read;
         # refereeing the bits read back must give the same T and verdicts
-        plan = harness._plan(cfg, cfg.d)
+        plan = cfg.plan
         for mode in ("null", "spike"):
             mean = MeanSpec(mode, 0.0 if mode == "null" else cfg.epsilon)
             for trial in range(5):
@@ -687,6 +687,41 @@ class TestStatisticsMatchOracle:
         mu_rot = brht_apply(spec, mu)
         p = np.array([[sign_flip_prob(np.sqrt(m // 7) * v) for v in mu_rot] for m in ms])
         self._check(cfg, mean, path, bpmt_moments_oracle(p, ms.shape[0]))
+
+    @pytest.mark.parametrize("path", ["law", "literal"])
+    @pytest.mark.parametrize("mode", ["null", "spike"])
+    def test_limited(self, path, mode):
+        # s = 0 gives (d, d) transforms; each cohort of 64 users sending
+        # ell = 4 bits fills 32 rows of d = 8
+        d = 8
+        cfg = PopulationConfig(d=d, epsilon=1.0, s=0, protocol="limited",
+                               users=[UserSpec(1, 4)] * 448, mean_modes=["null", "spike"])
+        mean = MeanSpec(mode, 0.0 if mode == "null" else cfg.epsilon)
+        p = sign_flip_prob(self._rotated_mean(mean, d))
+        self._check(cfg, mean, path, bpmt_moments_oracle(p, 32))
+
+    @pytest.mark.parametrize("path", ["law", "literal"])
+    @pytest.mark.parametrize("mode", ["null", "spike"])
+    def test_mix_and_match(self, path, mode):
+        # 96 distinct m with ell = 15 and L = d = 8 form 24 groups of four
+        # users in descending m; group k sends one row per repetition, each
+        # user aggregating blocks of floor(min m_k / 7) samples
+        d = 8
+        ms = 7 + 2 * np.arange(96)
+        cfg = PopulationConfig(d=d, epsilon=1.0, s=0, protocol="mix_and_match",
+                               users=[UserSpec(int(m), 15) for m in ms],
+                               mean_modes=["null", "spike"])
+        mean = MeanSpec(mode, 0.0 if mode == "null" else cfg.epsilon)
+        group_min_m = ms[::-1].reshape(24, 4).min(axis=1)
+        p = sign_flip_prob(np.sqrt(group_min_m // 7)[:, None] * self._rotated_mean(mean, d))
+        self._check(cfg, mean, path, bpmt_moments_oracle(p, 24))
+
+    @staticmethod
+    def _rotated_mean(mean, d):
+        """The trial mean under the (d, d) transform, which draws no seed bit."""
+        spec = sample_brht(PublicSeed.random(0, np.random.default_rng(0)), d, d)
+        assert spec.bits_consumed == 0
+        return brht_apply(spec, make_mean(mean, d, np.random.default_rng(0)))
 
     def _check(self, cfg, mean, path, oracle):
         stats = np.concatenate([

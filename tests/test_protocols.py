@@ -700,9 +700,16 @@ class TestPlan:
         # block sizes floor(m/7) = 1, 2, 1: two rows of size 1, one of size 2
         plan = hetero_samples_plan(np.array([7, 14, 13]), 8, 56, 1.0, 0)
         assert plan.totals == (3 * 8,) * REPETITIONS
-        assert [rows.tolist() for rows in plan.group_rows] == [[2, 1]] * REPETITIONS
+        assert plan.group_rows.tolist() == [2, 1]
         plan = two_row_plan()
-        assert plan.totals == (16,) and plan.group_rows[0].tolist() == [2]
+        assert plan.totals == (16,) and plan.group_rows.tolist() == [2]
+
+    def test_repetitions_filling_different_rows_rejected(self):
+        # group_rows is one array because every repetition fills the same rows
+        with pytest.raises(ParameterError, match="rows"):
+            Plan(d=8, block=None, width=8, tau=0.1, n_users=6,
+                 runs=[(np.arange(4), np.full(4, 4, dtype=np.int64)),
+                       (np.arange(6), np.full(6, 4, dtype=np.int64))])
 
 
 class TestDeferredStreams:
