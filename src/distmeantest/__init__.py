@@ -65,6 +65,7 @@ from .harness import (
 )
 from .protocols import (
     Decision,
+    Layout,
     REPETITIONS,
     Transcript,
     UserSpec,

@@ -29,9 +29,12 @@ differs:
 
 The referee reads only the column counts.  The `Transcript` holds the
 repetition streams as the bit source returned them (arrays, or the law
-path's deferred draws).  The audit and the trial records read only its
-lengths and counts, so no trial draws or builds the user-major messages;
-they are built on the first read of the transcript's data (`message`,
+path's deferred draws), with the plan as its layout.  The audit and the
+trial records read only its lengths and counts: the per-user lengths are
+derived once per plan, and every trial's transcript shares them, so the
+audit checks every user's bits against its budget on every trial without
+rebuilding them.  No trial draws or builds the user-major messages; they
+are built on the first read of the transcript's data (`message`,
 `serialize`).
 
 The law path is the default: it makes six-figure populations tractable on a
@@ -217,8 +220,9 @@ def _check_modes(modes) -> None:
 class PopulationConfig:
     """An instance of the distributed testing problem plus simulation choices.
 
-    Frozen: the resource arrays and the protocol plan are derived once, on
-    first use, and kept on the config (populations run to ~10^6 users, so
+    Frozen: the resource arrays (built at construction, which validates
+    them) and the protocol plan (built on first use, from those arrays) are
+    derived once and kept on the config (populations run to ~10^6 users, so
     they must not be rebuilt per trial); no field may be reassigned after
     construction (`scaled` and `from_dict` build new configs).  Mutating the
     `users` list in place is not guarded against and not supported.
@@ -283,7 +287,7 @@ class PopulationConfig:
             return hetero_samples_plan(self.ms(), d, ell, self.epsilon, self.s)
         if self.protocol == "hetero_comm":
             return hetero_comm_plan(self.ells(), d, self.epsilon, self.s)
-        return mix_and_match_plan(self.users, d, self.epsilon, self.s, self.partition)
+        return mix_and_match_plan(self.ms(), self.ells(), d, self.epsilon, self.s, self.partition)
 
     def scaled(self, multiplier: int) -> "PopulationConfig":
         """Repeat the user mix `multiplier` times (partition recomputed)."""
@@ -487,19 +491,18 @@ class BatchResult:
 
 
 def run_batch(config: PopulationConfig, trials: int, master_seed: int = 0,
-              mean_modes: list[str] | None = None, sample_path: str = "law",
-              timing: bool = True, protocol_runner=None) -> BatchResult:
-    """Run `trials` independent trials per mean mode, audit every transcript,
-    and tally error rates.  `protocol_runner` (config, mean, trial) ->
-    (decision, transcript) overrides the real protocol when injected."""
+              sample_path: str = "law", timing: bool = True,
+              protocol_runner=None) -> BatchResult:
+    """Run `trials` independent trials per mean mode of the config, audit
+    every transcript, and tally error rates.  `protocol_runner` (config,
+    mean, trial) -> (decision, transcript) overrides the real protocol when
+    injected."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    modes = list(mean_modes) if mean_modes is not None else list(config.mean_modes)
-    _check_modes(modes)
     records: list[TrialRecord] = []
     violations: list[str] = []
-    wrong: dict[str, int] = {mode: 0 for mode in modes}
-    for mode in modes:
+    wrong: dict[str, int] = {mode: 0 for mode in config.mean_modes}
+    for mode in config.mean_modes:
         mean = MeanSpec(mode=mode, norm=0.0 if mode == "null" else config.epsilon)
         for trial in range(trials):
             t0 = time.perf_counter_ns()
@@ -518,7 +521,7 @@ def run_batch(config: PopulationConfig, trials: int, master_seed: int = 0,
                 bits_total=transcript.total_bits,
                 public_bits_used=transcript.public_bits_used, wall_micros=int(micros)))
     type1 = wrong["null"] / trials
-    type2 = {mode: wrong[mode] / trials for mode in modes if mode != "null"}
+    type2 = {mode: wrong[mode] / trials for mode in config.mean_modes if mode != "null"}
     worst = max([type1, *type2.values()]) if type2 else type1
     ci = 1.96 * math.sqrt(worst * (1.0 - worst) / trials)
     estimate = ErrorEstimate(trials=trials, type1_rate=type1, type2_rates=type2,
@@ -527,9 +530,8 @@ def run_batch(config: PopulationConfig, trials: int, master_seed: int = 0,
 
 
 def estimate_error(config: PopulationConfig, trials: int, master_seed: int = 0,
-                   mean_modes: list[str] | None = None, sample_path: str = "law",
-                   protocol_runner=None) -> ErrorEstimate:
-    return run_batch(config, trials, master_seed, mean_modes, sample_path,
+                   sample_path: str = "law", protocol_runner=None) -> ErrorEstimate:
+    return run_batch(config, trials, master_seed, sample_path,
                      timing=False, protocol_runner=protocol_runner).estimate
 
 

@@ -14,19 +14,20 @@ referee on the assembled binary samples.  Shared structure:
 Each protocol is written once, in three parts.  Its *plan* (`*_plan`) holds
 everything that does not depend on the trial: validation, transform block
 length, threshold, and the layout, stated once as each repetition's runs of
-senders (the transcript offsets are derived from them), with the
-flip-probability groups of the referee's rows and whether repetition r reads
-block r + 1 of each sender's samples or the sender's one sample.  A *bit
-source* returns, for a whole trial, each repetition's column counts over the
-referee's full rows and its stream of sign bits of the rotated,
-block-aggregated data of the senders at their rotated coordinates:
-`LiteralSource` quantizes real samples, and the harness supplies a source
-that draws the counts from their exact law and the streams only on demand.
-The *trial body* `run_plan` draws all of the trial's transforms from the
-public seed, calls the source once, referees the counts and hands the
-repetition streams with the plan's runs to the `Transcript`, which builds
-the per-user messages only when they are first read.  The public
-`*_protocol` functions are plan + literal source + trial body.
+senders (a `Layout`, which derives each user's bit count and the transcript
+offsets from them, once per plan), with the flip-probability groups of the
+referee's rows and whether repetition r reads block r + 1 of each sender's
+samples or the sender's one sample.  A *bit source* returns, for a whole
+trial, each repetition's column counts over the referee's full rows and its
+stream of sign bits of the rotated, block-aggregated data of the senders at
+their rotated coordinates: `LiteralSource` quantizes real samples, and the
+harness supplies a source that draws the counts from their exact law and
+the streams only on demand.  The *trial body* `run_plan` draws all of the
+trial's transforms from the public seed, calls the source once, referees
+the counts and hands the repetition streams with the plan, as their layout,
+to the `Transcript`, which builds the per-user messages only when they are
+first read.  The public `*_protocol` functions are plan + literal source +
+trial body.
 
 Budget flooring policy: coordinate-block sizes (private/limited `ell`, the
 per-repetition share of the heterogeneous-samples protocol, which doubles as
@@ -57,6 +58,7 @@ from .randomness import MAX_FIELD_DEGREE, PublicSeed
 __all__ = [
     "UserSpec",
     "Decision",
+    "Layout",
     "Transcript",
     "sign_quantize",
     "aggregate_block",
@@ -111,63 +113,88 @@ class Decision:
         return (self.verdict == ACCEPT) == all(self.repetition_accepts)
 
 
+@dataclass(eq=False)
+class Layout:
+    """Who sends which bits of each repetition's stream.
+
+    runs[r] = (users, lengths): users[i] sends the next lengths[i] bits of
+    repetition r's stream.  A user sends at most one segment per repetition,
+    and its message is its segments in repetition order.  Derived here, once:
+    `lengths` (each of the n_users users' bits, silent users included), the
+    transcript `offsets` (their cumulative sum from 0) and `totals` (each
+    stream's length).  `lengths` and `offsets` are read-only, because every
+    trial's transcript shares them, and layouts compare by identity.  Runs
+    whose per-user lengths do not sum to the streams' total (a run naming
+    one user twice) are rejected.
+    """
+
+    runs: list[tuple[np.ndarray, np.ndarray]]
+    n_users: int
+    lengths: np.ndarray = field(init=False)
+    offsets: np.ndarray = field(init=False)
+    totals: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        self.totals = tuple(int(sent.sum()) for _, sent in self.runs)
+        self.lengths = np.zeros(self.n_users, dtype=np.int64)
+        for users, sent in self.runs:
+            self.lengths[users] += sent
+        self.offsets = np.concatenate([[0], np.cumsum(self.lengths)])
+        if self.offsets[-1] != sum(self.totals):
+            raise ParameterError("per-user lengths do not sum to the streams' total "
+                                 "(a run names one user more than once)")
+        self.lengths.flags.writeable = self.offsets.flags.writeable = False
+
+
 class Transcript:
     """Per-user transmitted bits, plus seed usage.
 
-    The bits are held as a plan's `runs` (see `Plan`) and the repetition
-    streams they lay out, each stream an array or a zero-argument callable
-    that draws it, with `totals` the streams' lengths.  User-major input
-    (`data` with user k's message at data[offsets[k]:offsets[k+1]]) is the
-    one-run layout in which every user sends its whole message, so the data
-    is the one stream.  Lengths are exact integers, never padded.  On the
-    first read of `data` the streams are resolved in repetition order and the
-    user-major bits are built from them and kept: a user's message is its
-    per-repetition segments, in repetition order.  Counts and lengths never
-    build them.
+    The bits are held as a `Layout` and the repetition streams it lays out,
+    each stream an array or a zero-argument callable that draws it.  The
+    offsets, per-user lengths and total are the layout's, shared by every
+    transcript of one plan; they are exact integers, never padded.  On the
+    first read of `data` the streams are resolved in repetition order and
+    the user-major bits (user k's message at data[offsets[k]:offsets[k+1]])
+    are built from them and kept: a user's message is its per-repetition
+    segments, in repetition order.  Counts and lengths never build them.
     """
 
-    def __init__(self, offsets: np.ndarray, data, public_bits_used: int = 0,
-                 runs: list[tuple[np.ndarray, np.ndarray]] | None = None,
-                 totals: tuple[int, ...] | None = None):
-        self.offsets = np.asarray(offsets, dtype=np.int64)
+    def __init__(self, layout: Layout, streams, public_bits_used: int = 0):
+        self.layout = layout
         self.public_bits_used = int(public_bits_used)
-        if runs is None:
-            data = [np.asarray(data, dtype=np.uint8)]
-            runs = [(np.arange(self.offsets.shape[0] - 1), np.diff(self.offsets))]
-            totals = (data[0].shape[0],)
-        self._data, self._streams, self._runs, self._totals = None, list(data), runs, totals
-        if len(self._streams) != len(runs) or len(totals) != len(runs) or any(
+        self._data, self._streams = None, list(streams)
+        if len(self._streams) != len(layout.runs) or any(
                 not callable(stream) and stream.shape[0] != total
-                for stream, total in zip(self._streams, totals)):
+                for stream, total in zip(self._streams, layout.totals)):
             raise ParameterError("repetition streams do not match their runs")
-        if self.offsets.ndim != 1 or self.offsets[0] != 0 or self.offsets[-1] != sum(totals):
-            raise ParameterError("malformed transcript offsets")
 
     @property
     def streams(self) -> list[np.ndarray]:
-        """The repetition streams, resolved in repetition order on first read
-        (the data, as one stream, for a transcript built from user-major
-        data)."""
+        """The repetition streams, resolved in repetition order on first read."""
         for r, stream in enumerate(self._streams):
             if callable(stream):
                 stream = self._streams[r] = stream()
-                if stream.shape[0] != self._totals[r]:
+                if stream.shape[0] != self.layout.totals[r]:
                     raise ParameterError("repetition streams do not match their runs")
         return self._streams
 
     @property
     def data(self) -> np.ndarray:
         if self._data is None:
-            self._data = _user_major(self.offsets, self._runs, self.streams)
+            self._data = _user_major(self.layout, self.streams)
         return self._data
 
     @property
+    def offsets(self) -> np.ndarray:
+        return self.layout.offsets
+
+    @property
     def n_users(self) -> int:
-        return self.offsets.shape[0] - 1
+        return self.layout.n_users
 
     @property
     def bits_sent(self) -> np.ndarray:
-        return np.diff(self.offsets)
+        return self.layout.lengths
 
     @property
     def total_bits(self) -> int:
@@ -188,10 +215,11 @@ class Transcript:
 
     @classmethod
     def from_lengths(cls, lengths: np.ndarray, public_bits_used: int = 0) -> "Transcript":
-        """Allocate a zeroed transcript with the given per-user bit counts."""
+        """Allocate a zeroed transcript with the given per-user bit counts:
+        the one-run layout in which every user sends its whole message."""
         lengths = np.asarray(lengths, dtype=np.int64)
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
-        return cls(offsets, np.zeros(int(offsets[-1]), dtype=np.uint8), public_bits_used)
+        layout = Layout(runs=[(np.arange(lengths.shape[0]), lengths)], n_users=lengths.shape[0])
+        return cls(layout, [np.zeros(layout.totals[0], dtype=np.uint8)], public_bits_used)
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +249,12 @@ def aggregate_block(samples: np.ndarray, t: int, block: int) -> np.ndarray:
     return window.sum(axis=-2) / np.sqrt(block)
 
 
-def _user_major(offsets: np.ndarray, runs: list[tuple[np.ndarray, np.ndarray]],
-                streams: list[np.ndarray]) -> np.ndarray:
+def _user_major(layout: Layout, streams: list[np.ndarray]) -> np.ndarray:
     """Transcript data from repetition streams: user k's message is its
     segment of every repetition's stream, in repetition order."""
-    data = np.empty(int(offsets[-1]), dtype=np.uint8)
-    end = offsets[:-1].copy()      # where each user's next segment goes
-    for (users, lengths), stream in zip(runs, streams):
+    data = np.empty(int(layout.offsets[-1]), dtype=np.uint8)
+    end = layout.offsets[:-1].copy()      # where each user's next segment goes
+    for (users, lengths), stream in zip(layout.runs, streams):
         shift = end[users] - (np.cumsum(lengths) - lengths)
         data[np.repeat(shift, lengths) + np.arange(stream.shape[0])] = stream
         end[users] += lengths
@@ -271,37 +298,35 @@ def assemble_wraparound(quantized: np.ndarray, lengths: np.ndarray) -> np.ndarra
     return stream[:n_sim * L].reshape(n_sim, L)
 
 
-def greedy_partition(users: list[UserSpec], L: int) -> list[list[int]]:
-    """Group users so every group holds at least 7L message bits.
+def greedy_partition(ms: np.ndarray, ells: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group users, given their sample counts ms and bit budgets ells, so
+    every group holds at least 7L message bits.
 
     Users are taken in order of descending sample count (ties by index), so
     groups collect similar m values and the within-group minimum loses
     little.  A trailing group that cannot reach 7L is merged into the
-    previous one.  Raises InfeasiblePartitionError when the whole population
-    is short of 7L.
+    previous one.  Returns (order, sizes): the users in group order and each
+    group's size, so the groups are consecutive slices of order.  Raises
+    InfeasiblePartitionError when the whole population is short of 7L.
     """
     if L < 1:
         raise ParameterError(f"L must be >= 1, got {L}")
     need = REPETITIONS * L
-    total = sum(u.ell for u in users)
+    total = int(ells.sum())
     if total < need:
         raise InfeasiblePartitionError(
             f"population holds {total} message bits, below the per-group requirement {need}"
         )
-    order = np.argsort([-u.m for u in users], kind="stable").tolist()
-    groups: list[list[int]] = []
-    current: list[int] = []
+    order = np.argsort(-ms, kind="stable")
+    ends: list[int] = []
     budget = 0
-    for idx in order:
-        current.append(idx)
-        budget += users[idx].ell
+    for i, ell in enumerate(ells[order].tolist(), start=1):
+        budget += ell
         if budget >= need:
-            groups.append(current)
-            current = []
+            ends.append(i)
             budget = 0
-    if current:
-        groups[-1].extend(current)
-    return groups
+    ends[-1] = order.shape[0]
+    return order, np.diff(ends, prepend=0)
 
 
 def _check_common(d: int, epsilon: float) -> None:
@@ -344,17 +369,17 @@ def _check_transforms(d: int, block: int, s: int) -> None:
 # protocol core: a plan, a bit source, and the trial body that joins them
 
 
-@dataclass
-class Plan:
+@dataclass(eq=False)
+class Plan(Layout):
     """The trial-independent part of one protocol run.
 
     Repetition r draws a (d, block) transform from the public seed (none when
-    block is None) and transmits runs[r] = (users, lengths): users[i] sends
-    the next lengths[i] bits of the repetition's stream, and stream position
-    q carries coordinate q mod width of its sender's rotated vector (the
-    wrap-around layout).  Every full row of `width` positions is one referee
-    sample, tested at threshold tau.  Every repetition has the same number
-    of full rows.
+    block is None) and transmits runs[r] = (users, lengths) of its `Layout`:
+    users[i] sends the next lengths[i] bits of the repetition's stream, and
+    stream position q carries coordinate q mod width of its sender's rotated
+    vector (the wrap-around layout).  Every full row of `width` positions is
+    one referee sample, tested at threshold tau.  Every repetition has the
+    same number of full rows.
 
     `blocks` is given by the plans whose users aggregate samples: row j's
     senders sum blocks of blocks[j] samples, and repetition r reads block
@@ -366,11 +391,9 @@ class Plan:
     `group_rows` counts the full rows per group, the same in every
     repetition.
 
-    `runs` is the whole layout: a user sends at most one segment per
-    repetition, and its message is its segments in repetition order, so the
-    transcript offsets of the n_users users (silent ones included) are
-    derived from it, once, with `totals` (each repetition's stream length).
-    A repetition whose referee would get fewer than two rows, or a threshold
+    The plan is the layout of every transcript it produces: the per-user
+    lengths, offsets and stream totals are derived once, by `Layout`.  A
+    repetition whose referee would get fewer than two rows, or a threshold
     that is not finite and >= 0, is rejected here, before any seed bit is
     drawn.
     """
@@ -379,11 +402,7 @@ class Plan:
     block: int | None
     width: int
     tau: float
-    n_users: int
-    runs: list[tuple[np.ndarray, np.ndarray]]
     blocks: np.ndarray | None = None
-    offsets: np.ndarray = field(init=False)
-    totals: tuple[int, ...] = field(init=False)
     groups: tuple[np.ndarray, np.ndarray] = field(init=False)
     group_rows: np.ndarray = field(init=False)
 
@@ -397,16 +416,13 @@ class Plan:
         if not (np.isfinite(self.tau) and self.tau >= 0.0):
             raise ParameterError(f"threshold must be finite and >= 0, got {self.tau}")
         self.tau = float(self.tau)
-        self.totals = tuple(int(sent.sum()) for _, sent in self.runs)
-        lengths = np.zeros(self.n_users, dtype=np.int64)
-        for r, ((users, sent), total) in enumerate(zip(self.runs, self.totals)):
-            lengths[users] += sent
+        super().__post_init__()
+        for r, total in enumerate(self.totals):
             if total // self.width < 2:
                 raise InsufficientPopulationError(
                     f"repetition {r} sends {total} bits, which fill "
                     f"{total // self.width} full {self.width}-coordinate samples; "
                     f"the referee needs 2")
-        self.offsets = np.concatenate([[0], np.cumsum(lengths)])
         rows = self.totals[0] // self.width
         sizes, row_group = np.unique(self.blocks if self.reads_blocks else np.ones(rows, np.int64),
                                      return_inverse=True)
@@ -485,7 +501,8 @@ def run_plan(plan: Plan, seed: PublicSeed, source) -> tuple[Decision, Transcript
     repetition's stream (an array, or a callable the transcript resolves on
     first read).  The referee reads only the counts: a repetition rejects
     iff its collision statistic exceeds `plan.tau`, and amplified plans
-    accept only if every repetition does.
+    accept only if every repetition does.  The plan is the transcript's
+    layout, so every trial of a plan shares its lengths and offsets.
     """
     before = seed.consumed
     specs = [None if plan.block is None else sample_brht(seed, plan.d, plan.block)
@@ -493,7 +510,7 @@ def run_plan(plan: Plan, seed: PublicSeed, source) -> tuple[Decision, Transcript
     ones, streams = source.draw(plan, specs)
     statistics = tuple(collision_statistic_counts(counts, total // plan.width)
                        for counts, total in zip(ones, plan.totals))
-    transcript = Transcript(plan.offsets, streams, seed.consumed - before, plan.runs, plan.totals)
+    transcript = Transcript(plan, streams, seed.consumed - before)
     rep_accepts = tuple(t <= plan.tau for t in statistics)
     accepts = rep_accepts if len(rep_accepts) > 1 else None
     verdict = ACCEPT if all(rep_accepts) else REJECT
@@ -543,16 +560,16 @@ def private_coin_protocol(samples: np.ndarray, d: int, ell: int,
 def limited_coin_params(d: int, ell: int, s: int) -> tuple[int, int, int, float]:
     """(block length d_s, kept length L, effective ell, distance scale).
 
-    d_s = d / 2^floor(s/28) (capped at 1), L = max(d_s, ell); the inner test
-    runs at epsilon * sqrt(L / (100 d)).
+    d_s = d / 2^floor(s/28) (capped at 1), L = max(d_s, ell) by the keep
+    rule of `mix_and_match_keep_length`; the inner test runs at
+    epsilon * sqrt(L / (100 d)).
     """
     d_s = seed_block_length(d, s)
     if not (1 <= ell <= d):
         raise ParameterError(f"bit budget must be in 1..{d}, got {ell}")
-    ell_eff = pow2_floor(ell)
-    L = max(d_s, ell_eff)
+    L = mix_and_match_keep_length(d, np.array([ell]), s)
     scale = np.sqrt(RETENTION_FACTOR * L / d)
-    return d_s, L, ell_eff, scale
+    return d_s, L, pow2_floor(ell), scale
 
 
 def limited_coin_plan(n: int, d: int, ell: int, epsilon: float, s: int) -> Plan:
@@ -699,23 +716,25 @@ def mix_and_match_keep_length(d: int, ells: np.ndarray, s: int) -> int:
     return min(d, max(seed_block_length(d, s), pow2_floor(int(min(ells.max(), d)))))
 
 
-def mix_and_match_plan(users: list[UserSpec], d: int, epsilon: float, s: int,
+def mix_and_match_plan(ms: np.ndarray, ells: np.ndarray, d: int, epsilon: float, s: int,
                        partition: list[list[int]] | None = None) -> Plan:
-    """Plan of `mix_and_match_protocol` for s seed bits."""
+    """Plan of `mix_and_match_protocol` for users with sample counts ms and
+    bit budgets ells, and s seed bits; the groups are `partition` when
+    given, else `greedy_partition`'s."""
     _check_common(d, epsilon)
-    n = len(users)
-    ells = np.array([u.ell for u in users], dtype=np.int64)
-    ms = np.array([u.m for u in users], dtype=np.int64)
+    ms = np.asarray(ms, dtype=np.int64)
+    ells = np.asarray(ells, dtype=np.int64)
+    n = ms.shape[0]
     L = mix_and_match_keep_length(d, ells, s)
     _check_transforms(d, L, s)
     if partition is None:
-        partition = greedy_partition(users, L)
-
-    sizes = np.array([len(group) for group in partition], dtype=np.int64)
-    order = np.array([i for group in partition for i in group], dtype=np.int64)
-    if order.shape[0] != n or not np.array_equal(np.sort(order), np.arange(n)):
-        raise ParameterError("partition must cover every user exactly once")
-    need, K = REPETITIONS * L, len(partition)
+        order, sizes = greedy_partition(ms, ells, L)
+    else:
+        sizes = np.array([len(group) for group in partition], dtype=np.int64)
+        order = np.array([i for group in partition for i in group], dtype=np.int64)
+        if order.shape[0] != n or not np.array_equal(np.sort(order), np.arange(n)):
+            raise ParameterError("partition must cover every user exactly once")
+    need, K = REPETITIONS * L, sizes.shape[0]
     group = np.repeat(np.arange(K), sizes)
     budget = np.bincount(group, weights=ells[order], minlength=K)
     if np.any(budget < need):
@@ -753,5 +772,6 @@ def mix_and_match_protocol(samples: list[np.ndarray], users: list[UserSpec], d: 
     """
     if len(samples) != len(users):
         raise DimensionError(f"{len(samples)} sample sets for {len(users)} users")
-    plan = mix_and_match_plan(users, d, epsilon, seed.remaining, partition)
-    return run_plan(plan, seed, _user_rows(samples, [u.m for u in users], d, exact=False))
+    ms, ells = np.array([[u.m for u in users], [u.ell for u in users]], dtype=np.int64)
+    plan = mix_and_match_plan(ms, ells, d, epsilon, seed.remaining, partition)
+    return run_plan(plan, seed, _user_rows(samples, ms, d, exact=False))

@@ -245,6 +245,22 @@ class TestRunTrial:
             assert np.array_equal(law.offsets, lit.offsets), cfg.protocol
             assert law.public_bits_used == lit.public_bits_used, cfg.protocol
 
+    @pytest.mark.parametrize("path", ["law", "literal"])
+    @pytest.mark.parametrize("cfg", structural_configs(),
+                             ids=[c.protocol for c in structural_configs()])
+    def test_lengths_and_offsets_follow_the_plan_runs(self, cfg, path):
+        # each user's bits are its segments summed over the plan's runs, the
+        # offsets their cumulative sum, and neither may be written: every
+        # trial's transcript shares them
+        _, tr = run_trial(cfg, MeanSpec("null", 0.0), 0, master_seed=2, sample_path=path)
+        sums = np.zeros(cfg.n_users(), dtype=np.int64)
+        for users, lengths in cfg.plan.runs:
+            np.add.at(sums, users, lengths)
+        assert np.array_equal(tr.bits_sent, sums)
+        assert np.array_equal(tr.offsets, np.concatenate([[0], np.cumsum(sums)]))
+        assert not tr.bits_sent.flags.writeable and not tr.offsets.flags.writeable
+        assert tr.layout is cfg.plan
+
     @pytest.mark.parametrize("cfg", structural_configs(),
                              ids=[c.protocol for c in structural_configs()])
     def test_audit_clean(self, cfg):
@@ -403,10 +419,6 @@ class TestRunBatch:
     def test_trials_validation(self):
         with pytest.raises(ParameterError):
             run_batch(small_config(), trials=0)
-        with pytest.raises(ParameterError):
-            run_batch(small_config(), trials=5, mean_modes=["spike"])
-        with pytest.raises(ParameterError):
-            run_batch(small_config(), trials=5, mean_modes=["null", "null", "spike"])
 
 
 class TestRecordsCsv:

@@ -1,5 +1,7 @@
 """Protocol-level tests: encodings, layouts, referees, and bit accounting."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from distmeantest import (
     PublicSeed,
     REPETITIONS,
     Decision,
+    Layout,
     Transcript,
     UserSpec,
     aggregate_block,
@@ -499,32 +502,56 @@ class TestHeteroComm:
                 RNG.standard_normal((4, 8)), 8, np.array([7, 7]), 1.0, fresh_seed(0))
 
 
+def groups_of(order: np.ndarray, sizes: np.ndarray) -> list[list[int]]:
+    """The groups of a `greedy_partition` result, as lists of user indices."""
+    return [group.tolist() for group in np.split(order, np.cumsum(sizes)[:-1])]
+
+
+# (m, ell) of the six user kinds of acceptance criterion 8's mix_and_match
+# population and of the calibrate_mix benchmark config (d = 32, s = 28, so L = 16)
+MIX_KINDS = np.array([(28, 8), (56, 16), (28, 24), (56, 8), (28, 16), (56, 24)], dtype=np.int64)
+
+# sha256 of (order, sizes) as int64 bytes for the populations of
+# `test_partitions_pinned`, recorded when greedy_partition still returned a
+# list of groups (order is the groups concatenated, sizes their lengths)
+PARTITION_DIGESTS = {
+    "criterion8-interleaved": "d1377f29444e0c5fe2e7a6a6a66eeb3aae7a5f5a064781653a4d94e781674a39",
+    "calibrate_mix-x16": "71edd301ac3e8185cc46f92fb925c68c449ca5aa370ddcb159156af2e4b9f2c3",
+}
+
+
 class TestGreedyPartition:
     def test_rich_users_get_singletons(self):
-        users = [UserSpec(7, 56), UserSpec(21, 56), UserSpec(14, 56)]
-        assert greedy_partition(users, L=8) == [[1], [2], [0]]
+        ms, ells = np.array([7, 21, 14]), np.array([56, 56, 56])
+        assert groups_of(*greedy_partition(ms, ells, L=8)) == [[1], [2], [0]]
 
     def test_poor_users_grouped(self):
-        users = [UserSpec(7, 1) for _ in range(16)]
-        groups = greedy_partition(users, L=1)
+        groups = groups_of(*greedy_partition(np.full(16, 7), np.ones(16, dtype=np.int64), L=1))
         assert sorted(len(g) for g in groups) == [7, 9]  # trailing pair merged
 
     def test_total_shortfall_rejected(self):
-        users = [UserSpec(7, 1) for _ in range(55)]
         with pytest.raises(InfeasiblePartitionError):
-            greedy_partition(users, L=8)
+            greedy_partition(np.full(55, 7), np.ones(55, dtype=np.int64), L=8)
 
     def test_stable_on_ties(self):
-        users = [UserSpec(7, 20) for _ in range(4)]
-        groups = greedy_partition(users, L=1)
+        groups = groups_of(*greedy_partition(np.full(4, 7), np.full(4, 20), L=1))
         assert groups[0] == [0]  # 20 >= 7, index order preserved among equals
 
     def test_covers_everyone(self):
-        users = [UserSpec(int(m), int(e)) for m, e in
-                 zip(RNG.integers(7, 40, 30), RNG.integers(1, 30, 30))]
-        groups = greedy_partition(users, L=2)
+        ms, ells = RNG.integers(7, 40, 30), RNG.integers(1, 30, 30)
+        groups = groups_of(*greedy_partition(ms, ells, L=2))
         assert sorted(i for g in groups for i in g) == list(range(30))
-        assert all(sum(users[i].ell for i in g) >= 14 for g in groups)
+        assert all(int(ells[g].sum()) >= 14 for g in groups)
+
+    @pytest.mark.parametrize("name, kinds", [
+        ("criterion8-interleaved", np.tile(MIX_KINDS, (25500, 1))),
+        ("calibrate_mix-x16", np.tile(np.repeat(MIX_KINDS, 1600, axis=0), (16, 1))),
+    ])
+    def test_partitions_pinned(self, name, kinds):
+        order, sizes = greedy_partition(kinds[:, 0], kinds[:, 1], L=16)
+        digest = hashlib.sha256(order.astype(np.int64).tobytes()
+                                + sizes.astype(np.int64).tobytes()).hexdigest()
+        assert digest == PARTITION_DIGESTS[name]
 
 
 class TestMixAndMatch:
@@ -665,11 +692,10 @@ class TestTranscript:
         assert t.public_bits_used == 12
         assert t.message(1).shape == (5,)
 
-    def test_malformed_offsets(self):
-        with pytest.raises(ParameterError):
-            Transcript(np.array([1, 3]), np.zeros(3, dtype=np.uint8))
-        with pytest.raises(ParameterError):
-            Transcript(np.array([0, 2]), np.zeros(3, dtype=np.uint8))
+    def test_layout_naming_a_user_twice_rejected(self):
+        # user 1's second segment would be lost from its length and offsets
+        with pytest.raises(ParameterError, match="lengths"):
+            Layout(runs=[(np.array([0, 1, 1]), np.full(3, 4, dtype=np.int64))], n_users=2)
 
 
 class TestDecision:
@@ -723,8 +749,7 @@ class TestDeferredStreams:
                 return np.full(16, r, dtype=np.uint8)
             return draw
 
-        runs = plan.runs * 2
-        t = Transcript(np.arange(5) * 8, [stream(0), stream(1)], 0, runs, plan.totals * 2)
+        t = Transcript(Layout(plan.runs * 2, 4), [stream(0), stream(1)])
         assert drawn == [] and t.total_bits == 32
         assert t.message(2).tolist() == [0] * 4 + [1] * 4
         t.serialize()
@@ -732,7 +757,6 @@ class TestDeferredStreams:
 
     def test_stream_of_wrong_length_rejected_on_read(self):
         plan = two_row_plan()
-        t = Transcript(plan.offsets, [lambda: np.zeros(15, dtype=np.uint8)], 0,
-                       plan.runs, plan.totals)
+        t = Transcript(Layout(plan.runs, 4), [lambda: np.zeros(15, dtype=np.uint8)])
         with pytest.raises(ParameterError, match="streams"):
             t.data
