@@ -70,8 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _with_param(config: PopulationConfig, param: str, value: float) -> PopulationConfig:
     if param != "epsilon" and not value.is_integer():
         raise ParameterError(f"--param {param} needs integer values, got {value:g}")
+    # an explicit partition is kept; a value that leaves a group short of its
+    # requirement is infeasible
     base = config.to_dict()
-    base.pop("partition", None)  # layouts change with the swept parameter
     if param == "s":
         base["s"] = int(value)
     elif param == "epsilon":

@@ -19,8 +19,9 @@ differs:
 * ``literal``  — `LiteralSource` sign-quantizes every user's real Gaussian
   samples and sums the bits per column.  A trial draws all of its samples in
   one call, as consecutive rows of one array, user after user, and passes
-  the row where each user's samples start; the plan's `reads_blocks` says
-  which rows each repetition reads.
+  each user's sample count, from which the source derives the row where the
+  user's samples start; the plan's `reads_blocks` says which rows each
+  repetition reads.
 * ``law``      — `LawSource` draws every repetition's column counts from
   their exact law in one binomial call, one draw per repetition, flip
   probability group and column; the bits are drawn only when the transcript
@@ -45,6 +46,7 @@ the law path draws them independently; the test suite covers both facts.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -110,8 +112,6 @@ PROTOCOL_NAMES = ("private", "limited", "hetero_samples", "hetero_comm", "mix_an
 SAMPLE_PATHS = ("law", "literal")
 # the largest population multiplier `calibrate` tries by default
 MAX_MULTIPLIER = 1 << 14
-
-CSV_COLUMNS = ("trial", "mean_mode", "verdict", "bits_total", "public_bits_used", "wall_micros")
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +250,11 @@ class PopulationConfig:
         _check_modes(self.mean_modes)
         if self.partition is not None and self.protocol != "mix_and_match":
             raise ParameterError("explicit partitions only apply to mix_and_match")
-        self._validate_population()
-
-    def _validate_population(self) -> None:
-        ms = self.ms()
-        ells = self.ells()
+        ms, ells = self._resources
         if self.protocol in ("private", "limited", "hetero_comm") and np.any(ms != 1):
             raise ParameterError(f"{self.protocol} expects exactly one sample per user")
-        if self.protocol in ("private", "limited", "hetero_samples"):
-            if np.unique(ells).shape[0] != 1:
-                raise ParameterError(f"{self.protocol} expects a uniform bit budget")
+        if self.protocol in ("private", "limited", "hetero_samples") and np.any(ells != ells[0]):
+            raise ParameterError(f"{self.protocol} expects a uniform bit budget")
 
     def n_users(self) -> int:
         return len(self.users)
@@ -290,12 +285,17 @@ class PopulationConfig:
         return mix_and_match_plan(self.ms(), self.ells(), d, self.epsilon, self.s, self.partition)
 
     def scaled(self, multiplier: int) -> "PopulationConfig":
-        """Repeat the user mix `multiplier` times (partition recomputed)."""
+        """Repeat the user mix `multiplier` times.  An explicit partition is
+        repeated with it, copy by copy: copy j's groups name users j * n + i
+        for the n users of the config, so `scaled(1)` equals the config."""
         if multiplier < 1:
             raise ParameterError(f"multiplier must be >= 1, got {multiplier}")
+        n = self.n_users()
+        partition = None if self.partition is None else [
+            [j * n + i for i in group] for j in range(multiplier) for group in self.partition]
         return PopulationConfig(
             d=self.d, epsilon=self.epsilon, s=self.s, protocol=self.protocol,
-            users=list(self.users) * multiplier, partition=None,
+            users=list(self.users) * multiplier, partition=partition,
             mean_modes=list(self.mean_modes))
 
     @classmethod
@@ -391,11 +391,10 @@ class LawSource:
                                     for r in range(len(specs))]
 
     def _stream(self, plan: Plan, r: int, counts: np.ndarray, p: np.ndarray) -> np.ndarray:
-        rows, row_group = plan.group_rows, plan.groups[1]
-        full = np.empty((row_group.shape[0], plan.width), dtype=np.uint8)
-        for g, n_g in enumerate(rows.tolist()):
+        full = np.empty((plan.rows, plan.width), dtype=np.uint8)
+        for g, n_g in enumerate(plan.group_rows.tolist()):
             ones_first = np.arange(n_g)[:, None] < counts[g]
-            full[row_group == g] = self.rng.permuted(ones_first, axis=0)
+            full[plan.groups[1] == g] = self.rng.permuted(ones_first, axis=0)
         rest = plan.totals[r] - full.size
         return np.concatenate([full.reshape(-1), self.rng.random(rest) < p[0, :rest]])
 
@@ -408,7 +407,8 @@ def run_trial(config: PopulationConfig, mean: MeanSpec, trial_index: int,
     Derives (mean, public-seed, data) streams from (master_seed, mode, trial),
     draws the mean and the shared seed, and runs the configured protocol's
     cached plan with the bit source of `sample_path`; the literal path draws
-    every user's samples as consecutive rows of one array.  Dimensions that are
+    every user's samples as consecutive rows of one array, in one call, and
+    gives the source each user's sample count.  Dimensions that are
     not powers of two are embedded into the next power of two: the mean is
     zero-padded and samples carry fresh unit-variance noise in the padded
     coordinates (realized by sampling in the padded dimension).
@@ -423,7 +423,7 @@ def run_trial(config: PopulationConfig, mean: MeanSpec, trial_index: int,
         source = LawSource(mu, data_rng)
     else:
         ms = config.ms()
-        source = LiteralSource(gen_gaussian_samples(mu, int(ms.sum()), data_rng), np.cumsum(ms) - ms)
+        source = LiteralSource(gen_gaussian_samples(mu, int(ms.sum()), data_rng), ms)
     return run_plan(plan, seed, source)
 
 
@@ -464,8 +464,11 @@ class TrialRecord:
     wall_micros: int
 
     def row(self) -> tuple:
-        return (self.trial, self.mean_mode, self.verdict, self.bits_total,
-                self.public_bits_used, self.wall_micros)
+        return dataclasses.astuple(self)
+
+
+# the CSV header: the record's fields, in the order `row` gives them
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(TrialRecord))
 
 
 @dataclass
@@ -499,6 +502,9 @@ def run_batch(config: PopulationConfig, trials: int, master_seed: int = 0,
     injected."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    # run_trial is looked up on every call, so a rebinding of it is seen
+    runner = protocol_runner or (lambda cfg, mean, trial:
+                                 run_trial(cfg, mean, trial, master_seed, sample_path))
     records: list[TrialRecord] = []
     violations: list[str] = []
     wrong: dict[str, int] = {mode: 0 for mode in config.mean_modes}
@@ -506,10 +512,7 @@ def run_batch(config: PopulationConfig, trials: int, master_seed: int = 0,
         mean = MeanSpec(mode=mode, norm=0.0 if mode == "null" else config.epsilon)
         for trial in range(trials):
             t0 = time.perf_counter_ns()
-            if protocol_runner is None:
-                decision, transcript = run_trial(config, mean, trial, master_seed, sample_path)
-            else:
-                decision, transcript = protocol_runner(config, mean, trial)
+            decision, transcript = runner(config, mean, trial)
             micros = (time.perf_counter_ns() - t0) // 1000 if timing else 0
             report = budget_audit(transcript, config)
             violations.extend(f"mode={mode} trial={trial}: {v}" for v in report.violations)
@@ -520,12 +523,11 @@ def run_batch(config: PopulationConfig, trials: int, master_seed: int = 0,
                 trial=trial, mean_mode=mode, verdict=decision.verdict,
                 bits_total=transcript.total_bits,
                 public_bits_used=transcript.public_bits_used, wall_micros=int(micros)))
-    type1 = wrong["null"] / trials
     type2 = {mode: wrong[mode] / trials for mode in config.mean_modes if mode != "null"}
-    worst = max([type1, *type2.values()]) if type2 else type1
-    ci = 1.96 * math.sqrt(worst * (1.0 - worst) / trials)
-    estimate = ErrorEstimate(trials=trials, type1_rate=type1, type2_rates=type2,
-                             ci_halfwidth=ci)
+    estimate = ErrorEstimate(trials=trials, type1_rate=wrong["null"] / trials,
+                             type2_rates=type2, ci_halfwidth=0.0)
+    worst = estimate.worst_rate
+    estimate.ci_halfwidth = 1.96 * math.sqrt(worst * (1.0 - worst) / trials)
     return BatchResult(estimate=estimate, records=records, audit_violations=violations)
 
 

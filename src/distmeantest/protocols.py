@@ -53,7 +53,7 @@ from .errors import (
     InsufficientPopulationError,
     ParameterError,
 )
-from .randomness import MAX_FIELD_DEGREE, PublicSeed
+from .randomness import MAX_FIELD_DEGREE, POLY_COEFFICIENTS, PublicSeed
 
 __all__ = [
     "UserSpec",
@@ -74,9 +74,9 @@ __all__ = [
 ]
 
 REPETITIONS = 7
-# Halving the transform block length costs 4 more seed bits in each of the
-# 7 transforms.
-SEED_BITS_PER_HALVING = 4 * REPETITIONS
+# Halving the transform block length costs one more bit per sign-polynomial
+# coefficient in each of the 7 transforms.
+SEED_BITS_PER_HALVING = POLY_COEFFICIENTS * REPETITIONS
 # b four-wise signs are evaluations over GF(b), so b is capped by the field table.
 MAX_SIGN_BLOCKS = 1 << MAX_FIELD_DEGREE
 # Confidence/threshold constants baked into the protocol family.
@@ -163,19 +163,20 @@ class Transcript:
         self.layout = layout
         self.public_bits_used = int(public_bits_used)
         self._data, self._streams = None, list(streams)
-        if len(self._streams) != len(layout.runs) or any(
+        self._check_streams()
+
+    def _check_streams(self) -> None:
+        """One stream per run, and each array stream as long as its run."""
+        if len(self._streams) != len(self.layout.runs) or any(
                 not callable(stream) and stream.shape[0] != total
-                for stream, total in zip(self._streams, layout.totals)):
+                for stream, total in zip(self._streams, self.layout.totals)):
             raise ParameterError("repetition streams do not match their runs")
 
     @property
     def streams(self) -> list[np.ndarray]:
         """The repetition streams, resolved in repetition order on first read."""
-        for r, stream in enumerate(self._streams):
-            if callable(stream):
-                stream = self._streams[r] = stream()
-                if stream.shape[0] != self.layout.totals[r]:
-                    raise ParameterError("repetition streams do not match their runs")
+        self._streams[:] = [stream() if callable(stream) else stream for stream in self._streams]
+        self._check_streams()
         return self._streams
 
     @property
@@ -359,7 +360,7 @@ def _check_transforms(d: int, block: int, s: int) -> None:
         raise ParameterError(
             f"d={d} with s={s} needs {signs} four-wise signs per transform; "
             f"the GF(2^{MAX_FIELD_DEGREE}) sign field caps this at {MAX_SIGN_BLOCKS}")
-    need = REPETITIONS * 4 * (signs.bit_length() - 1)
+    need = SEED_BITS_PER_HALVING * (signs.bit_length() - 1)
     if need > s:
         raise BudgetExhaustedError(
             f"seven ({d}, {block}) transforms need {need} public bits, only {s} left")
@@ -379,7 +380,7 @@ class Plan(Layout):
     stream position q carries coordinate q mod width of its sender's rotated
     vector (the wrap-around layout).  Every full row of `width` positions is
     one referee sample, tested at threshold tau.  Every repetition has the
-    same number of full rows.
+    same number of full rows, `rows`, stated here once for every reader.
 
     `blocks` is given by the plans whose users aggregate samples: row j's
     senders sum blocks of blocks[j] samples, and repetition r reads block
@@ -389,7 +390,7 @@ class Plan(Layout):
     size of each flip-probability group, the group of each full row), one
     group of block size 1 when each user holds one sample, and
     `group_rows` counts the full rows per group, the same in every
-    repetition.
+    repetition; both come from the one pass that finds the groups.
 
     The plan is the layout of every transcript it produces: the per-user
     lengths, offsets and stream totals are derived once, by `Layout`.  A
@@ -403,6 +404,7 @@ class Plan(Layout):
     width: int
     tau: float
     blocks: np.ndarray | None = None
+    rows: int = field(init=False)
     groups: tuple[np.ndarray, np.ndarray] = field(init=False)
     group_rows: np.ndarray = field(init=False)
 
@@ -423,35 +425,35 @@ class Plan(Layout):
                     f"repetition {r} sends {total} bits, which fill "
                     f"{total // self.width} full {self.width}-coordinate samples; "
                     f"the referee needs 2")
-        rows = self.totals[0] // self.width
-        sizes, row_group = np.unique(self.blocks if self.reads_blocks else np.ones(rows, np.int64),
-                                     return_inverse=True)
-        if any(total // self.width != row_group.shape[0] for total in self.totals):
-            raise ParameterError(f"every repetition must fill the plan's {row_group.shape[0]} rows")
-        self.groups = (sizes, row_group)
-        self.group_rows = np.bincount(row_group, minlength=sizes.shape[0])
+        sizes, row_group, self.group_rows = np.unique(
+            self.blocks if self.reads_blocks else np.ones(self.totals[0] // self.width, np.int64),
+            return_inverse=True, return_counts=True)
+        self.rows, self.groups = row_group.shape[0], (sizes, row_group)
+        if any(total // self.width != self.rows for total in self.totals):
+            raise ParameterError(f"every repetition must fill the plan's {self.rows} rows")
 
 
 class LiteralSource:
     """Bit source that sign-quantizes real samples.
 
     `samples` is one (rows, d) array holding every user's samples as
-    consecutive rows, and user k's samples start at row first[k].  In
+    consecutive rows, user after user, and user k holds counts[k] of them;
+    the row where each user's samples start, first[k], is derived here.  In
     repetition r a sender reads row first[k] when each user holds one sample,
     and the `block` rows from first[k] + r * block when the plan reads blocks;
     their scaled sum is written into a gathered float row, so such samples
     must be float64.  The trial's repetitions are quantized one after another.
     """
 
-    def __init__(self, samples: np.ndarray, first: np.ndarray):
+    def __init__(self, samples: np.ndarray, counts: np.ndarray):
         self.samples = samples
-        self.first = first
+        self.first = np.cumsum(counts) - counts
 
     def draw(self, plan: Plan, specs: list[BrhtSpec | None]):
         """Each repetition's column counts over its full rows, and its bits."""
         streams = [self._bits(plan, r, spec) for r, spec in enumerate(specs)]
-        return [bits[:t - t % plan.width].reshape(-1, plan.width).sum(axis=0, dtype=np.int64)
-                for bits, t in zip(streams, plan.totals)], streams
+        return [bits[:plan.rows * plan.width].reshape(-1, plan.width).sum(axis=0, dtype=np.int64)
+                for bits in streams], streams
 
     def _bits(self, plan: Plan, r: int, spec: BrhtSpec | None) -> np.ndarray:
         """Repetition r's stream: the senders' rows (a slice of the rows they
@@ -481,13 +483,13 @@ def _user_rows(samples: list, m: list[int] | np.ndarray, d: int, exact: bool) ->
     """The literal source of per-user sample arrays: every user's array is
     checked, silent users included, and then all are concatenated once as
     float64 rows.  User k's array must have d columns and m[k] rows, or at
-    least m[k] rows when not `exact`; `first` follows the actual row counts."""
+    least m[k] rows when not `exact`; the source is given the actual row counts."""
     arrays = [np.asarray(x) for x in samples]
     for k, x in enumerate(arrays):
         if x.ndim != 2 or x.shape[1] != d or x.shape[0] < m[k] or (exact and x.shape[0] != m[k]):
             raise DimensionError(f"user {k} samples must have shape ({m[k]}, {d}), got {x.shape}")
-    counts = np.array([x.shape[0] for x in arrays], dtype=np.int64)
-    return LiteralSource(np.concatenate(arrays, dtype=np.float64), np.cumsum(counts) - counts)
+    return LiteralSource(np.concatenate(arrays, dtype=np.float64),
+                         np.array([x.shape[0] for x in arrays], dtype=np.int64))
 
 
 def run_plan(plan: Plan, seed: PublicSeed, source) -> tuple[Decision, Transcript]:
@@ -508,8 +510,7 @@ def run_plan(plan: Plan, seed: PublicSeed, source) -> tuple[Decision, Transcript
     specs = [None if plan.block is None else sample_brht(seed, plan.d, plan.block)
              for _ in plan.runs]
     ones, streams = source.draw(plan, specs)
-    statistics = tuple(collision_statistic_counts(counts, total // plan.width)
-                       for counts, total in zip(ones, plan.totals))
+    statistics = tuple(collision_statistic_counts(counts, plan.rows) for counts in ones)
     transcript = Transcript(plan, streams, seed.consumed - before)
     rep_accepts = tuple(t <= plan.tau for t in statistics)
     accepts = rep_accepts if len(rep_accepts) > 1 else None
@@ -530,13 +531,19 @@ def private_coin_layout(n: int, d: int, ell: int) -> tuple[int, int, int]:
     return ell_eff, group, n // group
 
 
+def sign_test_threshold(epsilon: float) -> float:
+    """tau = (epsilon/sqrt(8))^2 / 2: the centralized test's threshold at the
+    distance that sign quantization leaves of a Gaussian distance epsilon."""
+    eps = epsilon * SIGN_QUANTIZE_DISTANCE_FACTOR
+    return 0.5 * eps * eps
+
+
 def private_coin_plan(n: int, d: int, ell: int, epsilon: float) -> Plan:
     """Plan of `private_coin_protocol` for n users."""
     _check_common(d, epsilon)
     ell_eff, group, n_sim = private_coin_layout(n, d, ell)
     active = n_sim * group
-    eps = epsilon * SIGN_QUANTIZE_DISTANCE_FACTOR
-    return Plan(d=d, block=None, width=d, tau=0.5 * eps * eps, n_users=n,
+    return Plan(d=d, block=None, width=d, tau=sign_test_threshold(epsilon), n_users=n,
                 runs=[(np.arange(active), np.full(active, ell_eff, dtype=np.int64))])
 
 
@@ -550,7 +557,7 @@ def private_coin_protocol(samples: np.ndarray, d: int, ell: int,
     """
     samples = _check_samples(samples, d)
     return run_plan(private_coin_plan(samples.shape[0], d, ell, epsilon), PublicSeed(np.zeros(0)),
-                    LiteralSource(samples, np.arange(samples.shape[0])))
+                    LiteralSource(samples, np.ones(samples.shape[0], np.int64)))
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +604,7 @@ def limited_coin_protocol(samples: np.ndarray, d: int, ell: int, epsilon: float,
     """
     samples = _check_samples(samples, d)
     plan = limited_coin_plan(samples.shape[0], d, ell, epsilon, seed.remaining)
-    return run_plan(plan, seed, LiteralSource(samples, np.arange(samples.shape[0])))
+    return run_plan(plan, seed, LiteralSource(samples, np.ones(samples.shape[0], np.int64)))
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +692,8 @@ def hetero_comm_plan(ells: np.ndarray, d: int, epsilon: float, s: int) -> Plan:
     _check_common(d, epsilon)
     d_s, L, shares = hetero_comm_params(d, ells, s)
     _check_transforms(d, d_s, s)
-    eps = epsilon * SIGN_QUANTIZE_DISTANCE_FACTOR * np.sqrt(RETENTION_FACTOR * L / d)
-    return Plan(d=d, block=d_s, width=L, tau=0.5 * eps * eps, n_users=shares.shape[0],
+    tau = sign_test_threshold(epsilon * np.sqrt(RETENTION_FACTOR * L / d))
+    return Plan(d=d, block=d_s, width=L, tau=tau, n_users=shares.shape[0],
                 runs=[(np.arange(shares.shape[0]), shares)] * REPETITIONS)
 
 
@@ -703,7 +710,7 @@ def hetero_comm_protocol(samples: np.ndarray, d: int, ells: np.ndarray, epsilon:
     if ells.shape != (samples.shape[0],):
         raise DimensionError(f"need one budget per user, got shape {ells.shape}")
     return run_plan(hetero_comm_plan(ells, d, epsilon, seed.remaining), seed,
-                    LiteralSource(samples, np.arange(samples.shape[0])))
+                    LiteralSource(samples, np.ones(samples.shape[0], np.int64)))
 
 
 # ---------------------------------------------------------------------------

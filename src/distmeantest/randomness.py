@@ -21,7 +21,8 @@ the table against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,6 +61,9 @@ _IRREDUCIBLE_EXPONENTS = {
 _IRREDUCIBLE = {k: sum(1 << e for e in exps) for k, exps in _IRREDUCIBLE_EXPONENTS.items()}
 # Largest k with a table polynomial: b four-wise signs need b <= 2^MAX_FIELD_DEGREE.
 MAX_FIELD_DEGREE = max(_IRREDUCIBLE)
+# The coefficients of the degree-3 polynomial: b > 1 signs cost this many
+# log2(b)-bit draws from the seed.
+POLY_COEFFICIENTS = 4
 
 
 def gf_mul(a: int, b: int, k: int) -> int:
@@ -148,43 +152,38 @@ class RademacherBlockSigns:
         self.signs = np.asarray(self.signs, dtype=np.int8)
 
 
-# Packed sign tables by field degree k; they depend on k only, never on the seed.
-_SIGN_TABLES: dict[int, np.ndarray] = {}
-
-
+@lru_cache(maxsize=None)
 def _sign_table(k: int) -> np.ndarray:
-    """Bit-packed GF(2) matrix from the 4k seed bits to the 2^k sign bits.
+    """Bit-packed GF(2) matrix from the 4k seed bits to the 2^k sign bits,
+    read-only and built once per field degree k (it never depends on the seed).
 
     Seed bit i*k + t is the bit of weight 2^(k-1-t) in coefficient i (MSB
     first, constant term first), so its row holds the lowest bit of the field
     product 2^(k-1-t) * x^i at every point x.
     """
-    table = _SIGN_TABLES.get(k)
-    if table is None:
-        poly = _IRREDUCIBLE[k]
+    poly = _IRREDUCIBLE[k]
 
-        def double(v: np.ndarray) -> np.ndarray:
-            return (v << 1) ^ (v >> (k - 1)) * poly
+    def double(v: np.ndarray) -> np.ndarray:
+        return (v << 1) ^ (v >> (k - 1)) * poly
 
-        def mul(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-            acc = np.zeros_like(a)
-            for bit in range(k):
-                acc ^= ((c >> bit) & 1) * a
-                a = double(a)
-            return acc
+    def mul(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+        acc = np.zeros_like(a)
+        for bit in range(k):
+            acc ^= ((c >> bit) & 1) * a
+            a = double(a)
+        return acc
 
-        x = np.arange(1 << k, dtype=np.uint32)
-        x2 = mul(x, x)
-        rows = []
-        for v in (np.ones_like(x), x, x2, mul(x2, x)):
-            lowest = []
-            for _ in range(k):  # lowest[u] = LSB(2^u * x^i), the row of t = k-1-u
-                lowest.append(v & 1)
-                v = double(v)
-            rows += lowest[::-1]
-        table = np.packbits(np.array(rows, dtype=np.uint8), axis=1)
-        table.setflags(write=False)
-        _SIGN_TABLES[k] = table
+    x = np.arange(1 << k, dtype=np.uint32)
+    x2 = mul(x, x)
+    rows = []
+    for v in (np.ones_like(x), x, x2, mul(x2, x)):
+        lowest = []
+        for _ in range(k):  # lowest[u] = LSB(2^u * x^i), the row of t = k-1-u
+            lowest.append(v & 1)
+            v = double(v)
+        rows += lowest[::-1]
+    table = np.packbits(np.array(rows, dtype=np.uint8), axis=1)
+    table.flags.writeable = False
     return table
 
 
@@ -205,7 +204,7 @@ def fourwise_rademacher(seed: PublicSeed, b: int) -> RademacherBlockSigns:
     if k > MAX_FIELD_DEGREE:
         raise ParameterError(
             f"{b} signs need GF(2^{k}); field degree must be in 1..{MAX_FIELD_DEGREE}")
-    raw = seed.draw_bits(4 * k)
+    raw = seed.draw_bits(POLY_COEFFICIENTS * k)
     packed = np.bitwise_xor.reduce(_sign_table(k)[raw.astype(bool)], axis=0)
     signs = np.where(np.unpackbits(packed, count=b), -1, 1).astype(np.int8)
-    return RademacherBlockSigns(signs=signs, bits_consumed=4 * k)
+    return RademacherBlockSigns(signs=signs, bits_consumed=raw.shape[0])
