@@ -65,15 +65,21 @@ def collision_statistic(samples: np.ndarray) -> float:
     return collision_statistic_counts(samples.sum(axis=0, dtype=np.int64), samples.shape[0])
 
 
-def collision_statistic_counts(ones: np.ndarray, n: int) -> float:
+def collision_statistic_counts(ones: np.ndarray, n: int) -> float | list:
     """Exact T from the integer column sums `ones` of n >= 2 binary samples.
 
     The column sums are sufficient: T depends on the samples only through
-    them.  Callers guarantee n >= 2 and 0 <= ones <= n.
+    them.  `ones` has shape (..., width), one row of column sums per sample
+    set (each of n samples); the numerator of each row's T is an exact int64
+    sum and the result one float division per row.  Returns T as a float for
+    one row (shape (width,)), and as a list of floats, nested like the
+    leading axes, for a batch of rows.  Callers guarantee n >= 2 and
+    0 <= ones <= n.
     """
     centered_doubled = 2 * np.asarray(ones, dtype=np.int64) - n    # 2 * S_i, exact int
-    numerator = int(np.dot(centered_doubled, centered_doubled)) - centered_doubled.shape[0] * n
-    return numerator / (4.0 * n * (n - 1))
+    numerator = (np.square(centered_doubled).sum(axis=-1, dtype=np.int64)
+                 - centered_doubled.shape[-1] * n)
+    return (numerator / (4.0 * n * (n - 1))).tolist()
 
 
 def bpmt_decide(samples: np.ndarray, epsilon: float) -> str:

@@ -55,17 +55,21 @@ def next_pow2(x: int) -> int:
 
 @dataclass
 class BrhtSpec:
-    """A sampled transform: dimension d, block length L, b = d/L block signs."""
+    """A sampled transform: dimension d, block length L, b = d/L block signs.
+
+    `signs` has shape (b,) for one transform, or (..., b) for a stack of
+    (d, L) transforms, one per row of a batch (see `brht_apply`).
+    """
 
     d: int
     L: int
     b: int
-    signs: np.ndarray  # int8, shape (b,)
+    signs: np.ndarray  # int8, shape (..., b)
     bits_consumed: int = 0
 
     def expanded_signs(self) -> np.ndarray:
         """Per-coordinate signs, i.e. the diagonal of D (length d)."""
-        return np.repeat(self.signs, self.L)
+        return np.repeat(self.signs, self.L, axis=-1)
 
 
 def sample_brht(seed: PublicSeed, d: int, L: int) -> BrhtSpec:
@@ -84,7 +88,11 @@ def sample_brht(seed: PublicSeed, d: int, L: int) -> BrhtSpec:
 def brht_apply(spec: BrhtSpec, x: np.ndarray, keep: int | None = None) -> np.ndarray:
     """Compute (R x)[:keep] for one vector or a batch with shape (..., d).
 
-    keep defaults to d.  When keep is a power of two dividing d the first
+    The leading axes of `spec.signs` (shape (..., b)) broadcast against those
+    of x: signs of shape (b,) rotate every vector of x by the one transform,
+    and a stack of shape (k, b) rotates row r of a (k, d) batch by transform
+    r, in one pass, with the same values as k single applications.  keep
+    defaults to d.  When keep is a power of two dividing d the first
     `keep` output coordinates are computed directly by folding: the leading
     keep-row band of H_d is (1/sqrt(d/keep)) * [H_keep ... H_keep], so summing
     the sign-flipped chunks and transforming the length-keep fold gives the
@@ -99,9 +107,9 @@ def brht_apply(spec: BrhtSpec, x: np.ndarray, keep: int | None = None) -> np.nda
     if keep < 1 or keep > spec.d:
         raise DimensionError(f"keep must be in 1..{spec.d}, got {keep}")
     dtype = np.result_type(x, np.float64) if x.dtype.kind != "f" else x.dtype
-    flipped = x.astype(dtype, copy=True)
+    flipped = x.astype(dtype, order="C", copy=True)   # sums run in one order for any layout
     flipped = flipped.reshape(x.shape[:-1] + (spec.b, spec.L))
-    flipped *= spec.signs[:, None]
+    flipped *= spec.signs[..., None]
     flipped = flipped.reshape(x.shape[:-1] + (spec.d,))
     if is_pow2(keep) and spec.d % keep == 0 and keep < spec.d:
         folded = flipped.reshape(x.shape[:-1] + (spec.d // keep, keep)).sum(axis=-2)

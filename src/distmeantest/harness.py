@@ -22,21 +22,23 @@ differs:
   each user's sample count, from which the source derives the row where the
   user's samples start; the plan's `reads_blocks` says which rows each
   repetition reads.
-* ``law``      — `LawSource` draws every repetition's column counts from
+* ``law``      — `LawSource` rotates the mean by the trial's seven
+  transforms in one call and draws every repetition's column counts from
   their exact law in one binomial call, one draw per repetition, flip
   probability group and column; the bits are drawn only when the transcript
   is read, from their exact law given those counts, and never a bit that is
   not sent.
 
-The referee reads only the column counts.  The `Transcript` holds the
-repetition streams as the bit source returned them (arrays, or the law
-path's deferred draws), with the plan as its layout.  The audit and the
-trial records read only its lengths and counts: the per-user lengths are
-derived once per plan, and every trial's transcript shares them, so the
-audit checks every user's bits against its budget on every trial without
-rebuilding them.  No trial draws or builds the user-major messages; they
-are built on the first read of the transcript's data (`message`,
-`serialize`).
+The referee reads only the column counts, every repetition's in one call.
+The `Transcript` holds the repetition streams as the bit source returned
+them (arrays, or the law path's deferred draws), with the plan as its
+layout.  The audit and the trial records read only its lengths and counts.
+The per-user lengths are derived once per plan, and every trial's
+transcript shares them, so the audit checks every user's bits against its
+budget once per config, and on each trial checks only that the transcript
+is laid out by the config's plan, its user count and its public bits.  No
+trial draws or builds the user-major messages; they are built on the first
+read of the transcript's data (`message`, `serialize`).
 
 The law path is the default: it makes six-figure populations tractable on a
 single core.  The paths also agree jointly across repetitions except for
@@ -145,9 +147,10 @@ class MeanSpec:
             raise ParameterError(f"alternative modes need norm > 0, got {self.norm}")
 
 
-def make_mean(spec: MeanSpec, d: int, stream: np.random.Generator) -> np.ndarray:
+def make_mean(spec: MeanSpec, d: int, stream: np.random.Generator | None) -> np.ndarray:
     """Draw the mean vector: zero, a single spike, a flat spread, or a random
-    direction, always with Euclidean norm spec.norm (to 1e-12)."""
+    direction, always with Euclidean norm spec.norm (to 1e-12).  Only a
+    random direction reads `stream`."""
     if d < 1:
         raise ParameterError(f"dimension must be >= 1, got {d}")
     if spec.mode == "null":
@@ -186,10 +189,17 @@ _JSON_KINDS = {int: "an integer", (int, float): "a number", str: "a string",
                list: "an array", dict: "an object"}
 
 
+# JSON integers are unbounded; every integer field is held as an int64
+_INT64 = np.iinfo(np.int64)
+
+
 def _expect(value, kind, what: str):
-    """value, if it has the JSON type `kind` (booleans are not numbers)."""
+    """value, if it has the JSON type `kind` (booleans are not numbers) and,
+    if it is an integer, fits in an int64."""
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ParameterError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
+    if isinstance(value, int) and not _INT64.min <= value <= _INT64.max:
+        raise ParameterError(f"{what} {value} does not fit in a 64-bit integer")
     return value
 
 
@@ -284,6 +294,13 @@ class PopulationConfig:
             return hetero_comm_plan(self.ells(), d, self.epsilon, self.s)
         return mix_and_match_plan(self.ms(), self.ells(), d, self.epsilon, self.s, self.partition)
 
+    @cached_property
+    def _plan_overdraws(self) -> tuple[str, ...]:
+        """The budget violations of the plan's per-user lengths: what
+        `budget_audit` reports for every transcript laid out by the plan,
+        checked once."""
+        return _overdrawn_users(self.plan.lengths, self.ells())
+
     def scaled(self, multiplier: int) -> "PopulationConfig":
         """Repeat the user mix `multiplier` times.  An explicit partition is
         repeated with it, copy by copy: copy j's groups name users j * n + i
@@ -346,13 +363,18 @@ class PopulationConfig:
 # one trial
 
 
-def _trial_streams(master_seed: int, mode: str, trial_index: int
-                   ) -> tuple[np.random.Generator, np.random.Generator, np.random.Generator]:
-    """Independent (mean, public-seed, data) streams keyed by (mode, trial)."""
-    root = np.random.SeedSequence(master_seed,
-                                  spawn_key=(MEAN_MODES.index(mode), trial_index))
-    kids = root.spawn(3)
-    return tuple(np.random.Generator(np.random.PCG64(k)) for k in kids)
+# a trial's independent streams, in the order of their spawn keys
+_STREAMS = ("mean", "public", "data")
+
+
+def _trial_stream(master_seed: int, mode: str, trial_index: int, stream: str
+                  ) -> np.random.Generator:
+    """One of the (mean, public-seed, data) streams of trial (mode,
+    trial_index): child j of `SeedSequence(master_seed, spawn_key=(mode,
+    trial)).spawn(3)`, built on its own, so a trial builds only the streams
+    it reads."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        master_seed, spawn_key=(MEAN_MODES.index(mode), trial_index, _STREAMS.index(stream)))))
 
 
 class LawSource:
@@ -367,12 +389,15 @@ class LawSource:
     distinct (user, coordinate) pairs.  The rows of one flip-probability group
     are therefore i.i.d., and a column's count over them is one binomial
     draw; all repetitions' counts are one binomial call over a (repetitions,
-    groups, width) array.  Each stream is drawn from the exact conditional
-    law given its counts: in each group and column the ones sit on a
-    uniformly random subset of the group's rows, and a trailing partial row
-    (hetero_comm only) is drawn bit by bit.  Repetitions are drawn
-    independently: exact where they use disjoint samples, which holds for
-    every protocol but hetero_comm.
+    groups, width) array.  The mean is rotated once per trial: the
+    transforms' signs are stacked, one `brht_apply` call rotates a
+    (repetitions, d) batch of the mean, row r by transform r, and one
+    `sign_flip_prob` call gives every flip probability.  Each stream is
+    drawn from the exact conditional law given its counts: in each group
+    and column the ones sit on a uniformly random subset of the group's
+    rows, and a trailing partial row (hetero_comm only) is drawn bit by bit.
+    Repetitions are drawn independently: exact where they use disjoint
+    samples, which holds for every protocol but hetero_comm.
     """
 
     def __init__(self, mu: np.ndarray, rng: np.random.Generator):
@@ -382,8 +407,11 @@ class LawSource:
     def draw(self, plan: Plan, specs: list[BrhtSpec | None]):
         """Each repetition's column counts over its full rows, and a callable
         per repetition that draws its stream given them."""
-        mu_rot = np.array([self.mu if spec is None else brht_apply(spec, self.mu, keep=plan.width)
-                           for spec in specs])
+        mu_rot = np.broadcast_to(self.mu, (len(specs), plan.d))
+        if plan.block is not None:
+            stacked = BrhtSpec(d=plan.d, L=plan.block, b=plan.d // plan.block,
+                               signs=np.stack([spec.signs for spec in specs]))
+            mu_rot = brht_apply(stacked, mu_rot, keep=plan.width)
         p = sign_flip_prob(np.sqrt(plan.groups[0])[:, None] * mu_rot[:, None, :])
         # one draw per repetition, group and column, in that order
         counts = self.rng.binomial(plan.group_rows[:, None], p)
@@ -405,20 +433,25 @@ def run_trial(config: PopulationConfig, mean: MeanSpec, trial_index: int,
     """One full simulated protocol execution.
 
     Derives (mean, public-seed, data) streams from (master_seed, mode, trial),
-    draws the mean and the shared seed, and runs the configured protocol's
-    cached plan with the bit source of `sample_path`; the literal path draws
-    every user's samples as consecutive rows of one array, in one call, and
-    gives the source each user's sample count.  Dimensions that are
-    not powers of two are embedded into the next power of two: the mean is
+    each built only when read (the mean stream for random directions, the
+    public stream when s > 0), draws the mean and the shared seed, and runs
+    the configured protocol's cached plan with the bit source of
+    `sample_path`; the literal path draws every user's samples as
+    consecutive rows of one array, in one call, and gives the source each
+    user's sample count.  Dimensions that are not powers of two are embedded into the next power of two: the mean is
     zero-padded and samples carry fresh unit-variance noise in the padded
     coordinates (realized by sampling in the padded dimension).
     """
     if sample_path not in SAMPLE_PATHS:
         raise ParameterError(f"unknown sample path {sample_path!r}")
-    mean_rng, public_rng, data_rng = _trial_streams(master_seed, mean.mode, trial_index)
     plan = config.plan
-    mu = np.pad(make_mean(mean, config.d, mean_rng), (0, plan.d - config.d))
-    seed = PublicSeed.random(config.s, public_rng)
+    key = (master_seed, mean.mode, trial_index)
+    mu = np.zeros(plan.d)
+    mu[:config.d] = make_mean(mean, config.d, _trial_stream(*key, "mean")
+                              if mean.mode == "random_direction" else None)
+    seed = (PublicSeed.random(config.s, _trial_stream(*key, "public")) if config.s
+            else PublicSeed(np.zeros(0)))
+    data_rng = _trial_stream(*key, "data")
     if sample_path == "law":
         source = LawSource(mu, data_rng)
     else:
@@ -437,17 +470,31 @@ class AuditReport:
     violations: list[str]
 
 
+def _overdrawn_users(sent: np.ndarray, ells: np.ndarray) -> tuple[str, ...]:
+    """One violation per user whose bit count `sent` exceeds its budget."""
+    return tuple(f"user {int(k)} sent {int(sent[k])} bits, budget {int(ells[k])}"
+                 for k in np.flatnonzero(sent > ells))
+
+
 def budget_audit(transcript: Transcript, config: PopulationConfig) -> AuditReport:
-    """Exact integer checks: per-user bits within budget, seed within s."""
+    """Exact integer checks: per-user bits within budget, seed within s.
+
+    A transcript whose layout is the config's plan (every trial's, since
+    `run_trial` lays its transcripts out by `config.plan`) has the plan's
+    per-user lengths, so they are checked against the budgets once per
+    config (`PopulationConfig._plan_overdraws`) and each trial checks only
+    the user count and the public bits.  Any other transcript, such as one
+    built by `Transcript.from_lengths`, gets the full per-user check; one
+    whose layout is not a `Plan` never makes the config build its plan.
+    """
     violations: list[str] = []
     if transcript.n_users != config.n_users():
         violations.append(
             f"transcript covers {transcript.n_users} users, population has {config.n_users()}")
+    elif isinstance(transcript.layout, Plan) and transcript.layout is config.plan:
+        violations.extend(config._plan_overdraws)
     else:
-        ells = config.ells()
-        sent = transcript.bits_sent
-        for k in np.flatnonzero(sent > ells):
-            violations.append(f"user {int(k)} sent {int(sent[k])} bits, budget {int(ells[k])}")
+        violations.extend(_overdrawn_users(transcript.bits_sent, config.ells()))
     if transcript.public_bits_used > config.s:
         violations.append(
             f"protocol consumed {transcript.public_bits_used} public bits, budget {config.s}")

@@ -38,7 +38,6 @@ arithmetic needs no alignment.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,14 +204,18 @@ class Transcript:
         return self.data[self.offsets[k]:self.offsets[k + 1]]
 
     def serialize(self) -> bytes:
-        """Per user: 4-byte big-endian bit count, then bits packed MSB-first."""
-        out = bytearray()
-        for k in range(self.n_users):
-            msg = self.message(k)
-            out += struct.pack(">I", msg.shape[0])
-            if msg.shape[0]:
-                out += np.packbits(msg).tobytes()
-        return bytes(out)
+        """Per user: 4-byte big-endian bit count, then bits packed MSB-first
+        and zero-padded to a whole byte.  Every user's record is laid out in
+        one byte-padded bit array, which is packed once."""
+        lengths = self.bits_sent
+        record_bits = 32 + 8 * ((lengths + 7) // 8)
+        start = np.cumsum(record_bits) - record_bits
+        bits = np.zeros(int(record_bits.sum()), dtype=np.uint8)
+        bits[start[:, None] + np.arange(32)] = np.unpackbits(
+            lengths.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)
+        body = np.repeat(start + 32 - self.offsets[:-1], lengths) + np.arange(self.total_bits)
+        bits[body] = self.data
+        return np.packbits(bits).tobytes()
 
     @classmethod
     def from_lengths(cls, lengths: np.ndarray, public_bits_used: int = 0) -> "Transcript":
@@ -499,18 +502,20 @@ def run_plan(plan: Plan, seed: PublicSeed, source) -> tuple[Decision, Transcript
     repetition order (a plan without transforms draws none, so its seed may
     be empty), and the transcript records the seed bits they consumed.  Then
     one call `source.draw(plan, specs)` returns each repetition's column
-    counts over its full rows under its transform spec, and each
-    repetition's stream (an array, or a callable the transcript resolves on
-    first read).  The referee reads only the counts: a repetition rejects
-    iff its collision statistic exceeds `plan.tau`, and amplified plans
-    accept only if every repetition does.  The plan is the transcript's
-    layout, so every trial of a plan shares its lengths and offsets.
+    counts over its full rows under its transform spec, one row per
+    repetition, and each repetition's stream (an array, or a callable the
+    transcript resolves on first read).  The referee reads only the counts,
+    all repetitions' rows in one `collision_statistic_counts` call: a
+    repetition rejects iff its collision statistic exceeds `plan.tau`, and
+    amplified plans accept only if every repetition does.  The plan is the
+    transcript's layout, so every trial of a plan shares its lengths and
+    offsets.
     """
     before = seed.consumed
     specs = [None if plan.block is None else sample_brht(seed, plan.d, plan.block)
              for _ in plan.runs]
     ones, streams = source.draw(plan, specs)
-    statistics = tuple(collision_statistic_counts(counts, plan.rows) for counts in ones)
+    statistics = tuple(collision_statistic_counts(ones, plan.rows))
     transcript = Transcript(plan, streams, seed.consumed - before)
     rep_accepts = tuple(t <= plan.tau for t in statistics)
     accepts = rep_accepts if len(rep_accepts) > 1 else None

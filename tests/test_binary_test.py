@@ -102,6 +102,18 @@ class TestCollisionStatisticCounts:
             x = RNG.integers(0, 2, size=(n, d)).astype(np.uint8)
             assert collision_statistic_counts(x.sum(axis=0), n) == collision_statistic(x)
 
+    @pytest.mark.parametrize("n", [2, 3, 97, 4096, 1 << 20])
+    def test_batch_equals_rows(self, n):
+        # one row of counts at a time, in Python integers, is the reference
+        ones = RNG.integers(0, n + 1, size=(7, 3, 64))
+        batch = collision_statistic_counts(ones, n)
+        for r in range(7):
+            for g in range(3):
+                row = [int(c) for c in ones[r, g]]
+                exact = sum((2 * c - n) ** 2 for c in row) - len(row) * n
+                assert batch[r][g] == exact / (4.0 * n * (n - 1))
+                assert batch[r][g] == collision_statistic_counts(ones[r, g], n)
+
 
 class TestDecisionRules:
     def test_reject_above_threshold(self):

@@ -109,6 +109,23 @@ class TestApply:
         np.testing.assert_allclose(out[1, 2], brht_apply(spec, batch[1, 2], keep=4),
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("d,L,keep", [(8, 8, 8), (32, 4, 8), (32, 4, 32), (64, 2, 5),
+                                          (256, 8, 1), (4096, 1, 64), (4096, 1, 4096)])
+    def test_stacked_transforms_equal_single_applications(self, d, L, keep):
+        # row r of a (7, d) batch under seven stacked sign vectors is, bit for
+        # bit, transform r applied alone, with folding (keep < d) and without
+        seed = fresh_seed(s=7 * 4 * 12, seed=d + keep)
+        specs = [sample_brht(seed, d, L) for _ in range(7)]
+        x = RNG.standard_normal((7, d))
+        stacked = BrhtSpec(d=d, L=L, b=d // L, signs=np.stack([spec.signs for spec in specs]))
+        out = brht_apply(stacked, x, keep=keep)
+        assert out.shape == (7, keep)
+        for r, spec in enumerate(specs):
+            assert np.array_equal(out[r], brht_apply(spec, x[r], keep=keep))
+        mean = np.broadcast_to(x[0], (7, d))    # one vector under seven transforms
+        assert np.array_equal(brht_apply(stacked, mean, keep=keep),
+                              np.array([brht_apply(spec, x[0], keep=keep) for spec in specs]))
+
     def test_length_mismatch_rejected(self):
         spec = sample_brht(fresh_seed(), 16, 4)
         with pytest.raises(DimensionError):

@@ -184,6 +184,18 @@ class TestInfeasibleInputs:
         err = capsys.readouterr().err
         assert err.startswith("infeasible:") and "memory" in err, err
 
+    @pytest.mark.parametrize("field", ["m", "ell", "count"])
+    def test_integer_beyond_int64(self, tmp_path, capsys, field):
+        entry = {"m": 1, "ell": 56, "count": 16}
+        entry[field] = 10 ** 23
+        cfg = {"d": 8, "epsilon": 1.0, "s": 0, "protocol": "hetero_comm", "users": [entry]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["run", "--config", str(path), "--trials", "2"])
+        assert code == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith(f"infeasible: {field} {10 ** 23} does not fit"), err
+
     @pytest.mark.parametrize("raw,named", [
         ([{"d": 8, "epsilon": 1.0, "s": 0, "protocol": "private"}], "config must be an object"),
         ({"d": 8, "epsilon": 1.0, "s": 0, "protocol": "mix_and_match",

@@ -351,6 +351,25 @@ class TestBudgetAudit:
         assert not report.ok
         assert any("public" in v for v in report.violations)
 
+    def test_flags_overdrawn_user_of_a_copy_of_the_plan(self):
+        # a layout with the plan's runs that is not the plan object gets the
+        # full per-user check, against the budgets of the config it is
+        # audited for
+        cfg = structural_configs()[3]                       # hetero_comm
+        copy = protocols.Layout(cfg.plan.runs, cfg.n_users())
+        tr = Transcript(copy, [np.zeros(total, dtype=np.uint8) for total in copy.totals])
+        assert budget_audit(tr, cfg).ok
+        k = int(np.argmax(copy.lengths))
+        users = list(cfg.users)
+        users[k] = UserSpec(1, int(copy.lengths[k]) - 1)
+        tight = dataclasses.replace(cfg, users=users)
+        report = budget_audit(tr, tight)
+        assert report.violations == [
+            f"user {k} sent {int(copy.lengths[k])} bits, budget {int(copy.lengths[k]) - 1}"]
+        # the plan's own transcripts keep passing, checked once per config
+        _, planned = run_trial(tight, MeanSpec("null", 0.0), 0)
+        assert planned.layout is tight.plan and budget_audit(planned, tight).ok
+
     def test_flags_user_count_mismatch(self):
         cfg = small_config()
         report = budget_audit(Transcript.from_lengths(np.full(31, 8)), cfg)
@@ -644,9 +663,37 @@ WIDER_DIGESTS = {
 }
 
 
-def transcript_digest(cfg, path):
+# Digests of `structural_configs()` over the two modes whose means
+# `TRANSCRIPT_DIGESTS` leaves out: spread, and random_direction, the only
+# mode that reads the trial's mean stream.  Taken as `TRANSCRIPT_DIGESTS`
+# are, over trials 0-2 x {spread, random_direction}.
+MEAN_MODE_DIGESTS = {
+    ("private", "law"):
+        "ee8ac8d75611cd40d20ca36d2fa246a0aaff80f42f8e0c6091a9899ef48800ee",
+    ("private", "literal"):
+        "e134b7be9d0965a7d4b7bf5227f8dea86dcf1e24e178ca1863bd01bf032506ea",
+    ("limited", "law"):
+        "a20e6567a0e3c98c444ac4ba15fc94dd8bbf1d712c55878864a023a404b9fce7",
+    ("limited", "literal"):
+        "1f7e0c6a7a954598909482152e29c5d2ad3741ed68daf1b2972a8eef1e318276",
+    ("hetero_samples", "law"):
+        "a64cdd3adc836f8c21fb866d900cab35c24f7035be3689fcaccb724ae599285e",
+    ("hetero_samples", "literal"):
+        "b144d6aa68276edbdcb2b2c10694e7acf5cf255f4651d807ceb5f3f8d4a8efc0",
+    ("hetero_comm", "law"):
+        "7d64ab6514c92e35d78765e7784fdafe80044cd6eaf6fa4e650509d413f72201",
+    ("hetero_comm", "literal"):
+        "2baf3cf316f25e24686f75bdafb75225d15d9100d71e58869e9553c117fc3df7",
+    ("mix_and_match", "law"):
+        "85f0df6681b434b194abe784072c875b0008804883549947240cba353b8723fc",
+    ("mix_and_match", "literal"):
+        "d8d487c0418a5078905a83a5890f92e882a1a822bc6853923a80e341f32be3d6",
+}
+
+
+def transcript_digest(cfg, path, modes=("null", "spike")):
     h = hashlib.sha256()
-    for mode in ("null", "spike"):
+    for mode in modes:
         mean = MeanSpec(mode, 0.0 if mode == "null" else cfg.epsilon)
         for trial in range(3):
             dec, tr = run_trial(cfg, mean, trial, master_seed=2, sample_path=path)
@@ -667,6 +714,13 @@ class TestTranscriptDigests:
     @pytest.mark.parametrize("name", list(wider_configs()))
     def test_wider_transcripts_are_byte_stable(self, name, path):
         assert transcript_digest(wider_configs()[name], path) == WIDER_DIGESTS[name, path]
+
+    @pytest.mark.parametrize("path", ["law", "literal"])
+    @pytest.mark.parametrize("cfg", structural_configs(),
+                             ids=[c.protocol for c in structural_configs()])
+    def test_spread_and_random_direction_transcripts_are_byte_stable(self, cfg, path):
+        digest = transcript_digest(cfg, path, modes=("spread", "random_direction"))
+        assert digest == MEAN_MODE_DIGESTS[cfg.protocol, path]
 
 
 class TestStatisticsMatchOracle:
