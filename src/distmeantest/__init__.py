@@ -51,6 +51,7 @@ from .harness import (
     MeanSpec,
     PopulationConfig,
     TrialRecord,
+    UserRuns,
     bpmt_error_rates,
     budget_audit,
     calibrate,

@@ -170,8 +170,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except MemoryError:
-        # raised with an empty message, e.g. by a users entry whose count
-        # no list can hold
+        # e.g. by a population whose per-user arrays no memory can hold
         print("infeasible: the configuration does not fit in memory", file=sys.stderr)
         return EXIT_INFEASIBLE
 

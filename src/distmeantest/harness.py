@@ -5,6 +5,11 @@ budget, per-user resources, protocol); `run_trial` draws one mean vector and
 one transcript-plus-decision; `estimate_error` turns repeated trials into
 type-I/type-II rates with exact bit auditing on every transcript.
 
+A population is held as runs of alike users (`UserRuns`: m, ell, count),
+so reading a config, validating it, `scaled` copies for `calibrate` and
+`to_dict` cost per run, not per user; the per-user arrays that plans read
+(`ms`, `ells`) are built once, on first use.
+
 Two sampling paths give every repetition's bits the same law.  Both run
 the protocol once, as written in :mod:`distmeantest.protocols`: `run_trial`
 hands the config's plan (`PopulationConfig.plan`, built on first use and
@@ -88,6 +93,7 @@ __all__ = [
     "MAX_MULTIPLIER",
     "MeanSpec",
     "PopulationConfig",
+    "UserRuns",
     "TrialRecord",
     "ErrorEstimate",
     "BatchResult",
@@ -226,27 +232,115 @@ def _check_modes(modes) -> None:
             f"mean modes must be distinct and include 'null' for type-I estimation, got {modes}")
 
 
+class UserRuns:
+    """A population's users as runs: count[i] consecutive users hold m[i]
+    samples and ell[i] message bits each.
+
+    The runs are kept in normal form, no two adjacent runs alike, so two
+    populations of the same users hold the same runs, and building, tiling,
+    comparing and writing a population cost per run, not per user.  The
+    runs read as the sequence of the users' `UserSpec`s: `len` is the user
+    count, iteration yields every user, and equality compares the runs.
+    The per-user arrays `ms` and `ells` are one `np.repeat` each, built on
+    first use and read-only.  Every m, ell and count must be >= 1, and the
+    user count must fit in an int64.
+    """
+
+    def __init__(self, m, ell, count):
+        m, ell, count = (np.asarray(a, dtype=np.int64) for a in (m, ell, count))
+        for values, what in ((m, "user sample count"), (ell, "user bit budget"),
+                             (count, "user count")):
+            if values.size and values.min() < 1:
+                raise ParameterError(f"{what} must be >= 1, got {int(values.min())}")
+        # the user count, summed over Python ints where an int64 sum could wrap
+        fits = not count.size or count.max() <= _INT64.max // count.size
+        self.n = _user_total(int(count.sum()) if fits else sum(count.tolist()))
+        # a run starts at the first user and wherever (m, ell) changes
+        start = np.flatnonzero(np.r_[m.size > 0, (m[1:] != m[:-1]) | (ell[1:] != ell[:-1])])
+        self.m, self.ell = m[start], ell[start]
+        self.count = np.add.reduceat(count, start) if start.size else count[start]
+        for runs in (self.m, self.ell, self.count):
+            runs.flags.writeable = False
+
+    @classmethod
+    def of(cls, users) -> "UserRuns":
+        """The runs of a sequence of `UserSpec`s, read in one pass."""
+        pairs = np.array([(u.m, u.ell) for u in users], dtype=np.int64).reshape(-1, 2)
+        return cls(pairs[:, 0], pairs[:, 1], np.ones(pairs.shape[0], dtype=np.int64))
+
+    def tiled(self, k: int) -> "UserRuns":
+        """The users repeated k times; the seam between copies merges when
+        the last run matches the first, so one run stays one run."""
+        if self.m.size == 1:
+            return UserRuns(self.m, self.ell, [_user_total(self.n * k)])
+        return UserRuns(np.tile(self.m, k), np.tile(self.ell, k), np.tile(self.count, k))
+
+    @cached_property
+    def ms(self) -> np.ndarray:
+        return self._per_user(self.m)
+
+    @cached_property
+    def ells(self) -> np.ndarray:
+        return self._per_user(self.ell)
+
+    def _per_user(self, values: np.ndarray) -> np.ndarray:
+        out = np.repeat(values, self.count)
+        out.flags.writeable = False
+        return out
+
+    def to_dicts(self) -> list[dict]:
+        return [{"m": m, "ell": ell, "count": count} for m, ell, count
+                in zip(self.m.tolist(), self.ell.tolist(), self.count.tolist())]
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        for m, ell, count in zip(self.m.tolist(), self.ell.tolist(), self.count.tolist()):
+            yield from itertools.repeat(UserSpec(m, ell), count)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UserRuns):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in ((self.m, other.m), (self.ell, other.ell),
+                                                     (self.count, other.count)))
+
+    def __repr__(self) -> str:
+        return f"UserRuns({self.to_dicts()})"
+
+
+def _user_total(n: int) -> int:
+    """n, a population's user count, if it fits in an int64."""
+    if n > _INT64.max:
+        raise ParameterError(f"count total {n} does not fit in a 64-bit integer")
+    return n
+
+
 @dataclass(frozen=True)
 class PopulationConfig:
     """An instance of the distributed testing problem plus simulation choices.
 
-    Frozen: the resource arrays (built at construction, which validates
-    them) and the protocol plan (built on first use, from those arrays) are
-    derived once and kept on the config (populations run to ~10^6 users, so
+    The users are held as `UserRuns`: a sequence of `UserSpec`s given as
+    `users` is compressed into runs once, at construction, and validation,
+    `scaled`, `to_dict` and `n_users` read the runs.  Frozen: the runs are
+    read-only, and the per-user arrays (`ms`, `ells`) and the protocol plan
+    are derived on first use and kept (populations run to ~10^6 users, so
     they must not be rebuilt per trial); no field may be reassigned after
-    construction (`scaled` and `from_dict` build new configs).  Mutating the
-    `users` list in place is not guarded against and not supported.
+    construction (`scaled`, `from_dict` and `dataclasses.replace` build new
+    configs).
     """
 
     d: int
     epsilon: float
     s: int
     protocol: str
-    users: list[UserSpec]
+    users: UserRuns
     partition: list[list[int]] | None = None
     mean_modes: list[str] = field(default_factory=lambda: list(MEAN_MODES))
 
     def __post_init__(self):
+        if not isinstance(self.users, UserRuns):
+            object.__setattr__(self, "users", UserRuns.of(self.users))
         if self.d < 1:
             raise ParameterError(f"dimension must be >= 1, got {self.d}")
         if not (0.0 < self.epsilon <= 1.0):
@@ -260,30 +354,25 @@ class PopulationConfig:
         _check_modes(self.mean_modes)
         if self.partition is not None and self.protocol != "mix_and_match":
             raise ParameterError("explicit partitions only apply to mix_and_match")
-        ms, ells = self._resources
-        if self.protocol in ("private", "limited", "hetero_comm") and np.any(ms != 1):
+        if self.protocol in ("private", "limited", "hetero_comm") and np.any(self.users.m != 1):
             raise ParameterError(f"{self.protocol} expects exactly one sample per user")
-        if self.protocol in ("private", "limited", "hetero_samples") and np.any(ells != ells[0]):
+        if (self.protocol in ("private", "limited", "hetero_samples")
+                and np.any(self.users.ell != self.users.ell[0])):
             raise ParameterError(f"{self.protocol} expects a uniform bit budget")
 
     def n_users(self) -> int:
-        return len(self.users)
+        return self.users.n
 
     def ms(self) -> np.ndarray:
-        return self._resources[0]
+        return self.users.ms
 
     def ells(self) -> np.ndarray:
-        return self._resources[1]
-
-    @cached_property
-    def _resources(self) -> np.ndarray:
-        """Every user's sample count (row 0) and bit budget (row 1)."""
-        return np.array([[u.m for u in self.users], [u.ell for u in self.users]], dtype=np.int64)
+        return self.users.ells
 
     @cached_property
     def plan(self) -> Plan:
         """The protocol plan, in the dimension padded to a power of two."""
-        d, n, ell = next_pow2(self.d), self.n_users(), int(self.ells()[0])
+        d, n, ell = next_pow2(self.d), self.n_users(), int(self.users.ell[0])
         if self.protocol == "private":
             return private_coin_plan(n, d, min(ell, d), self.epsilon)
         if self.protocol == "limited":
@@ -310,10 +399,8 @@ class PopulationConfig:
         n = self.n_users()
         partition = None if self.partition is None else [
             [j * n + i for i in group] for j in range(multiplier) for group in self.partition]
-        return PopulationConfig(
-            d=self.d, epsilon=self.epsilon, s=self.s, protocol=self.protocol,
-            users=list(self.users) * multiplier, partition=partition,
-            mean_modes=list(self.mean_modes))
+        return dataclasses.replace(self, users=self.users.tiled(multiplier), partition=partition,
+                                   mean_modes=list(self.mean_modes))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PopulationConfig":
@@ -322,14 +409,12 @@ class PopulationConfig:
         ParameterError; nothing is coerced or ignored."""
         _expect_fields(raw, "config", ("d", "epsilon", "s", "protocol"),
                        ("users", "partition", "mean_modes"))
-        users: list[UserSpec] = []
+        runs = []
         for entry in _expect(raw.get("users", []), list, "users"):
             _expect_fields(entry, "users entry", ("m", "ell"), ("count",))
-            count = _expect(entry.get("count", 1), int, "count")
-            if count < 1:
-                raise ParameterError(f"user count must be >= 1, got {count}")
-            users += [UserSpec(m=_expect(entry["m"], int, "m"),
-                               ell=_expect(entry["ell"], int, "ell"))] * count
+            runs.append((_expect(entry["m"], int, "m"), _expect(entry["ell"], int, "ell"),
+                         _expect(entry.get("count", 1), int, "count")))
+        users = UserRuns(*np.array(runs, dtype=np.int64).reshape(-1, 3).T)
         partition = raw.get("partition")
         for group in [] if partition is None else _expect(partition, list, "partition"):
             for i in _expect(group, list, "partition group"):
@@ -343,11 +428,8 @@ class PopulationConfig:
                    users=users, partition=partition, mean_modes=list(modes))
 
     def to_dict(self) -> dict:
-        # run-length encode the user list to keep large configs readable
-        runs = [{"m": u.m, "ell": u.ell, "count": len(list(group))}
-                for u, group in itertools.groupby(self.users)]
         out = {"d": self.d, "epsilon": self.epsilon, "s": self.s,
-               "protocol": self.protocol, "users": runs,
+               "protocol": self.protocol, "users": self.users.to_dicts(),
                "mean_modes": list(self.mean_modes)}
         if self.partition is not None:
             out["partition"] = self.partition

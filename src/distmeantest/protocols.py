@@ -308,27 +308,52 @@ def greedy_partition(ms: np.ndarray, ells: np.ndarray, L: int) -> tuple[np.ndarr
 
     Users are taken in order of descending sample count (ties by index), so
     groups collect similar m values and the within-group minimum loses
-    little.  A trailing group that cannot reach 7L is merged into the
-    previous one.  Returns (order, sizes): the users in group order and each
-    group's size, so the groups are consecutive slices of order.  Raises
+    little; each group closes at the first user that brings it to 7L bits.
+    A trailing group that cannot reach 7L is merged into the previous one.
+    Returns (order, sizes): the users in group order and each group's size,
+    so the groups are consecutive slices of order.  Raises
     InfeasiblePartitionError when the whole population is short of 7L.
+
+    Budgets are clipped at 7L first, which moves no group boundary (a user
+    holding 7L bits closes its group either way) and keeps every sum within
+    int64.  The walk then goes run by run over the clipped budgets in group
+    order: in a run of c users of v bits each, the open group closes after
+    ceil((7L - held) / v) users and every later group after ceil(7L / v),
+    so the loop runs once per run, not once per user.
     """
     if L < 1:
         raise ParameterError(f"L must be >= 1, got {L}")
     need = REPETITIONS * L
-    total = int(ells.sum())
+    order = np.argsort(-ms, kind="stable")
+    budgets = np.minimum(ells[order], need)
+    total = int(budgets.sum())
     if total < need:
         raise InfeasiblePartitionError(
             f"population holds {total} message bits, below the per-group requirement {need}"
         )
-    order = np.argsort(-ms, kind="stable")
-    ends: list[int] = []
-    budget = 0
-    for i, ell in enumerate(ells[order].tolist(), start=1):
-        budget += ell
-        if budget >= need:
-            ends.append(i)
-            budget = 0
+    # the runs of equal budgets in group order: first user, users, bits
+    start = np.flatnonzero(np.r_[True, budgets[1:] != budgets[:-1]])
+    users = np.diff(start, append=order.shape[0])
+    runs_users, closes, held = users.tolist(), [], 0
+    for i, w in enumerate((budgets[start] * users).tolist()):
+        held += w
+        if held >= need:
+            c = runs_users[i]
+            if c == 1:              # a lone user closes the group (interleaved mixes)
+                closes += i, 1, 1, 1
+                held = 0
+                continue
+            # the open group, holding held - w bits, closes at the run's t-th
+            # user, and each later one k users on: q groups in all
+            held -= w
+            v = w // c
+            t, k = -((held - need) // v), -(-need // v)
+            q = (c - t) // k + 1
+            closes += i, t, k, q
+            held = (c - t) % k * v
+    i, t, k, q = np.array(closes, dtype=np.int64).reshape(-1, 4).T
+    j = np.arange(q.sum()) - np.repeat(np.cumsum(q) - q, q)
+    ends = np.repeat(start[i] + t, q) + np.repeat(k, q) * j
     ends[-1] = order.shape[0]
     return order, np.diff(ends, prepend=0)
 
@@ -746,26 +771,29 @@ def mix_and_match_plan(ms: np.ndarray, ells: np.ndarray, d: int, epsilon: float,
         order = np.array([i for group in partition for i in group], dtype=np.int64)
         if order.shape[0] != n or not np.array_equal(np.sort(order), np.arange(n)):
             raise ParameterError("partition must cover every user exactly once")
+    # budgets clipped at 7L, as `greedy_partition` clips them: no user fills
+    # more than its group's stream, and no sum passes int64
     need, K = REPETITIONS * L, sizes.shape[0]
+    ells_o = np.minimum(ells[order], need)
     group = np.repeat(np.arange(K), sizes)
-    budget = np.bincount(group, weights=ells[order], minlength=K)
+    budget = np.bincount(group, weights=ells_o, minlength=K)
     if np.any(budget < need):
         raise InfeasiblePartitionError(
             f"group budget {int(budget[budget < need][0])} is below the requirement {need}")
     first = np.cumsum(sizes) - sizes
     tau, blocks = _pairwise_referee(np.minimum.reduceat(ms[order], first), need, d, epsilon)
 
-    # In group order, user k fills positions [start, start + span) of its
-    # group's 7L-position stream; position p is coordinate p mod L of the
-    # user's repetition-(p div L) vector.
-    ells_o = ells[order]
+    # In group order, user k fills positions [start, end) of its group's
+    # 7L-position stream; position p is coordinate p mod L of the user's
+    # repetition-(p div L) vector.
     cum = np.cumsum(ells_o) - ells_o
     start = np.minimum(cum - cum[first][group], need)
-    span = np.minimum(ells_o, need - start)
+    end = np.minimum(start + ells_o, need)
     runs = []
     for r in range(REPETITIONS):
-        sent = np.minimum(start + span, (r + 1) * L) - np.maximum(start, r * L)
-        runs.append((order[sent > 0], sent[sent > 0]))
+        sent = np.minimum(end, (r + 1) * L) - np.maximum(start, r * L)
+        meets = sent > 0
+        runs.append((order[meets], sent[meets]))
     return Plan(d=d, block=L, width=L, tau=tau, n_users=n, runs=runs, blocks=blocks)
 
 

@@ -2,10 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from distmeantest.cli import EXIT_AUDIT, EXIT_INFEASIBLE, EXIT_OK, main
-from distmeantest.harness import BatchResult, ErrorEstimate
+from distmeantest.harness import BatchResult, ErrorEstimate, PopulationConfig
 
 
 @pytest.fixture
@@ -223,3 +224,37 @@ class TestInfeasibleInputs:
         assert code == EXIT_INFEASIBLE
         err = capsys.readouterr().err
         assert err.startswith("infeasible:") and named in err, err
+
+
+class TestBudgetAndCountLimits:
+    def test_budget_past_7L_runs_the_7L_plan(self, tmp_path, capsys):
+        # d = 8, s = 0: L = 8, so a group needs 56 bits; a budget at the
+        # int64 limit is clipped to 56 before any sum, and each user still
+        # closes its own group
+        outputs, plans = [], []
+        for ell in (56, 2 ** 63 - 1):
+            cfg = {"d": 8, "epsilon": 1.0, "s": 0, "protocol": "mix_and_match",
+                   "users": [{"m": 7, "ell": ell, "count": 32}]}
+            path, csv_path = tmp_path / f"cfg{ell}.json", tmp_path / f"trials{ell}.csv"
+            path.write_text(json.dumps(cfg))
+            code = main(["run", "--config", str(path), "--trials", "3", "--no-timing",
+                         "--out", str(csv_path)])
+            assert code == EXIT_OK, capsys.readouterr().err
+            outputs.append((capsys.readouterr().out, csv_path.read_text()))
+            plans.append(PopulationConfig.from_json_file(str(path)).plan)
+        assert outputs[0] == outputs[1]
+        assert np.array_equal(plans[0].lengths, plans[1].lengths)
+        for (users, sent), (users0, sent0) in zip(plans[1].runs, plans[0].runs, strict=True):
+            assert np.array_equal(users, users0) and np.array_equal(sent, sent0)
+
+    def test_user_total_beyond_int64(self, tmp_path, capsys):
+        # each count fits in an int64, their sum does not
+        cfg = {"d": 8, "epsilon": 1.0, "s": 0, "protocol": "hetero_comm",
+               "users": [{"m": 1, "ell": 56, "count": 2 ** 62},
+                         {"m": 1, "ell": 28, "count": 2 ** 62}]}
+        path = tmp_path / "total.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["run", "--config", str(path), "--trials", "2"])
+        assert code == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: count total") and "64-bit" in err, err

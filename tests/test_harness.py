@@ -2,7 +2,11 @@
 
 import dataclasses
 import hashlib
+import itertools
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from distmeantest import (
     PopulationConfig,
     Transcript,
     TrialRecord,
+    UserRuns,
     UserSpec,
     bpmt_error_rates,
     bpmt_moments_oracle,
@@ -215,6 +220,97 @@ def structural_configs():
         PopulationConfig(d=8, epsilon=1.0, s=0, protocol="mix_and_match",
                          users=[UserSpec(m, 15) for m in (7, 14, 9, 21, 8, 12, 7, 30)]),
     ]
+
+
+BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
+
+
+def bench_shapes():
+    """The bench configs' run patterns, each count cut to a sixteenth."""
+    shapes = []
+    for name in ("hetero_samples", "hetero_comm", "mix_and_match", "literal_batch",
+                 "wide_rotation"):
+        raw = json.loads((BENCH_CONFIGS / f"{name}.json").read_text())
+        raw["users"] = [dict(run, count=run["count"] // 16) for run in raw["users"]]
+        shapes.append(PopulationConfig.from_dict(raw))
+    return shapes
+
+
+def run_length(users: list[UserSpec]) -> list[dict]:
+    """The JSON runs of a list of users, one run per group of equal neighbours."""
+    return [{"m": u.m, "ell": u.ell, "count": len(list(group))}
+            for u, group in itertools.groupby(users)]
+
+
+# a mix whose first and last runs are alike, so copies merge at the seam
+SEAM_MIX = PopulationConfig(
+    d=8, epsilon=1.0, s=0, protocol="mix_and_match",
+    users=[UserSpec(14, 20)] * 3 + [UserSpec(7, 30)] * 2 + [UserSpec(21, 9)] + [UserSpec(14, 20)])
+
+
+class TestPopulationRuns:
+    """Users held as runs: a list of `UserSpec`s, JSON runs and `scaled`
+    copies of one population build the same config."""
+
+    BASES = structural_configs() + bench_shapes() + [SEAM_MIX]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("base", BASES, ids=[f"{c.protocol}-{c.n_users()}" for c in BASES])
+    def test_list_runs_and_scaled_agree(self, base, k):
+        users = list(base.users) * k
+        from_list = dataclasses.replace(base, users=users)
+        from_runs = PopulationConfig.from_dict(dict(base.to_dict(), users=run_length(users)))
+        for cfg in (from_runs, base.scaled(k)):
+            assert cfg == from_list
+            assert cfg.users == from_list.users and list(cfg.users) == users
+            assert cfg.n_users() == len(cfg.users) == len(users)
+            assert cfg.ms().tolist() == [u.m for u in users]
+            assert cfg.ells().tolist() == [u.ell for u in users]
+            assert cfg.to_dict() == from_list.to_dict()
+            assert cfg.to_dict()["users"] == run_length(users)
+            assert np.array_equal(cfg.plan.lengths, from_list.plan.lengths)
+            for (u, sent), (u0, sent0) in zip(cfg.plan.runs, from_list.plan.runs, strict=True):
+                assert np.array_equal(u, u0) and np.array_equal(sent, sent0)
+
+    def test_seam_merges(self):
+        assert SEAM_MIX.users.count.tolist() == [3, 2, 1, 1]
+        assert SEAM_MIX.scaled(3).users.count.tolist() == [3, 2, 1, 4, 2, 1, 4, 2, 1, 1]
+
+    def test_adjacent_equal_json_runs_merge(self):
+        raw = dict(small_config().to_dict(), users=[{"m": 1, "ell": 8, "count": 5},
+                                                    {"m": 1, "ell": 8, "count": 27}])
+        assert PopulationConfig.from_dict(raw) == small_config()
+
+    def test_runs_are_read_only(self):
+        cfg = small_config()
+        for values in (cfg.users.m, cfg.users.ell, cfg.users.count, cfg.ms(), cfg.ells()):
+            assert not values.flags.writeable
+
+    def test_huge_populations_build_in_runs(self):
+        # neither build nor the round trip touches a per-user array
+        tracemalloc.start()
+        try:
+            huge = PopulationConfig.from_dict(
+                dict(small_config().to_dict(), users=[{"m": 1, "ell": 8, "count": 10 ** 12}]))
+            scaled = small_config().scaled(2 ** 40)
+            for cfg, n in ((huge, 10 ** 12), (scaled, 32 * 2 ** 40)):
+                assert cfg.n_users() == n
+                assert cfg.to_dict()["users"] == [{"m": 1, "ell": 8, "count": n}]
+                assert PopulationConfig.from_dict(cfg.to_dict()) == cfg
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+    @pytest.mark.parametrize("build", [
+        lambda: PopulationConfig.from_dict(dict(small_config().to_dict(), users=[
+            {"m": 1, "ell": 8, "count": 2 ** 62}, {"m": 1, "ell": 8, "count": 2 ** 62}])),
+        lambda: UserRuns([1, 1], [8, 16], [2 ** 62, 2 ** 62]),
+        lambda: small_config().scaled(2 ** 58),
+    ], ids=["json_runs", "runs", "scaled"])
+    def test_user_total_beyond_int64(self, build):
+        with pytest.raises(ParameterError, match="count total 9223372036854775808 does not fit"):
+            build()
 
 
 class TestRunTrial:

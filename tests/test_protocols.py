@@ -554,6 +554,71 @@ class TestGreedyPartition:
         assert digest == PARTITION_DIGESTS[name]
 
 
+def greedy_oracle(ms: np.ndarray, ells: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """`greedy_partition` as a walk over single users: a group closes at the
+    first user that brings it to 7L bits, and a short trailing group is
+    merged into the previous one."""
+    order = np.argsort(-ms, kind="stable")
+    ends, held = [], 0
+    for i, ell in enumerate(ells[order].tolist(), start=1):
+        held += ell
+        if held >= REPETITIONS * L:
+            ends.append(i)
+            held = 0
+    ends[-1] = order.shape[0]
+    return order, np.diff(ends, prepend=0)
+
+
+def random_population(rng: np.random.Generator, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Up to 300 users in runs of 1 to 40 alike users, budgets 1 to 9L."""
+    runs = int(rng.integers(1, 30))
+    count = rng.integers(1, 40, runs)
+    ms = np.repeat(rng.integers(7, 12, runs), count)[:300]
+    ells = np.repeat(rng.integers(1, 9 * L + 1, runs), count)[:300]
+    return ms, ells
+
+
+class TestGreedyPartitionOracle:
+    """`greedy_partition` walks runs of alike budgets; the per-user walk is
+    its oracle."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_runs(self, seed):
+        rng = np.random.default_rng(seed)
+        L = int(rng.integers(1, 9))
+        ms, ells = random_population(rng, L)
+        if ells.sum() < REPETITIONS * L:
+            with pytest.raises(InfeasiblePartitionError):
+                greedy_partition(ms, ells, L)
+            return
+        for got, want in zip(greedy_partition(ms, ells, L), greedy_oracle(ms, ells, L)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_interleaved(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        ms, ells = rng.integers(7, 40, 500), rng.integers(1, 30, 500)
+        for got, want in zip(greedy_partition(ms, ells, 2), greedy_oracle(ms, ells, 2)):
+            assert np.array_equal(got, want)
+
+    def test_criterion8_interleaved(self):
+        kinds = np.tile(MIX_KINDS, (2000, 1))
+        for got, want in zip(greedy_partition(kinds[:, 0], kinds[:, 1], L=16),
+                             greedy_oracle(kinds[:, 0], kinds[:, 1], L=16)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("ell", [56, 57, 1000, np.iinfo(np.int64).max])
+    def test_budgets_of_7L_and_more(self, ell):
+        # L = 8: a user of 7L bits or more closes its group alone, however
+        # large its budget; no sum wraps
+        ms = np.array([7, 9, 7, 8, 7, 7, 9, 8])
+        ells = np.array([ell, 20, ell, 20, 20, ell, 40, 3], dtype=np.int64)
+        order, sizes = greedy_partition(ms, ells, L=8)
+        want = greedy_oracle(ms, np.minimum(ells, 56), L=8)
+        assert np.array_equal(order, want[0]) and np.array_equal(sizes, want[1])
+        assert groups_of(order, sizes) == [[1, 6], [3, 7, 0], [2], [4, 5]]
+
+
 class TestMixAndMatch:
     def test_keep_length(self):
         assert mix_and_match_keep_length(32, np.array([8, 16, 28]), s=28) == 16
