@@ -47,6 +47,7 @@ from .harness import (
     AuditReport,
     BatchResult,
     CalibrationResult,
+    Candidate,
     ErrorEstimate,
     MeanSpec,
     PopulationConfig,

@@ -12,6 +12,7 @@ calibration that cannot reach its target).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -21,7 +22,6 @@ from .harness import (
     SAMPLE_PATHS,
     PopulationConfig,
     calibrate,
-    estimate_error,
     run_batch,
     write_records_csv,
 )
@@ -107,11 +107,14 @@ def _cmd_run(args) -> int:
         "audit_violations": len(batch.audit_violations),
     }
     _emit(summary, args.json_out)
-    if batch.audit_violations:
-        for line in batch.audit_violations[:20]:
-            print(f"audit: {line}", file=sys.stderr)
-        return EXIT_AUDIT
-    return EXIT_OK
+    return _audit_exit(batch.audit_violations)
+
+
+def _audit_exit(violations: list[str]) -> int:
+    """Print the first 20 budget violations to stderr; exit 2 if any."""
+    for line in violations[:20]:
+        print(f"audit: {line}", file=sys.stderr)
+    return EXIT_AUDIT if violations else EXIT_OK
 
 
 def _cmd_calibrate(args) -> int:
@@ -125,9 +128,11 @@ def _cmd_calibrate(args) -> int:
         "type1_rate": result.estimate.type1_rate,
         "type2_rates": result.estimate.type2_rates,
         "scaling_constant": result.scaling_constant,
+        "candidates": [dataclasses.asdict(c) for c in result.candidates],
+        "audit_violations": len(result.audit_violations),
     }
     _emit(summary, args.json_out)
-    return EXIT_OK
+    return _audit_exit(result.audit_violations)
 
 
 def _cmd_sweep(args) -> int:
@@ -141,9 +146,12 @@ def _cmd_sweep(args) -> int:
     header += [f"type2_{mode}" for mode in alt_modes]
     header.append("ci_halfwidth")
     rows = [",".join(header)]
+    violations = []
     for value, variant in zip(values, variants):
-        est = estimate_error(variant, args.trials, master_seed=args.seed,
-                             sample_path=args.path)
+        batch = run_batch(variant, args.trials, master_seed=args.seed,
+                          sample_path=args.path, timing=False)
+        violations.extend(f"{args.param}={value:g} {v}" for v in batch.audit_violations)
+        est = batch.estimate
         cells = [args.param, f"{value:g}", str(est.trials), repr(est.type1_rate)]
         cells += [repr(est.type2_rates[mode]) for mode in alt_modes]
         cells.append(repr(est.ci_halfwidth))
@@ -154,7 +162,7 @@ def _cmd_sweep(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK
+    return _audit_exit(violations)
 
 
 def main(argv: list[str] | None = None) -> int:

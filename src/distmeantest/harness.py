@@ -3,7 +3,9 @@
 A `PopulationConfig` fixes the instance (dimension, distance, public-seed
 budget, per-user resources, protocol); `run_trial` draws one mean vector and
 one transcript-plus-decision; `estimate_error` turns repeated trials into
-type-I/type-II rates with exact bit auditing on every transcript.
+type-I/type-II rates with exact bit auditing on every transcript, and
+`calibrate` doubles the population until they meet a target, through the
+same trial loop, stopping each candidate once its failure is certain.
 
 A population is held as runs of alike users (`UserRuns`: m, ell, count),
 so reading a config, validating it, `scaled` copies for `calibrate` and
@@ -98,6 +100,7 @@ __all__ = [
     "ErrorEstimate",
     "BatchResult",
     "AuditReport",
+    "Candidate",
     "CalibrationResult",
     "sign_flip_prob",
     "make_mean",
@@ -631,27 +634,44 @@ def run_batch(config: PopulationConfig, trials: int, master_seed: int = 0,
     injected."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    # run_trial is looked up on every call, so a rebinding of it is seen
-    runner = protocol_runner or (lambda cfg, mean, trial:
-                                 run_trial(cfg, mean, trial, master_seed, sample_path))
+    return _trial_loop(config, trials, protocol_runner or _protocol(master_seed, sample_path),
+                       timing)
+
+
+def _protocol(master_seed: int, sample_path: str):
+    """The real protocol as a runner (config, mean, trial); run_trial is
+    looked up on every call, so a rebinding of it is seen."""
+    return lambda cfg, mean, trial: run_trial(cfg, mean, trial, master_seed, sample_path)
+
+
+def _trial_loop(config: PopulationConfig, trials: int, runner, timing: bool,
+                fail_above: float | None = None) -> BatchResult:
+    """The trial loop of `run_batch` and `calibrate`: every mode's trials in
+    order, each transcript audited and recorded.  Given `fail_above`, the
+    loop stops after the first trial that leaves some mode with
+    wrong / trials > fail_above: the counts only grow, so the full batch's
+    worst rate would exceed fail_above too.  The records, the violations
+    and the estimate's counts then cover the trials that ran."""
     records: list[TrialRecord] = []
     violations: list[str] = []
     wrong: dict[str, int] = {mode: 0 for mode in config.mean_modes}
-    for mode in config.mean_modes:
-        mean = MeanSpec(mode=mode, norm=0.0 if mode == "null" else config.epsilon)
-        for trial in range(trials):
-            t0 = time.perf_counter_ns()
-            decision, transcript = runner(config, mean, trial)
-            micros = (time.perf_counter_ns() - t0) // 1000 if timing else 0
-            report = budget_audit(transcript, config)
-            violations.extend(f"mode={mode} trial={trial}: {v}" for v in report.violations)
-            wrong_call = (decision.verdict == REJECT) if mode == "null" \
-                else (decision.verdict == ACCEPT)
-            wrong[mode] += int(wrong_call)
-            records.append(TrialRecord(
-                trial=trial, mean_mode=mode, verdict=decision.verdict,
-                bits_total=transcript.total_bits,
-                public_bits_used=transcript.public_bits_used, wall_micros=int(micros)))
+    means = {mode: MeanSpec(mode=mode, norm=0.0 if mode == "null" else config.epsilon)
+             for mode in config.mean_modes}
+    for mode, trial in itertools.product(config.mean_modes, range(trials)):
+        t0 = time.perf_counter_ns()
+        decision, transcript = runner(config, means[mode], trial)
+        micros = (time.perf_counter_ns() - t0) // 1000 if timing else 0
+        report = budget_audit(transcript, config)
+        violations.extend(f"mode={mode} trial={trial}: {v}" for v in report.violations)
+        wrong_call = (decision.verdict == REJECT) if mode == "null" \
+            else (decision.verdict == ACCEPT)
+        wrong[mode] += int(wrong_call)
+        records.append(TrialRecord(
+            trial=trial, mean_mode=mode, verdict=decision.verdict,
+            bits_total=transcript.total_bits,
+            public_bits_used=transcript.public_bits_used, wall_micros=int(micros)))
+        if fail_above is not None and wrong[mode] / trials > fail_above:
+            break
     type2 = {mode: wrong[mode] / trials for mode in config.mean_modes if mode != "null"}
     estimate = ErrorEstimate(trials=trials, type1_rate=wrong["null"] / trials,
                              type2_rates=type2, ci_halfwidth=0.0)
@@ -679,11 +699,29 @@ def write_records_csv(records: list[TrialRecord], path: str) -> None:
 
 
 @dataclass
+class Candidate:
+    """One population `calibrate` measured: its multiplier and user count,
+    the trials it ran over all modes, and whether it stopped before the
+    last of them, its failure already certain."""
+
+    multiplier: int
+    n_users: int
+    trials_run: int
+    stopped_early: bool
+
+
+@dataclass
 class CalibrationResult:
+    """The winning multiplier, its population and full estimate; every
+    candidate tried, in order; and the budget violations of every trial
+    that ran, each prefixed with its candidate's multiplier."""
+
     multiplier: int
     n_users: int
     estimate: ErrorEstimate
     scaling_constant: float
+    candidates: list[Candidate]
+    audit_violations: list[str]
 
 
 def calibrate(config: PopulationConfig, target_error: float, trials: int = 200,
@@ -696,19 +734,38 @@ def calibrate(config: PopulationConfig, target_error: float, trials: int = 200,
     <= target_error wins.  Raises CalibrationFailedError past max_multiplier.
     The scaling constant n * eps^2 * sqrt(mean ell) / d is reported for
     comparison across configurations.
+
+    A candidate stops at the first trial after which some mode's
+    wrong / trials exceeds target_error, the expression the final check
+    reads, so it stops exactly when its full batch would fail; the winner
+    runs every trial.  The result is the one the full batches give.  Each
+    candidate's plan is built before its first trial, so an infeasible
+    candidate raises before any trial runs.  Every trial is audited, and
+    the violations of every trial that ran are kept in the result.
     """
     if not (0.0 < target_error < 0.5):
         raise ParameterError(f"target error must be in (0, 0.5), got {target_error}")
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
+    if max_multiplier < 1:
+        raise ParameterError(f"max_multiplier must be >= 1, got {max_multiplier}")
+    runner = _protocol(master_seed, sample_path)
+    candidates: list[Candidate] = []
+    violations: list[str] = []
     multiplier = 1
     while multiplier <= max_multiplier:
         candidate = config.scaled(multiplier)
-        estimate = estimate_error(candidate, trials, master_seed, sample_path=sample_path)
-        if estimate.worst_rate <= target_error:
-            n = candidate.n_users()
+        candidate.plan      # built here, before the first trial and outside its timed span
+        batch = _trial_loop(candidate, trials, runner, timing=False, fail_above=target_error)
+        n, ran = candidate.n_users(), len(batch.records)
+        candidates.append(Candidate(multiplier, n, ran, ran < trials * len(candidate.mean_modes)))
+        violations.extend(f"x{multiplier} {v}" for v in batch.audit_violations)
+        if batch.estimate.worst_rate <= target_error:
             constant = (n * config.epsilon ** 2
                         * math.sqrt(float(candidate.ells().mean())) / config.d)
-            return CalibrationResult(multiplier=multiplier, n_users=n,
-                                     estimate=estimate, scaling_constant=constant)
+            return CalibrationResult(multiplier=multiplier, n_users=n, estimate=batch.estimate,
+                                     scaling_constant=constant, candidates=candidates,
+                                     audit_violations=violations)
         multiplier *= 2
     raise CalibrationFailedError(
         f"no multiplier up to {max_multiplier} reached worst error {target_error}")

@@ -15,7 +15,8 @@ Each protocol is written once, in three parts.  Its *plan* (`*_plan`) holds
 everything that does not depend on the trial: validation, transform block
 length, threshold, and the layout, stated once as each repetition's runs of
 senders (a `Layout`, which derives each user's bit count and the transcript
-offsets from them, once per plan), with the flip-probability groups of the
+offsets from them, once per plan; mix-and-match states the bit counts and
+builds the runs only when read), with the flip-probability groups of the
 referee's rows and whether repetition r reads block r + 1 of each sender's
 samples or the sender's one sample.  A *bit source* returns, for a whole
 trial, each repetition's column counts over the referee's full rows and its
@@ -38,7 +39,7 @@ arithmetic needs no alignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,7 +113,6 @@ class Decision:
         return (self.verdict == ACCEPT) == all(self.repetition_accepts)
 
 
-@dataclass(eq=False)
 class Layout:
     """Who sends which bits of each repetition's stream.
 
@@ -125,24 +125,48 @@ class Layout:
     trial's transcript shares them, and layouts compare by identity.  Runs
     whose per-user lengths do not sum to the streams' total (a run naming
     one user twice) are rejected.
+
+    The runs may instead be given as a zero-argument callable that builds
+    them, with the per-user `lengths` and the stream `totals` they lay out
+    (the idiom of `Transcript`'s deferred streams).  They are then built on
+    the first read of `runs`, and rejected unless they give exactly those
+    lengths and totals; a reader of lengths, offsets and totals alone, such
+    as a law-path trial and its audit, never builds them.
     """
 
-    runs: list[tuple[np.ndarray, np.ndarray]]
-    n_users: int
-    lengths: np.ndarray = field(init=False)
-    offsets: np.ndarray = field(init=False)
-    totals: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self):
-        self.totals = tuple(int(sent.sum()) for _, sent in self.runs)
-        self.lengths = np.zeros(self.n_users, dtype=np.int64)
-        for users, sent in self.runs:
-            self.lengths[users] += sent
+    def __init__(self, runs, n_users: int, lengths=None, totals=None):
+        self.n_users = n_users
+        if callable(runs):
+            self._runs, self._build_runs = None, runs
+            self.lengths = np.asarray(lengths, dtype=np.int64)
+            self.totals = tuple(int(total) for total in totals)
+        else:
+            self._runs = runs
+            self.lengths, self.totals = _lengths_and_totals(runs, n_users)
         self.offsets = np.concatenate([[0], np.cumsum(self.lengths)])
         if self.offsets[-1] != sum(self.totals):
             raise ParameterError("per-user lengths do not sum to the streams' total "
                                  "(a run names one user more than once)")
         self.lengths.flags.writeable = self.offsets.flags.writeable = False
+
+    @property
+    def runs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        if self._runs is None:
+            runs = self._build_runs()
+            lengths, totals = _lengths_and_totals(runs, self.n_users)
+            if totals != self.totals or not np.array_equal(lengths, self.lengths):
+                raise ParameterError("runs do not give the layout's stated per-user lengths "
+                                     "and stream totals")
+            self._runs = runs
+        return self._runs
+
+
+def _lengths_and_totals(runs, n_users: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Each user's bit count over the runs, and each run's stream length."""
+    lengths = np.zeros(n_users, dtype=np.int64)
+    for users, sent in runs:
+        lengths[users] += sent
+    return lengths, tuple(int(sent.sum()) for _, sent in runs)
 
 
 class Transcript:
@@ -166,7 +190,7 @@ class Transcript:
 
     def _check_streams(self) -> None:
         """One stream per run, and each array stream as long as its run."""
-        if len(self._streams) != len(self.layout.runs) or any(
+        if len(self._streams) != len(self.layout.totals) or any(
                 not callable(stream) and stream.shape[0] != total
                 for stream, total in zip(self._streams, self.layout.totals)):
             raise ParameterError("repetition streams do not match their runs")
@@ -398,7 +422,6 @@ def _check_transforms(d: int, block: int, s: int) -> None:
 # protocol core: a plan, a bit source, and the trial body that joins them
 
 
-@dataclass(eq=False)
 class Plan(Layout):
     """The trial-independent part of one protocol run.
 
@@ -421,44 +444,37 @@ class Plan(Layout):
     repetition; both come from the one pass that finds the groups.
 
     The plan is the layout of every transcript it produces: the per-user
-    lengths, offsets and stream totals are derived once, by `Layout`.  A
+    lengths, offsets and stream totals are derived once, by `Layout`, or
+    stated with a builder of the runs (`lengths`, `totals`).  A
     repetition whose referee would get fewer than two rows, or a threshold
     that is not finite and >= 0, is rejected here, before any seed bit is
     drawn.
     """
 
-    d: int
-    block: int | None
-    width: int
-    tau: float
-    blocks: np.ndarray | None = None
-    rows: int = field(init=False)
-    groups: tuple[np.ndarray, np.ndarray] = field(init=False)
-    group_rows: np.ndarray = field(init=False)
+    def __init__(self, runs, n_users: int, *, d: int, block: int | None, width: int,
+                 tau: float, blocks: np.ndarray | None = None, lengths=None, totals=None):
+        if not (np.isfinite(tau) and tau >= 0.0):
+            raise ParameterError(f"threshold must be finite and >= 0, got {tau}")
+        super().__init__(runs, n_users, lengths, totals)
+        self.d, self.block, self.width, self.tau, self.blocks = d, block, width, float(tau), blocks
+        for r, total in enumerate(self.totals):
+            if total // width < 2:
+                raise InsufficientPopulationError(
+                    f"repetition {r} sends {total} bits, which fill "
+                    f"{total // width} full {width}-coordinate samples; "
+                    f"the referee needs 2")
+        sizes, row_group, self.group_rows = np.unique(
+            blocks if self.reads_blocks else np.ones(self.totals[0] // width, np.int64),
+            return_inverse=True, return_counts=True)
+        self.rows, self.groups = row_group.shape[0], (sizes, row_group)
+        if any(total // width != self.rows for total in self.totals):
+            raise ParameterError(f"every repetition must fill the plan's {self.rows} rows")
 
     @property
     def reads_blocks(self) -> bool:
         """Whether repetition r reads block r + 1 of each sender's samples,
         rather than the sender's one sample."""
         return self.blocks is not None
-
-    def __post_init__(self):
-        if not (np.isfinite(self.tau) and self.tau >= 0.0):
-            raise ParameterError(f"threshold must be finite and >= 0, got {self.tau}")
-        self.tau = float(self.tau)
-        super().__post_init__()
-        for r, total in enumerate(self.totals):
-            if total // self.width < 2:
-                raise InsufficientPopulationError(
-                    f"repetition {r} sends {total} bits, which fill "
-                    f"{total // self.width} full {self.width}-coordinate samples; "
-                    f"the referee needs 2")
-        sizes, row_group, self.group_rows = np.unique(
-            self.blocks if self.reads_blocks else np.ones(self.totals[0] // self.width, np.int64),
-            return_inverse=True, return_counts=True)
-        self.rows, self.groups = row_group.shape[0], (sizes, row_group)
-        if any(total // self.width != self.rows for total in self.totals):
-            raise ParameterError(f"every repetition must fill the plan's {self.rows} rows")
 
 
 class LiteralSource:
@@ -538,7 +554,7 @@ def run_plan(plan: Plan, seed: PublicSeed, source) -> tuple[Decision, Transcript
     """
     before = seed.consumed
     specs = [None if plan.block is None else sample_brht(seed, plan.d, plan.block)
-             for _ in plan.runs]
+             for _ in plan.totals]
     ones, streams = source.draw(plan, specs)
     statistics = tuple(collision_statistic_counts(ones, plan.rows))
     transcript = Transcript(plan, streams, seed.consumed - before)
@@ -785,16 +801,26 @@ def mix_and_match_plan(ms: np.ndarray, ells: np.ndarray, d: int, epsilon: float,
 
     # In group order, user k fills positions [start, end) of its group's
     # 7L-position stream; position p is coordinate p mod L of the user's
-    # repetition-(p div L) vector.
+    # repetition-(p div L) vector.  Every group's clipped budget reaches 7L,
+    # so its users fill the stream exactly: each repetition's stream holds L
+    # bits per group.  The runs, one masked pass per repetition, are built
+    # only when read.
     cum = np.cumsum(ells_o) - ells_o
     start = np.minimum(cum - cum[first][group], need)
     end = np.minimum(start + ells_o, need)
-    runs = []
-    for r in range(REPETITIONS):
-        sent = np.minimum(end, (r + 1) * L) - np.maximum(start, r * L)
-        meets = sent > 0
-        runs.append((order[meets], sent[meets]))
-    return Plan(d=d, block=L, width=L, tau=tau, n_users=n, runs=runs, blocks=blocks)
+    lengths = np.empty(n, dtype=np.int64)
+    lengths[order] = end - start
+
+    def runs():
+        out = []
+        for r in range(REPETITIONS):
+            sent = np.minimum(end, (r + 1) * L) - np.maximum(start, r * L)
+            meets = sent > 0
+            out.append((order[meets], sent[meets]))
+        return out
+
+    return Plan(runs, n, d=d, block=L, width=L, tau=tau, blocks=blocks, lengths=lengths,
+                totals=(K * L,) * REPETITIONS)
 
 
 def mix_and_match_protocol(samples: list[np.ndarray], users: list[UserSpec], d: int,

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from distmeantest import harness
 from distmeantest.cli import EXIT_AUDIT, EXIT_INFEASIBLE, EXIT_OK, main
-from distmeantest.harness import BatchResult, ErrorEstimate, PopulationConfig
+from distmeantest.harness import AuditReport, BatchResult, ErrorEstimate, PopulationConfig
 
 
 @pytest.fixture
@@ -95,6 +96,57 @@ class TestCalibrate:
                      "--trials", "5"])
         assert code == EXIT_INFEASIBLE
         capsys.readouterr()
+
+
+class TestCalibrateArguments:
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--max-multiplier", "0", "max_multiplier must be >= 1, got 0"),
+        ("--max-multiplier", "-4", "max_multiplier must be >= 1, got -4"),
+        ("--trials", "0", "trials must be >= 1, got 0"),
+    ])
+    def test_bad_argument_is_not_a_failed_calibration(self, config_path, capsys, flag, value,
+                                                      named):
+        code = main(["calibrate", "--config", config_path, flag, value])
+        assert code == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert named in err and "no multiplier" not in err, err
+
+    def test_summary_lists_every_candidate(self, tmp_path, capsys):
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps({"d": 8, "epsilon": 0.5, "s": 0, "protocol": "private",
+                                    "users": [{"m": 1, "ell": 8, "count": 8}],
+                                    "mean_modes": ["null", "spike"]}))
+        code = main(["calibrate", "--config", str(path), "--target", "0.001", "--trials", "30"])
+        assert code == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        candidates = summary["candidates"]
+        assert [c["multiplier"] for c in candidates] == [2 ** i for i in range(len(candidates))]
+        assert candidates[-1] == {"multiplier": summary["multiplier"],
+                                  "n_users": summary["n_users"], "trials_run": 60,
+                                  "stopped_early": False}
+        assert all(c["stopped_early"] and c["trials_run"] < 60 for c in candidates[:-1])
+        assert summary["audit_violations"] == 0
+
+
+class TestAuditExitCodes:
+    """Every command exits 2 when some audited transcript broke a budget."""
+
+    @pytest.fixture(autouse=True)
+    def one_violation_per_trial(self, monkeypatch):
+        monkeypatch.setattr(harness, "budget_audit", lambda transcript, config: AuditReport(
+            False, ["user 0 sent 9 bits, budget 8"]))
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--trials", "3"],
+        ["calibrate", "--target", "0.45", "--trials", "3"],
+        ["sweep", "--param", "s", "--values", "0,28", "--trials", "3"],
+    ], ids=["run", "calibrate", "sweep"])
+    def test_exit_2_with_audit_lines(self, config_path, capsys, command):
+        code = main([command[0], "--config", config_path] + command[1:])
+        assert code == EXIT_AUDIT
+        err = capsys.readouterr().err.splitlines()
+        assert err and all(line.startswith("audit: ") for line in err)
+        assert err[0].endswith("mode=null trial=0: user 0 sent 9 bits, budget 8")
 
 
 class TestSweep:

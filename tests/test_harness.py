@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +39,16 @@ from distmeantest import (
     sign_quantize,
     write_records_csv,
 )
-from distmeantest import protocols
+from distmeantest import harness, protocols
 from distmeantest.binary_test import ACCEPT, REJECT, collision_statistic
-from distmeantest.harness import CSV_COLUMNS, bpmt_spike_alternative, bpmt_spread_alternative
+from distmeantest.errors import InfeasiblePartitionError
+from distmeantest.harness import (
+    CSV_COLUMNS,
+    MAX_MULTIPLIER,
+    AuditReport,
+    bpmt_spike_alternative,
+    bpmt_spread_alternative,
+)
 from distmeantest.protocols import Decision
 
 RNG = np.random.default_rng(20240820)
@@ -225,15 +233,17 @@ def structural_configs():
 BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
 
 
+def sixteenth(name):
+    """A bench config with each count cut to a sixteenth."""
+    raw = json.loads((BENCH_CONFIGS / f"{name}.json").read_text())
+    raw["users"] = [dict(run, count=run["count"] // 16) for run in raw["users"]]
+    return PopulationConfig.from_dict(raw)
+
+
 def bench_shapes():
     """The bench configs' run patterns, each count cut to a sixteenth."""
-    shapes = []
-    for name in ("hetero_samples", "hetero_comm", "mix_and_match", "literal_batch",
-                 "wide_rotation"):
-        raw = json.loads((BENCH_CONFIGS / f"{name}.json").read_text())
-        raw["users"] = [dict(run, count=run["count"] // 16) for run in raw["users"]]
-        shapes.append(PopulationConfig.from_dict(raw))
-    return shapes
+    return [sixteenth(name) for name in ("hetero_samples", "hetero_comm", "mix_and_match",
+                                         "literal_batch", "wide_rotation")]
 
 
 def run_length(users: list[UserSpec]) -> list[dict]:
@@ -891,3 +901,203 @@ class TestStatisticsMatchOracle:
             for trial in range(self.TRIALS)])
         tolerance = 4.0 * math.sqrt(oracle.var_bound / stats.shape[0])
         assert abs(stats.mean() - oracle.mean_t) <= tolerance, (stats.mean(), oracle.mean_t)
+
+
+def calibrate_oracle(config, target_error, trials, master_seed, max_multiplier=MAX_MULTIPLIER):
+    """`calibrate` as a doubling loop in which every candidate runs its full
+    batch: (multiplier, n_users, estimate, scaling constant) of the landing
+    point, or None past the cap, and each candidate's records by multiplier."""
+    records = {}
+    multiplier = 1
+    while multiplier <= max_multiplier:
+        candidate = config.scaled(multiplier)
+        batch = run_batch(candidate, trials, master_seed, timing=False)
+        records[multiplier] = batch.records
+        if batch.estimate.worst_rate <= target_error:
+            n = candidate.n_users()
+            constant = n * config.epsilon ** 2 * math.sqrt(float(candidate.ells().mean())) / config.d
+            return (multiplier, n, batch.estimate, constant), records
+        multiplier *= 2
+    return None, records
+
+
+def failure_certain(records, trials, target_error):
+    """(records run, mode) at the first record of a full batch after which
+    some mode's wrong / trials exceeds target_error, or None."""
+    wrong = Counter()
+    for i, r in enumerate(records):
+        wrong[r.mean_mode] += (r.verdict == REJECT) if r.mean_mode == "null" else (r.verdict == ACCEPT)
+        if wrong[r.mean_mode] / trials > target_error:
+            return i + 1, r.mean_mode
+    return None
+
+
+# a private population whose small copies fail first in the null mode
+COARSE = PopulationConfig(d=8, epsilon=0.5, s=0, protocol="private", users=[UserSpec(1, 8)] * 8,
+                          mean_modes=["null", "spike"])
+# one whose first copy passes the null mode and fails the spike
+FINE = PopulationConfig(d=4, epsilon=1.0, s=0, protocol="private", users=[UserSpec(1, 4)] * 8,
+                        mean_modes=["null", "spike"])
+
+
+class TestCalibrateEarlyStop:
+    """A candidate stops at the first trial that makes its failure certain;
+    the doubling loop over full batches is the oracle."""
+
+    CASES = {
+        "null-fails-first": (COARSE, dict(target_error=0.001, trials=30, master_seed=0,
+                                          max_multiplier=64), "null"),
+        "alternative-fails": (FINE, dict(target_error=0.2, trials=120, master_seed=13), "spike"),
+        "cap": (COARSE, dict(target_error=0.001, trials=30, master_seed=0, max_multiplier=8),
+                "null"),
+        "calibrate_mix-sixteenth": (sixteenth("calibrate_mix"),
+                                    dict(target_error=0.1, trials=10, master_seed=5), "null"),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_equals_full_batches(self, name, monkeypatch):
+        config, kwargs, first_failing_mode = self.CASES[name]
+        want, records = calibrate_oracle(config, **kwargs)
+        trials, target = kwargs["trials"], kwargs["target_error"]
+        stops = {m: failure_certain(r, trials, target) for m, r in records.items()}
+        assert stops[1][1] == first_failing_mode
+        # a failing candidate runs up to the trial that makes failure certain,
+        # the winner every trial of every mode
+        expect = {m: (stop[0] if stop else trials * len(config.mean_modes), bool(stop))
+                  for m, stop in stops.items()}
+
+        ran = Counter()
+        real = harness.run_trial
+
+        def counting(cfg, *args):
+            ran[cfg.n_users() // config.n_users()] += 1
+            return real(cfg, *args)
+
+        monkeypatch.setattr(harness, "run_trial", counting)
+        if want is None:
+            with pytest.raises(CalibrationFailedError):
+                calibrate(config, **kwargs)
+        else:
+            got = calibrate(config, **kwargs)
+            assert (got.multiplier, got.n_users, got.estimate, got.scaling_constant) == want
+            assert [(c.multiplier, c.n_users, c.trials_run, c.stopped_early)
+                    for c in got.candidates] == [
+                (m, config.n_users() * m, count, stopped) for m, (count, stopped) in expect.items()]
+        assert dict(ran) == {m: count for m, (count, _) in expect.items()}
+
+    def test_calibrate_mix_candidates(self):
+        config = PopulationConfig.from_json_file(str(BENCH_CONFIGS / "calibrate_mix.json"))
+        result = calibrate(config, 0.1, trials=10, master_seed=5, max_multiplier=64)
+        assert [(c.multiplier, c.trials_run, c.stopped_early) for c in result.candidates] == [
+            (1, 2, True), (2, 3, True), (4, 3, True), (8, 4, True), (16, 40, False)]
+        assert result.multiplier == 16 and result.estimate.worst_rate == 0.0
+
+    def test_plan_is_built_before_the_first_trial(self, monkeypatch):
+        # an infeasible candidate raises from its plan, with no trial run
+        def refuse(*args):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(harness, "run_trial", refuse)
+        short = PopulationConfig(d=8, epsilon=1.0, s=0, protocol="mix_and_match",
+                                 users=[UserSpec(7, 8)] * 6)
+        with pytest.raises(InfeasiblePartitionError):
+            calibrate(short, 0.1, trials=3)
+
+    def test_violations_of_every_trial_that_ran(self, monkeypatch):
+        monkeypatch.setattr(harness, "budget_audit",
+                            lambda transcript, config: AuditReport(False, ["user 0 sent 9 bits"]))
+        result = calibrate(COARSE, 0.001, trials=30, master_seed=0, max_multiplier=64)
+        assert any(c.stopped_early for c in result.candidates)
+        assert len(result.audit_violations) == sum(c.trials_run for c in result.candidates)
+        assert result.audit_violations[0] == "x1 mode=null trial=0: user 0 sent 9 bits"
+
+    @pytest.mark.parametrize("kwargs, named", [
+        (dict(max_multiplier=0), "max_multiplier must be >= 1, got 0"),
+        (dict(max_multiplier=-4), "max_multiplier must be >= 1, got -4"),
+        (dict(trials=0), "trials must be >= 1, got 0"),
+    ])
+    def test_bad_arguments_rejected_before_any_candidate(self, kwargs, named, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a candidate was built")
+        monkeypatch.setattr(PopulationConfig, "scaled", refuse)
+        with pytest.raises(ParameterError, match=named):
+            calibrate(small_config(), 0.1, **kwargs)
+
+
+# sha256 of every (users, lengths) run of a mix_and_match plan as int64
+# bytes, recorded when `mix_and_match_plan` still built its runs up front
+MIX_RUNS_DIGESTS = {
+    "structural": "0d378013b6d49627976e27b8a8922813bd583d4e153948ce74d046e504dcea5b",
+    "mix_and_match-d64": "55b06d36b68a309a714332b40e18af71f1c21d7140b340e37c32d691e371baf4",
+    "mix_and_match-partition": "6bc818566e8962140643b71819456fff98d207e29face595f3883fde53494b43",
+    "mix_and_match-partition-x3":
+        "458afd94088e0fe93c006f45244af36984cf5395244f9d1fb2269149fc0b1069",
+    "bench-mix_and_match": "f4c576d37982901a328277aaaefbfcdf1dcc9f76a038c7ce3993b7a9110776a9",
+    "bench-calibrate_mix": "ad21c83667a2e416e915d71e93b0510a20a10d5fefb2483fa19debdaef8e1e30",
+}
+
+
+def mix_configs():
+    """Every mix_and_match config of `structural_configs()` and
+    `wider_configs()`, the explicit partition scaled, and the two bench mix
+    shapes at a sixteenth of their counts."""
+    wider = wider_configs()
+    return {"structural": structural_configs()[4],
+            "mix_and_match-d64": wider["mix_and_match-d64"],
+            "mix_and_match-partition": wider["mix_and_match-partition"],
+            "mix_and_match-partition-x3": wider["mix_and_match-partition"].scaled(3),
+            "bench-mix_and_match": sixteenth("mix_and_match"),
+            "bench-calibrate_mix": sixteenth("calibrate_mix")}
+
+
+class TestDeferredRuns:
+    """A mix_and_match plan states its lengths and totals and builds its
+    runs on first read."""
+
+    @pytest.mark.parametrize("name", list(MIX_RUNS_DIGESTS))
+    def test_law_trials_leave_runs_unbuilt(self, name, monkeypatch):
+        # a layout derives or checks lengths and totals wherever it takes
+        # runs, when built or when they are first read
+        built = []
+        derive = protocols._lengths_and_totals
+        monkeypatch.setattr(protocols, "_lengths_and_totals",
+                            lambda runs, n_users: built.append(n_users) or derive(runs, n_users))
+        cfg = mix_configs()[name]
+        result = run_batch(cfg, trials=2, master_seed=3)
+        assert result.audit_violations == [] and built == []
+        h = hashlib.sha256()
+        for users, sent in cfg.plan.runs:
+            h.update(users.astype(np.int64).tobytes() + sent.astype(np.int64).tobytes())
+        assert built == [cfg.n_users()] and h.hexdigest() == MIX_RUNS_DIGESTS[name]
+        lengths = np.zeros(cfg.n_users(), dtype=np.int64)
+        for users, sent in cfg.plan.runs:
+            np.add.at(lengths, users, sent)
+        assert np.array_equal(lengths, cfg.plan.lengths)
+        assert tuple(int(sent.sum()) for _, sent in cfg.plan.runs) == cfg.plan.totals
+
+    @pytest.mark.parametrize("name", ["mix_and_match-partition", "bench-calibrate_mix"])
+    def test_transcript_data_builds_runs(self, name):
+        # the literal source and a transcript's data read the runs; the
+        # messages are the ones of the plan's runs
+        cfg = mix_configs()[name]
+        _, tr = run_trial(cfg, MeanSpec("spike", 1.0), 0, master_seed=2)
+        assert tr.data.shape[0] == tr.total_bits == sum(cfg.plan.totals)
+        _, lit = run_trial(cfg, MeanSpec("spike", 1.0), 0, master_seed=2, sample_path="literal")
+        assert lit.serialize()
+
+    RUNS = [(np.array([0, 1]), np.array([3, 2])), (np.array([1]), np.array([4]))]
+
+    def test_builder_matching_its_statement(self):
+        layout = protocols.Layout(lambda: self.RUNS, 2, lengths=[3, 6], totals=(5, 4))
+        assert layout.runs is layout.runs
+        assert layout.offsets.tolist() == [0, 3, 9]
+
+    @pytest.mark.parametrize("lengths, totals", [([3, 5], (5, 3)), ([2, 7], (5, 4)),
+                                                 ([3, 6], (6, 3))])
+    def test_builder_disagreeing_with_its_statement_rejected(self, lengths, totals):
+        layout = protocols.Layout(lambda: self.RUNS, 2, lengths=lengths, totals=totals)
+        with pytest.raises(ParameterError, match="stated per-user lengths"):
+            layout.runs
+
+    def test_statement_whose_lengths_miss_the_totals_rejected(self):
+        with pytest.raises(ParameterError, match="lengths"):
+            protocols.Layout(lambda: self.RUNS, 2, lengths=[3, 5], totals=(5, 4))
