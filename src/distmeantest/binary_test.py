@@ -82,17 +82,27 @@ def collision_statistic_counts(ones: np.ndarray, n: int) -> float | list:
     return (numerator / (4.0 * n * (n - 1))).tolist()
 
 
-def bpmt_decide(samples: np.ndarray, epsilon: float) -> str:
-    """Reject iff T > epsilon^2 / 2 (strict); ties accept."""
+def check_epsilon(epsilon: float) -> None:
+    """The distance range of every test: epsilon in (0, 1]."""
     if not (0.0 < epsilon <= 1.0):
         raise ParameterError(f"epsilon must be in (0, 1], got {epsilon}")
+
+
+def check_threshold(tau: float) -> None:
+    """A rejection threshold must be finite and nonnegative."""
+    if not (np.isfinite(tau) and tau >= 0.0):
+        raise ParameterError(f"threshold must be finite and >= 0, got {tau}")
+
+
+def bpmt_decide(samples: np.ndarray, epsilon: float) -> str:
+    """Reject iff T > epsilon^2 / 2 (strict); ties accept."""
+    check_epsilon(epsilon)
     return bpmt_decide_threshold(samples, 0.5 * epsilon * epsilon)
 
 
 def bpmt_decide_threshold(samples: np.ndarray, tau: float) -> str:
     """Reject iff T > tau (strict); tau must be nonnegative."""
-    if tau < 0.0 or not np.isfinite(tau):
-        raise ParameterError(f"threshold must be finite and >= 0, got {tau}")
+    check_threshold(tau)
     return REJECT if collision_statistic(samples) > tau else ACCEPT
 
 

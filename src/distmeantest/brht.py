@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .hadamard import fwht_inplace
+from .hadamard import check_pow2, fwht_inplace, is_pow2
 from .randomness import PublicSeed, fourwise_rademacher
 
 __all__ = [
@@ -33,10 +33,6 @@ __all__ = [
 # Pessimistic fraction of ||mu||^2 the kept prefix is assumed to retain; the
 # protocol thresholds all inherit this factor.
 RETENTION_FACTOR = 1.0 / 100.0
-
-
-def is_pow2(x: int) -> bool:
-    return x >= 1 and (x & (x - 1)) == 0
 
 
 def pow2_floor(x: int) -> int:
@@ -74,10 +70,8 @@ class BrhtSpec:
 
 def sample_brht(seed: PublicSeed, d: int, L: int) -> BrhtSpec:
     """Draw the block signs for a (d, L) transform from the public seed."""
-    if not is_pow2(d):
-        raise DimensionError(f"d must be a power of two, got {d}")
-    if not is_pow2(L):
-        raise DimensionError(f"L must be a power of two, got {L}")
+    check_pow2(d, "d")
+    check_pow2(L, "L")
     if L > d or d % L != 0:
         raise DimensionError(f"block length {L} must divide dimension {d}")
     b = d // L

@@ -5,8 +5,9 @@
     distmeantest sweep     --config cfg.json --param s --values 0,28,84
 
 Exit codes: 0 success, 2 audit violation (some transcript exceeded a bit
-budget), 3 infeasible configuration (malformed config, impossible layout, or
-calibration that cannot reach its target).
+budget, also in a calibration that then fails), 3 infeasible configuration
+(malformed config, impossible layout, or calibration that cannot reach its
+target).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import dataclasses
 import json
 import sys
 
-from .errors import MeanTestError, ParameterError
+from .errors import CalibrationFailedError, MeanTestError, ParameterError
 from .harness import (
     MAX_MULTIPLIER,
     SAMPLE_PATHS,
@@ -92,8 +93,7 @@ def _emit(summary: dict, json_out: str | None) -> None:
     print(text)
 
 
-def _cmd_run(args) -> int:
-    config = PopulationConfig.from_json_file(args.config)
+def _cmd_run(args, config: PopulationConfig) -> int:
     batch = run_batch(config, args.trials, master_seed=args.seed,
                       sample_path=args.path, timing=not args.no_timing)
     if args.out:
@@ -117,8 +117,7 @@ def _audit_exit(violations: list[str]) -> int:
     return EXIT_AUDIT if violations else EXIT_OK
 
 
-def _cmd_calibrate(args) -> int:
-    config = PopulationConfig.from_json_file(args.config)
+def _cmd_calibrate(args, config: PopulationConfig) -> int:
     result = calibrate(config, args.target, trials=args.trials, master_seed=args.seed,
                        max_multiplier=args.max_multiplier, sample_path=args.path)
     summary = {
@@ -135,8 +134,7 @@ def _cmd_calibrate(args) -> int:
     return _audit_exit(result.audit_violations)
 
 
-def _cmd_sweep(args) -> int:
-    config = PopulationConfig.from_json_file(args.config)
+def _cmd_sweep(args, config: PopulationConfig) -> int:
     values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     if not values:
         raise MeanTestError("sweep needs at least one value")
@@ -165,18 +163,18 @@ def _cmd_sweep(args) -> int:
     return _audit_exit(violations)
 
 
+_COMMANDS = {"run": _cmd_run, "calibrate": _cmd_calibrate, "sweep": _cmd_sweep}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "calibrate":
-            return _cmd_calibrate(args)
-        return _cmd_sweep(args)
+        return _COMMANDS[args.command](args, PopulationConfig.from_json_file(args.config))
     except (MeanTestError, OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        # a failed calibration's budget violations outrank its unmet target, as in run
+        violations = exc.audit_violations if isinstance(exc, CalibrationFailedError) else []
+        return _audit_exit(violations) or EXIT_INFEASIBLE
     except MemoryError:
         # e.g. by a population whose per-user arrays no memory can hold
         print("infeasible: the configuration does not fit in memory", file=sys.stderr)

@@ -30,4 +30,9 @@ class InfeasiblePartitionError(MeanTestError):
 
 
 class CalibrationFailedError(MeanTestError):
-    """The doubling search hit its cap without reaching the target error."""
+    """The doubling search hit its cap without reaching the target error;
+    `audit_violations` holds the budget violations of the trials it ran."""
+
+    def __init__(self, message: str, audit_violations: list[str] | None = None):
+        super().__init__(message)
+        self.audit_violations = list(audit_violations or [])

@@ -29,8 +29,13 @@ __all__ = ["fwht", "fwht_inplace", "naive_hadamard_apply", "hadamard_matrix"]
 MAX_FACTOR = 16
 
 
-def _check_pow2(d: int, what: str = "dimension") -> int:
-    if d < 1 or (d & (d - 1)) != 0:
+def is_pow2(x: int) -> bool:
+    return x >= 1 and (x & (x - 1)) == 0
+
+
+def check_pow2(d: int, what: str = "dimension") -> int:
+    """log2(d), for a d that is a positive power of two; else DimensionError."""
+    if not is_pow2(d):
         raise DimensionError(f"{what} must be a positive power of two, got {d}")
     return int(d).bit_length() - 1
 
@@ -56,7 +61,7 @@ def fwht_inplace(a: np.ndarray) -> np.ndarray:
     if a.ndim == 0 or a.dtype.kind != "f":
         raise DimensionError(f"expected a float array (..., d), got {a.dtype} {a.shape}")
     d = a.shape[-1]
-    _check_pow2(d)
+    check_pow2(d)
     x, inner = a, d
     while inner > MAX_FACTOR:
         inner //= MAX_FACTOR
@@ -79,7 +84,7 @@ def fwht(v: np.ndarray) -> np.ndarray:
 
 def hadamard_matrix(d: int) -> np.ndarray:
     """Dense normalized Hadamard matrix: the +-1 recursion, scaled once."""
-    _check_pow2(d)
+    check_pow2(d)
     m = np.array([[1.0]])
     while m.shape[0] < d:
         m = np.block([[m, m], [m, -m]])
@@ -95,7 +100,7 @@ def naive_hadamard_apply(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise DimensionError(f"expected a vector, got shape {v.shape}")
-    k = _check_pow2(v.shape[0])
+    k = check_pow2(v.shape[0])
     if k > 10:
         raise DimensionError(f"naive apply capped at d=1024, got d={v.shape[0]}")
     return hadamard_matrix(v.shape[0]) @ v

@@ -12,45 +12,28 @@ so reading a config, validating it, `scaled` copies for `calibrate` and
 `to_dict` cost per run, not per user; the per-user arrays that plans read
 (`ms`, `ells`) are built once, on first use.
 
-Two sampling paths give every repetition's bits the same law.  Both run
-the protocol once, as written in :mod:`distmeantest.protocols`: `run_trial`
-hands the config's plan (`PopulationConfig.plan`, built on first use and
-kept on the config), with the trial's public seed and a bit source, to the
-shared trial body, which draws the trial's seven transforms first and then
-calls the source once for the whole trial.  The plan states its
-flip-probability groups (one group of block size 1 when each user holds one
-sample) and, in `Plan.reads_blocks`, whether repetition r reads block r + 1
-of each sender's samples or the sender's one sample.  Only the bit source
-differs:
+A trial runs the config's plan (`PopulationConfig.plan`, built on first
+use and kept on the config) through the trial body of
+:mod:`distmeantest.protocols`, which states how a plan, a bit source and
+the trial body share the work.  Each trial reads its own (mean, public
+seed, data) streams, derived from (master seed, mode, trial) and built only
+when read.  The harness chooses the bit source, one of two sampling paths
+that give every repetition's bits the same law:
 
 * ``literal``  — `LiteralSource` sign-quantizes every user's real Gaussian
-  samples and sums the bits per column.  A trial draws all of its samples in
-  one call, as consecutive rows of one array, user after user, and passes
-  each user's sample count, from which the source derives the row where the
-  user's samples start; the plan's `reads_blocks` says which rows each
-  repetition reads.
-* ``law``      — `LawSource` rotates the mean by the trial's seven
-  transforms in one call and draws every repetition's column counts from
-  their exact law in one binomial call, one draw per repetition, flip
-  probability group and column; the bits are drawn only when the transcript
-  is read, from their exact law given those counts, and never a bit that is
-  not sent.
-
-The referee reads only the column counts, every repetition's in one call.
-The `Transcript` holds the repetition streams as the bit source returned
-them (arrays, or the law path's deferred draws), with the plan as its
-layout.  The audit and the trial records read only its lengths and counts.
-The per-user lengths are derived once per plan, and every trial's
-transcript shares them, so the audit checks every user's bits against its
-budget once per config, and on each trial checks only that the transcript
-is laid out by the config's plan, its user count and its public bits.  No
-trial draws or builds the user-major messages; they are built on the first
-read of the transcript's data (`message`, `serialize`).
+  samples, drawn for the whole trial in one call;
+* ``law``      — `LawSource` draws the column counts from their exact law,
+  and the transmitted bits only when the transcript is read.
 
 The law path is the default: it makes six-figure populations tractable on a
 single core.  The paths also agree jointly across repetitions except for
 hetero_comm, whose seven repetitions all reuse each user's one sample while
 the law path draws them independently; the test suite covers both facts.
+
+The audit reads only a transcript's lengths and counts.  The plan's
+per-user lengths are checked against the budgets once per config; each
+trial checks only that its transcript is laid out by the config's plan, its
+user count and its public bits.
 """
 
 from __future__ import annotations
@@ -65,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .binary_test import ACCEPT, REJECT, bpmt_decide
+from .binary_test import ACCEPT, REJECT, bpmt_decide, check_epsilon
 from .brht import BrhtSpec, brht_apply, next_pow2, sample_brht
 from .errors import CalibrationFailedError, ParameterError
 # sample_brht, greedy_partition and the two coin protocols are bound here as
@@ -125,6 +108,17 @@ SAMPLE_PATHS = ("law", "literal")
 MAX_MULTIPLIER = 1 << 14
 
 
+def _at_least_one(value: int, what: str) -> None:
+    """The lower bound of every count the harness takes: value >= 1."""
+    if value < 1:
+        raise ParameterError(f"{what} must be >= 1, got {value}")
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in MEAN_MODES:
+        raise ParameterError(f"unknown mean mode {mode!r}")
+
+
 # ---------------------------------------------------------------------------
 # mean vectors and Gaussian sampling
 
@@ -147,8 +141,7 @@ class MeanSpec:
     norm: float
 
     def __post_init__(self):
-        if self.mode not in MEAN_MODES:
-            raise ParameterError(f"unknown mean mode {self.mode!r}")
+        _check_mode(self.mode)
         if self.mode == "null":
             if self.norm != 0.0:
                 raise ParameterError("null mode must have norm 0")
@@ -160,8 +153,7 @@ def make_mean(spec: MeanSpec, d: int, stream: np.random.Generator | None) -> np.
     """Draw the mean vector: zero, a single spike, a flat spread, or a random
     direction, always with Euclidean norm spec.norm (to 1e-12).  Only a
     random direction reads `stream`."""
-    if d < 1:
-        raise ParameterError(f"dimension must be >= 1, got {d}")
+    _at_least_one(d, "dimension")
     if spec.mode == "null":
         return np.zeros(d)
     if spec.mode == "spike":
@@ -184,8 +176,7 @@ def gen_gaussian_samples(mu: np.ndarray, count: int,
     the rows of one (count, d) array; mu is added in place, so the draw needs
     no second array of that size."""
     mu = np.asarray(mu, dtype=np.float64)
-    if count < 1:
-        raise ParameterError(f"sample count must be >= 1, got {count}")
+    _at_least_one(count, "sample count")
     samples = stream.standard_normal((count, mu.shape[0]))
     samples += mu
     return samples
@@ -228,8 +219,7 @@ def _check_modes(modes) -> None:
     """Mean modes must be known, distinct, and include 'null' for type-I
     estimation."""
     for mode in modes:
-        if mode not in MEAN_MODES:
-            raise ParameterError(f"unknown mean mode {mode!r}")
+        _check_mode(mode)
     if len(set(modes)) != len(modes) or "null" not in modes:
         raise ParameterError(
             f"mean modes must be distinct and include 'null' for type-I estimation, got {modes}")
@@ -253,11 +243,10 @@ class UserRuns:
         m, ell, count = (np.asarray(a, dtype=np.int64) for a in (m, ell, count))
         for values, what in ((m, "user sample count"), (ell, "user bit budget"),
                              (count, "user count")):
-            if values.size and values.min() < 1:
-                raise ParameterError(f"{what} must be >= 1, got {int(values.min())}")
-        # the user count, summed over Python ints where an int64 sum could wrap
-        fits = not count.size or count.max() <= _INT64.max // count.size
-        self.n = _user_total(int(count.sum()) if fits else sum(count.tolist()))
+            if values.size:
+                _at_least_one(int(values.min()), what)
+        # summed over Python ints, which cannot wrap as an int64 sum could
+        self.n = _user_total(sum(count.tolist()))
         # a run starts at the first user and wherever (m, ell) changes
         start = np.flatnonzero(np.r_[m.size > 0, (m[1:] != m[:-1]) | (ell[1:] != ell[:-1])])
         self.m, self.ell = m[start], ell[start]
@@ -344,10 +333,8 @@ class PopulationConfig:
     def __post_init__(self):
         if not isinstance(self.users, UserRuns):
             object.__setattr__(self, "users", UserRuns.of(self.users))
-        if self.d < 1:
-            raise ParameterError(f"dimension must be >= 1, got {self.d}")
-        if not (0.0 < self.epsilon <= 1.0):
-            raise ParameterError(f"epsilon must be in (0, 1], got {self.epsilon}")
+        _at_least_one(self.d, "dimension")
+        check_epsilon(self.epsilon)
         if self.s < 0:
             raise ParameterError(f"public seed budget must be >= 0, got {self.s}")
         if self.protocol not in PROTOCOL_NAMES:
@@ -397,8 +384,7 @@ class PopulationConfig:
         """Repeat the user mix `multiplier` times.  An explicit partition is
         repeated with it, copy by copy: copy j's groups name users j * n + i
         for the n users of the config, so `scaled(1)` equals the config."""
-        if multiplier < 1:
-            raise ParameterError(f"multiplier must be >= 1, got {multiplier}")
+        _at_least_one(multiplier, "multiplier")
         n = self.n_users()
         partition = None if self.partition is None else [
             [j * n + i for i in group] for j in range(multiplier) for group in self.partition]
@@ -632,8 +618,7 @@ def run_batch(config: PopulationConfig, trials: int, master_seed: int = 0,
     every transcript, and tally error rates.  `protocol_runner` (config,
     mean, trial) -> (decision, transcript) overrides the real protocol when
     injected."""
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    _at_least_one(trials, "trials")
     return _trial_loop(config, trials, protocol_runner or _protocol(master_seed, sample_path),
                        timing)
 
@@ -731,7 +716,8 @@ def calibrate(config: PopulationConfig, target_error: float, trials: int = 200,
 
     The user mix is repeated 1x, 2x, 4x, ... and each candidate is measured
     with `trials` trials per mode; the first multiplier whose worst rate is
-    <= target_error wins.  Raises CalibrationFailedError past max_multiplier.
+    <= target_error wins.  Raises CalibrationFailedError past max_multiplier,
+    carrying the budget violations of every trial that ran.
     The scaling constant n * eps^2 * sqrt(mean ell) / d is reported for
     comparison across configurations.
 
@@ -745,10 +731,8 @@ def calibrate(config: PopulationConfig, target_error: float, trials: int = 200,
     """
     if not (0.0 < target_error < 0.5):
         raise ParameterError(f"target error must be in (0, 0.5), got {target_error}")
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-    if max_multiplier < 1:
-        raise ParameterError(f"max_multiplier must be >= 1, got {max_multiplier}")
+    _at_least_one(trials, "trials")
+    _at_least_one(max_multiplier, "max_multiplier")
     runner = _protocol(master_seed, sample_path)
     candidates: list[Candidate] = []
     violations: list[str] = []
@@ -768,7 +752,7 @@ def calibrate(config: PopulationConfig, target_error: float, trials: int = 200,
                                      audit_violations=violations)
         multiplier *= 2
     raise CalibrationFailedError(
-        f"no multiplier up to {max_multiplier} reached worst error {target_error}")
+        f"no multiplier up to {max_multiplier} reached worst error {target_error}", violations)
 
 
 # ---------------------------------------------------------------------------

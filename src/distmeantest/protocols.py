@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binary_test import ACCEPT, REJECT, collision_statistic_counts
-from .brht import BrhtSpec, RETENTION_FACTOR, brht_apply, is_pow2, pow2_floor, sample_brht
+from .binary_test import ACCEPT, REJECT, check_epsilon, check_threshold, collision_statistic_counts
+from .brht import BrhtSpec, RETENTION_FACTOR, brht_apply, pow2_floor, sample_brht
 from .errors import (
     BudgetExhaustedError,
     DegenerateInputError,
@@ -53,6 +53,7 @@ from .errors import (
     InsufficientPopulationError,
     ParameterError,
 )
+from .hadamard import check_pow2
 from .randomness import MAX_FIELD_DEGREE, POLY_COEFFICIENTS, PublicSeed
 
 __all__ = [
@@ -349,7 +350,7 @@ def greedy_partition(ms: np.ndarray, ells: np.ndarray, L: int) -> tuple[np.ndarr
         raise ParameterError(f"L must be >= 1, got {L}")
     need = REPETITIONS * L
     order = np.argsort(-ms, kind="stable")
-    budgets = np.minimum(ells[order], need)
+    budgets = _clipped_budgets(ells[order], L)
     total = int(budgets.sum())
     if total < need:
         raise InfeasiblePartitionError(
@@ -382,18 +383,15 @@ def greedy_partition(ms: np.ndarray, ells: np.ndarray, L: int) -> tuple[np.ndarr
     return order, np.diff(ends, prepend=0)
 
 
+def _clipped_budgets(budgets: np.ndarray, L: int) -> np.ndarray:
+    """Bit budgets clipped at the 7L bits of a group's stream: no user fills
+    more than its group's stream, and no sum of budgets passes int64."""
+    return np.minimum(budgets, REPETITIONS * L)
+
+
 def _check_common(d: int, epsilon: float) -> None:
-    if not is_pow2(d):
-        raise DimensionError(f"protocol dimension must be a power of two, got {d}")
-    if not (0.0 < epsilon <= 1.0):
-        raise ParameterError(f"epsilon must be in (0, 1], got {epsilon}")
-
-
-def _check_samples(samples: np.ndarray, d: int) -> np.ndarray:
-    samples = np.asarray(samples)
-    if samples.ndim != 2 or samples.shape[1] != d:
-        raise DimensionError(f"expected (n, {d}) samples, got shape {samples.shape}")
-    return samples
+    check_pow2(d, "protocol dimension")
+    check_epsilon(epsilon)
 
 
 def seed_block_length(d: int, s: int) -> int:
@@ -453,8 +451,7 @@ class Plan(Layout):
 
     def __init__(self, runs, n_users: int, *, d: int, block: int | None, width: int,
                  tau: float, blocks: np.ndarray | None = None, lengths=None, totals=None):
-        if not (np.isfinite(tau) and tau >= 0.0):
-            raise ParameterError(f"threshold must be finite and >= 0, got {tau}")
+        check_threshold(tau)
         super().__init__(runs, n_users, lengths, totals)
         self.d, self.block, self.width, self.tau, self.blocks = d, block, width, float(tau), blocks
         for r, total in enumerate(self.totals):
@@ -523,11 +520,23 @@ class LiteralSource:
         return sign_quantize(rotated[picked, coords])
 
 
-def _user_rows(samples: list, m: list[int] | np.ndarray, d: int, exact: bool) -> LiteralSource:
-    """The literal source of per-user sample arrays: every user's array is
-    checked, silent users included, and then all are concatenated once as
-    float64 rows.  User k's array must have d columns and m[k] rows, or at
-    least m[k] rows when not `exact`; the source is given the actual row counts."""
+def _check_samples(samples: np.ndarray, d: int) -> LiteralSource:
+    """The literal source of users holding one sample each: the rows of an
+    (n, d) array."""
+    samples = np.asarray(samples)
+    if samples.ndim != 2 or samples.shape[1] != d:
+        raise DimensionError(f"expected (n, {d}) samples, got shape {samples.shape}")
+    return LiteralSource(samples, np.ones(samples.shape[0], np.int64))
+
+
+def _user_rows(samples: list, m: np.ndarray, d: int, exact: bool) -> LiteralSource:
+    """The literal source of per-user sample arrays, one per entry of m: every
+    user's array is checked, silent users included, and then all are
+    concatenated once as float64 rows.  User k's array must have d columns
+    and m[k] rows, or at least m[k] rows when not `exact`; the source is
+    given the actual row counts."""
+    if len(samples) != len(m):
+        raise DimensionError(f"{len(samples)} sample sets for {len(m)} users")
     arrays = [np.asarray(x) for x in samples]
     for k, x in enumerate(arrays):
         if x.ndim != 2 or x.shape[1] != d or x.shape[0] < m[k] or (exact and x.shape[0] != m[k]):
@@ -601,28 +610,33 @@ def private_coin_protocol(samples: np.ndarray, d: int, ell: int,
     runs the centralized test at distance epsilon/sqrt(8).  Leftover users
     (an incomplete trailing group) stay silent.
     """
-    samples = _check_samples(samples, d)
-    return run_plan(private_coin_plan(samples.shape[0], d, ell, epsilon), PublicSeed(np.zeros(0)),
-                    LiteralSource(samples, np.ones(samples.shape[0], np.int64)))
+    source = _check_samples(samples, d)
+    plan = private_coin_plan(source.samples.shape[0], d, ell, epsilon)
+    return run_plan(plan, PublicSeed(np.zeros(0)), source)
 
 
 # ---------------------------------------------------------------------------
 # limited-public-coin protocol: 7 cohorts, fresh coarse rotation per cohort
 
 
+def retained_scale(L: int, d: int) -> float:
+    """sqrt(L / (100 d)): the share of a mean's norm that a kept prefix of L
+    of the d rotated coordinates is assumed to retain, by RETENTION_FACTOR."""
+    return np.sqrt(RETENTION_FACTOR * L / d)
+
+
 def limited_coin_params(d: int, ell: int, s: int) -> tuple[int, int, int, float]:
     """(block length d_s, kept length L, effective ell, distance scale).
 
     d_s = d / 2^floor(s/28) (capped at 1), L = max(d_s, ell) by the keep
-    rule of `mix_and_match_keep_length`; the inner test runs at
+    rule of `mix_and_match_keep_length`, and the effective ell is the
+    private-coin protocol's; the inner test runs at
     epsilon * sqrt(L / (100 d)).
     """
     d_s = seed_block_length(d, s)
-    if not (1 <= ell <= d):
-        raise ParameterError(f"bit budget must be in 1..{d}, got {ell}")
+    ell_eff = private_coin_layout(0, d, ell)[0]
     L = mix_and_match_keep_length(d, np.array([ell]), s)
-    scale = np.sqrt(RETENTION_FACTOR * L / d)
-    return d_s, L, pow2_floor(ell), scale
+    return d_s, L, ell_eff, retained_scale(L, d)
 
 
 def limited_coin_plan(n: int, d: int, ell: int, epsilon: float, s: int) -> Plan:
@@ -648,9 +662,9 @@ def limited_coin_protocol(samples: np.ndarray, d: int, ell: int, epsilon: float,
     at distance epsilon * sqrt(L/(100 d)).  Accept only if every repetition
     accepts.
     """
-    samples = _check_samples(samples, d)
-    plan = limited_coin_plan(samples.shape[0], d, ell, epsilon, seed.remaining)
-    return run_plan(plan, seed, LiteralSource(samples, np.ones(samples.shape[0], np.int64)))
+    source = _check_samples(samples, d)
+    plan = limited_coin_plan(source.samples.shape[0], d, ell, epsilon, seed.remaining)
+    return run_plan(plan, seed, source)
 
 
 # ---------------------------------------------------------------------------
@@ -714,10 +728,8 @@ def hetero_samples_protocol(samples: list[np.ndarray], m: np.ndarray, d: int, el
     share.  The referee weights users by sqrt(floor(m/7)) pairwise.
     """
     m = np.asarray(m, dtype=np.int64)
-    if len(samples) != m.shape[0]:
-        raise DimensionError(f"{len(samples)} sample sets for {m.shape[0]} users")
-    plan = hetero_samples_plan(m, d, ell, epsilon, seed.remaining)
-    return run_plan(plan, seed, _user_rows(samples, m, d, exact=True))
+    source = _user_rows(samples, m, d, exact=True)
+    return run_plan(hetero_samples_plan(m, d, ell, epsilon, seed.remaining), seed, source)
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +750,7 @@ def hetero_comm_plan(ells: np.ndarray, d: int, epsilon: float, s: int) -> Plan:
     _check_common(d, epsilon)
     d_s, L, shares = hetero_comm_params(d, ells, s)
     _check_transforms(d, d_s, s)
-    tau = sign_test_threshold(epsilon * np.sqrt(RETENTION_FACTOR * L / d))
+    tau = sign_test_threshold(epsilon * retained_scale(L, d))
     return Plan(d=d, block=d_s, width=L, tau=tau, n_users=shares.shape[0],
                 runs=[(np.arange(shares.shape[0]), shares)] * REPETITIONS)
 
@@ -751,12 +763,11 @@ def hetero_comm_protocol(samples: np.ndarray, d: int, ells: np.ndarray, epsilon:
     assembles full L-coordinate samples across users and tests at distance
     (epsilon/sqrt(8)) * sqrt(L/(100 d)).
     """
-    samples = _check_samples(samples, d)
+    source = _check_samples(samples, d)
     ells = np.asarray(ells, dtype=np.int64)
-    if ells.shape != (samples.shape[0],):
+    if ells.shape != (source.samples.shape[0],):
         raise DimensionError(f"need one budget per user, got shape {ells.shape}")
-    return run_plan(hetero_comm_plan(ells, d, epsilon, seed.remaining), seed,
-                    LiteralSource(samples, np.ones(samples.shape[0], np.int64)))
+    return run_plan(hetero_comm_plan(ells, d, epsilon, seed.remaining), seed, source)
 
 
 # ---------------------------------------------------------------------------
@@ -787,10 +798,8 @@ def mix_and_match_plan(ms: np.ndarray, ells: np.ndarray, d: int, epsilon: float,
         order = np.array([i for group in partition for i in group], dtype=np.int64)
         if order.shape[0] != n or not np.array_equal(np.sort(order), np.arange(n)):
             raise ParameterError("partition must cover every user exactly once")
-    # budgets clipped at 7L, as `greedy_partition` clips them: no user fills
-    # more than its group's stream, and no sum passes int64
     need, K = REPETITIONS * L, sizes.shape[0]
-    ells_o = np.minimum(ells[order], need)
+    ells_o = _clipped_budgets(ells[order], L)
     group = np.repeat(np.arange(K), sizes)
     budget = np.bincount(group, weights=ells_o, minlength=K)
     if np.any(budget < need):
@@ -836,8 +845,7 @@ def mix_and_match_protocol(samples: list[np.ndarray], users: list[UserSpec], d: 
     of the heterogeneous-samples referee with weights floor(m'/7) and
     effective budget 7L.
     """
-    if len(samples) != len(users):
-        raise DimensionError(f"{len(samples)} sample sets for {len(users)} users")
     ms, ells = np.array([[u.m for u in users], [u.ell for u in users]], dtype=np.int64)
+    source = _user_rows(samples, ms, d, exact=False)
     plan = mix_and_match_plan(ms, ells, d, epsilon, seed.remaining, partition)
-    return run_plan(plan, seed, _user_rows(samples, ms, d, exact=False))
+    return run_plan(plan, seed, source)

@@ -26,7 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetExhaustedError, DimensionError, ParameterError
+from .errors import BudgetExhaustedError, ParameterError
+from .hadamard import check_pow2
 
 __all__ = [
     "PublicSeed",
@@ -196,11 +197,9 @@ def fourwise_rademacher(seed: PublicSeed, b: int) -> RademacherBlockSigns:
     significant bit first, constant term first).  A b past the field cap is
     rejected before any seed bit is drawn.
     """
-    if b < 1 or (b & (b - 1)) != 0:
-        raise DimensionError(f"sign count must be a positive power of two, got {b}")
+    k = check_pow2(b, "sign count")
     if b == 1:
         return RademacherBlockSigns(signs=np.array([1], dtype=np.int8), bits_consumed=0)
-    k = b.bit_length() - 1
     if k > MAX_FIELD_DEGREE:
         raise ParameterError(
             f"{b} signs need GF(2^{k}); field degree must be in 1..{MAX_FIELD_DEGREE}")

@@ -1,10 +1,15 @@
 """Command-line interface tests, run in-process through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import distmeantest
 from distmeantest import harness
 from distmeantest.cli import EXIT_AUDIT, EXIT_INFEASIBLE, EXIT_OK, main
 from distmeantest.harness import AuditReport, BatchResult, ErrorEstimate, PopulationConfig
@@ -147,6 +152,28 @@ class TestAuditExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert err and all(line.startswith("audit: ") for line in err)
         assert err[0].endswith("mode=null trial=0: user 0 sent 9 bits, budget 8")
+
+    def test_failed_calibration_exits_2_with_audit_lines(self, config_path, capsys):
+        # a budget fault outranks the unmet target, as it does in run
+        code = main(["calibrate", "--config", config_path, "--target", "0.001",
+                     "--trials", "20", "--max-multiplier", "1"])
+        assert code == EXIT_AUDIT
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "infeasible: no multiplier up to 1 reached worst error 0.001"
+        assert len(err) > 1 and all(line.startswith("audit: x1 mode=") for line in err[1:])
+        assert err[1] == "audit: x1 mode=null trial=0: user 0 sent 9 bits, budget 8"
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_matches_main(self, config_path, capsys):
+        argv = ["run", "--config", config_path, "--trials", "3", "--seed", "5"]
+        src = str(Path(distmeantest.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.run([sys.executable, "-m", "distmeantest.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert (child.returncode, child.stdout) == (main(argv), capsys.readouterr().out)
+        assert child.returncode == EXIT_OK and json.loads(child.stdout)["trials"] == 3
 
 
 class TestSweep:

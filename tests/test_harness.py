@@ -103,6 +103,18 @@ class TestMakeMean:
         with pytest.raises(ParameterError):
             make_mean(MeanSpec("spike", 1.0), 0, np.random.default_rng(0))
 
+    def test_random_direction_redraws_a_zero_draw(self):
+        class FirstDrawZero:
+            def __init__(self):
+                self.draws = [np.zeros(4), np.array([3.0, 0.0, 4.0, 0.0])]
+
+            def standard_normal(self, d):
+                return self.draws.pop(0)
+
+        stream = FirstDrawZero()
+        mu = make_mean(MeanSpec("random_direction", 5.0), 4, stream)
+        assert mu.tolist() == [3.0, 0.0, 4.0, 0.0] and stream.draws == []
+
 
 class TestSignFlipProb:
     def test_zero_mean_is_fair(self):
@@ -290,6 +302,10 @@ class TestPopulationRuns:
         raw = dict(small_config().to_dict(), users=[{"m": 1, "ell": 8, "count": 5},
                                                     {"m": 1, "ell": 8, "count": 27}])
         assert PopulationConfig.from_dict(raw) == small_config()
+
+    def test_runs_differ_from_other_types(self):
+        runs = small_config().users
+        assert (runs == list(runs)) is False and runs != runs.to_dicts()
 
     def test_runs_are_read_only(self):
         cfg = small_config()
@@ -598,6 +614,15 @@ class TestCalibrate:
                                 mean_modes=["null", "spike"])
         with pytest.raises(CalibrationFailedError):
             calibrate(base, target_error=0.001, trials=30, max_multiplier=2)
+
+    def test_cap_failure_carries_audit_violations(self, monkeypatch):
+        monkeypatch.setattr(harness, "budget_audit", lambda transcript, config: AuditReport(
+            False, [f"user 0 sent 9 bits, budget {config.n_users()}"]))
+        with pytest.raises(CalibrationFailedError) as failed:
+            calibrate(small_config(), target_error=0.001, trials=20, max_multiplier=2)
+        violations = failed.value.audit_violations
+        assert violations[0] == "x1 mode=null trial=0: user 0 sent 9 bits, budget 32"
+        assert violations[-1].startswith("x2 ") and violations[-1].endswith("budget 64")
 
 
 class TestCentralizedCalibration:
