@@ -40,7 +40,7 @@ from .errors import (
     MeanTestError,
     ParameterError,
 )
-from .hadamard import fwht, fwht_inplace, hadamard_matrix, naive_hadamard_apply
+from .hadamard import fwht, fwht_inplace, hadamard_matrix
 from .harness import (
     MEAN_MODES,
     PROTOCOL_NAMES,
@@ -72,7 +72,6 @@ from .protocols import (
     Transcript,
     UserSpec,
     aggregate_block,
-    assemble_wraparound,
     greedy_partition,
     hetero_comm_protocol,
     hetero_pair_weight,
@@ -86,6 +85,6 @@ from .protocols import (
     sign_quantize,
     wraparound_coords,
 )
-from .randomness import PublicSeed, RademacherBlockSigns, fourwise_rademacher, gf_mul, gf_poly_eval
+from .randomness import PublicSeed, RademacherBlockSigns, fourwise_rademacher
 
 __version__ = "0.1.0"

@@ -10,7 +10,9 @@ has mean ||p - u||^2 under a product distribution with mean vector p (u is
 the all-1/2 vector), so the tester rejects "mean is uniform" exactly when
 T > epsilon^2 / 2 (strictly).  The numerator of T is computed in exact
 integer arithmetic: S_i^2 - n/4 = ((2*ones_i - n)^2 - n) / 4 with ones_i the
-integer column sum, so there is a single float division at the end.
+integer column sum, so there is a single float division at the end.  That
+numerator is an int64 sum of d squares of at most n^2 each, so the referee
+takes at most d * n^2 <= 2^63 - 1 (`check_referee_size`).
 
 `bpmt_moments_oracle` returns the matching closed-form mean together with the
 variance bound
@@ -43,6 +45,7 @@ __all__ = [
 
 ACCEPT = "accept"
 REJECT = "reject"
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _check_bits(samples: np.ndarray) -> np.ndarray:
@@ -65,6 +68,15 @@ def collision_statistic(samples: np.ndarray) -> float:
     return collision_statistic_counts(samples.sum(axis=0, dtype=np.int64), samples.shape[0])
 
 
+def check_referee_size(rows: int, width: int) -> None:
+    """The referee's size limit: width * rows^2, the most its int64 sum of
+    squares (2 * ones - rows)^2 can reach, must not pass 2^63 - 1."""
+    if int(width) * int(rows) ** 2 > _INT64_MAX:
+        raise ParameterError(
+            f"{rows} referee rows of width {width} overflow its int64 sum: "
+            f"width * rows^2 must be at most {_INT64_MAX}")
+
+
 def collision_statistic_counts(ones: np.ndarray, n: int) -> float | list:
     """Exact T from the integer column sums `ones` of n >= 2 binary samples.
 
@@ -74,8 +86,9 @@ def collision_statistic_counts(ones: np.ndarray, n: int) -> float | list:
     sum and the result one float division per row.  Returns T as a float for
     one row (shape (width,)), and as a list of floats, nested like the
     leading axes, for a batch of rows.  Callers guarantee n >= 2 and
-    0 <= ones <= n.
+    0 <= ones <= n; a width and n past `check_referee_size` are rejected.
     """
+    check_referee_size(n, np.shape(ones)[-1])
     centered_doubled = 2 * np.asarray(ones, dtype=np.int64) - n    # 2 * S_i, exact int
     numerator = (np.square(centered_doubled).sum(axis=-1, dtype=np.int64)
                  - centered_doubled.shape[-1] * n)

@@ -63,10 +63,6 @@ class BrhtSpec:
     signs: np.ndarray  # int8, shape (..., b)
     bits_consumed: int = 0
 
-    def expanded_signs(self) -> np.ndarray:
-        """Per-coordinate signs, i.e. the diagonal of D (length d)."""
-        return np.repeat(self.signs, self.L, axis=-1)
-
 
 def sample_brht(seed: PublicSeed, d: int, L: int) -> BrhtSpec:
     """Draw the block signs for a (d, L) transform from the public seed."""

@@ -11,8 +11,7 @@ Computers, 1976).  `fwht_inplace` applies H_d through that factorization: it
 views the last axis as axes of at most `MAX_FACTOR` entries and multiplies
 each by its small dense factor, one matmul per factor: O(d * MAX_FACTOR) per
 vector for each of the ceil(log2(d) / log2(MAX_FACTOR)) factors.
-`naive_hadamard_apply` builds the dense matrix and is the oracle the fast
-version is tested against.
+`hadamard_matrix` builds each dense factor, once per size and dtype.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionError
 
-__all__ = ["fwht", "fwht_inplace", "naive_hadamard_apply", "hadamard_matrix"]
+__all__ = ["fwht", "fwht_inplace", "hadamard_matrix"]
 
 # Largest dense Hadamard factor one matmul applies.
 MAX_FACTOR = 16
@@ -90,17 +89,3 @@ def hadamard_matrix(d: int) -> np.ndarray:
         m = np.block([[m, m], [m, -m]])
     return m / np.sqrt(d)
 
-
-def naive_hadamard_apply(v: np.ndarray) -> np.ndarray:
-    """O(d^2) reference: materialize the matrix and multiply.
-
-    Intended for d <= 1024; raises DimensionError beyond that so nobody leans
-    on it for real workloads.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionError(f"expected a vector, got shape {v.shape}")
-    k = check_pow2(v.shape[0])
-    if k > 10:
-        raise DimensionError(f"naive apply capped at d=1024, got d={v.shape[0]}")
-    return hadamard_matrix(v.shape[0]) @ v

@@ -469,6 +469,12 @@ class LawSource:
     rows, and a trailing partial row (hetero_comm only) is drawn bit by bit.
     Repetitions are drawn independently: exact where they use disjoint
     samples, which holds for every protocol but hetero_comm.
+
+    The streams, the bits a law-path transcript's `data`, `message` and
+    `serialize` give, exist only to make the law path checkable against the
+    literal one.  Nothing in this package, its command line or bench/ reads
+    them (the verdict, the records and the audit read counts and lengths),
+    so no feature should be built on them.
     """
 
     def __init__(self, mu: np.ndarray, rng: np.random.Generator):
@@ -505,13 +511,14 @@ def run_trial(config: PopulationConfig, mean: MeanSpec, trial_index: int,
 
     Derives (mean, public-seed, data) streams from (master_seed, mode, trial),
     each built only when read (the mean stream for random directions, the
-    public stream when s > 0), draws the mean and the shared seed, and runs
-    the configured protocol's cached plan with the bit source of
-    `sample_path`; the literal path draws every user's samples as
-    consecutive rows of one array, in one call, and gives the source each
-    user's sample count.  Dimensions that are not powers of two are embedded into the next power of two: the mean is
-    zero-padded and samples carry fresh unit-variance noise in the padded
-    coordinates (realized by sampling in the padded dimension).
+    public stream when the plan's transforms draw seed bits), draws the mean
+    and the shared seed, and runs the configured protocol's cached plan with
+    the bit source of `sample_path`; the literal path draws every user's
+    samples as consecutive rows of one array, in one call, and gives the
+    source each user's sample count.  Dimensions that are not powers of two
+    are embedded into the next power of two: the mean is zero-padded and
+    samples carry fresh unit-variance noise in the padded coordinates
+    (realized by sampling in the padded dimension).
     """
     if sample_path not in SAMPLE_PATHS:
         raise ParameterError(f"unknown sample path {sample_path!r}")
@@ -520,7 +527,10 @@ def run_trial(config: PopulationConfig, mean: MeanSpec, trial_index: int,
     mu = np.zeros(plan.d)
     mu[:config.d] = make_mean(mean, config.d, _trial_stream(*key, "mean")
                               if mean.mode == "random_direction" else None)
-    seed = (PublicSeed.random(config.s, _trial_stream(*key, "public")) if config.s
+    # only the plan.seed_bits <= s bits the transforms read are drawn: the
+    # public stream's bits are prefix-stable, so they are the first bits of
+    # a full s-bit seed, and a trial costs the same at any s
+    seed = (PublicSeed.random(plan.seed_bits, _trial_stream(*key, "public")) if plan.seed_bits
             else PublicSeed(np.zeros(0)))
     data_rng = _trial_stream(*key, "data")
     if sample_path == "law":
@@ -555,8 +565,8 @@ def budget_audit(transcript: Transcript, config: PopulationConfig) -> AuditRepor
     per-user lengths, so they are checked against the budgets once per
     config (`PopulationConfig._plan_overdraws`) and each trial checks only
     the user count and the public bits.  Any other transcript, such as one
-    built by `Transcript.from_lengths`, gets the full per-user check; one
-    whose layout is not a `Plan` never makes the config build its plan.
+    laid out by hand, gets the full per-user check; one whose layout is not
+    a `Plan` never makes the config build its plan.
     """
     violations: list[str] = []
     if transcript.n_users != config.n_users():

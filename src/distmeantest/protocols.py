@@ -43,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binary_test import ACCEPT, REJECT, check_epsilon, check_threshold, collision_statistic_counts
+from .binary_test import (ACCEPT, REJECT, check_epsilon, check_referee_size, check_threshold,
+                          collision_statistic_counts)
 from .brht import BrhtSpec, RETENTION_FACTOR, brht_apply, pow2_floor, sample_brht
 from .errors import (
     BudgetExhaustedError,
@@ -64,7 +65,6 @@ __all__ = [
     "sign_quantize",
     "aggregate_block",
     "wraparound_coords",
-    "assemble_wraparound",
     "greedy_partition",
     "seed_block_length",
     "private_coin_protocol",
@@ -242,14 +242,6 @@ class Transcript:
         bits[body] = self.data
         return np.packbits(bits).tobytes()
 
-    @classmethod
-    def from_lengths(cls, lengths: np.ndarray, public_bits_used: int = 0) -> "Transcript":
-        """Allocate a zeroed transcript with the given per-user bit counts:
-        the one-run layout in which every user sends its whole message."""
-        lengths = np.asarray(lengths, dtype=np.int64)
-        layout = Layout(runs=[(np.arange(lengths.shape[0]), lengths)], n_users=lengths.shape[0])
-        return cls(layout, [np.zeros(layout.totals[0], dtype=np.uint8)], public_bits_used)
-
 
 # ---------------------------------------------------------------------------
 # encoding / assembly primitives
@@ -304,27 +296,6 @@ def wraparound_coords(lengths: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarr
     users = np.repeat(np.arange(lengths.shape[0]), lengths)
     coords = np.arange(total, dtype=np.int64) % L
     return users, coords
-
-
-def assemble_wraparound(quantized: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Referee-side assembly of full binary samples from partial-budget users.
-
-    quantized: (n, L) bit matrix of per-user quantized vectors; user k
-    contributes lengths[k] bits.  Returns the floor(sum(lengths)/L) assembled
-    samples; trailing bits that do not fill a sample are dropped.
-    """
-    quantized = np.asarray(quantized, dtype=np.uint8)
-    if quantized.ndim != 2:
-        raise DimensionError(f"expected an (n, L) bit matrix, got shape {quantized.shape}")
-    L = quantized.shape[1]
-    users, coords = wraparound_coords(lengths, L)
-    stream = quantized[users, coords]
-    n_sim = stream.shape[0] // L
-    if n_sim == 0:
-        raise InsufficientPopulationError(
-            f"{stream.shape[0]} transmitted bits cannot fill one {L}-coordinate sample"
-        )
-    return stream[:n_sim * L].reshape(n_sim, L)
 
 
 def greedy_partition(ms: np.ndarray, ells: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -402,9 +373,10 @@ def seed_block_length(d: int, s: int) -> int:
     return d >> min(s // SEED_BITS_PER_HALVING, int(d).bit_length() - 1)
 
 
-def _check_transforms(d: int, block: int, s: int) -> None:
-    """Reject seven (d, block) transforms that the four-wise sign field or the
-    s remaining seed bits cannot supply, before any seed bit is drawn."""
+def _check_transforms(d: int, block: int, s: int) -> int:
+    """The public bits that seven (d, block) transforms draw; they are
+    rejected, before any seed bit is drawn, when the four-wise sign field or
+    the s remaining seed bits cannot supply them."""
     signs = d // block
     if signs > MAX_SIGN_BLOCKS:
         raise ParameterError(
@@ -414,6 +386,7 @@ def _check_transforms(d: int, block: int, s: int) -> None:
     if need > s:
         raise BudgetExhaustedError(
             f"seven ({d}, {block}) transforms need {need} public bits, only {s} left")
+    return need
 
 
 # ---------------------------------------------------------------------------
@@ -443,23 +416,29 @@ class Plan(Layout):
 
     The plan is the layout of every transcript it produces: the per-user
     lengths, offsets and stream totals are derived once, by `Layout`, or
-    stated with a builder of the runs (`lengths`, `totals`).  A
-    repetition whose referee would get fewer than two rows, or a threshold
-    that is not finite and >= 0, is rejected here, before any seed bit is
-    drawn.
+    stated with a builder of the runs (`lengths`, `totals`).  `seed_bits`
+    is what the trial's transforms draw from the public seed, as
+    `_check_transforms` counts it (0 without transforms), so a trial's seed
+    needs no more bits.  A repetition whose referee would get fewer than two
+    rows, or more than its int64 sum holds (`check_referee_size`), or a
+    threshold that is not finite and >= 0, is rejected here, before any
+    array of one entry per row is built and before any seed bit is drawn.
     """
 
     def __init__(self, runs, n_users: int, *, d: int, block: int | None, width: int,
-                 tau: float, blocks: np.ndarray | None = None, lengths=None, totals=None):
+                 tau: float, blocks: np.ndarray | None = None, lengths=None, totals=None,
+                 seed_bits: int = 0):
         check_threshold(tau)
         super().__init__(runs, n_users, lengths, totals)
         self.d, self.block, self.width, self.tau, self.blocks = d, block, width, float(tau), blocks
+        self.seed_bits = seed_bits
         for r, total in enumerate(self.totals):
             if total // width < 2:
                 raise InsufficientPopulationError(
                     f"repetition {r} sends {total} bits, which fill "
                     f"{total // width} full {width}-coordinate samples; "
                     f"the referee needs 2")
+            check_referee_size(total // width, width)
         sizes, row_group, self.group_rows = np.unique(
             blocks if self.reads_blocks else np.ones(self.totals[0] // width, np.int64),
             return_inverse=True, return_counts=True)
@@ -644,11 +623,11 @@ def limited_coin_plan(n: int, d: int, ell: int, epsilon: float, s: int) -> Plan:
     _check_common(d, epsilon)
     cohort_size = n // REPETITIONS
     d_s, L, ell_eff, scale = limited_coin_params(d, ell, s)
-    _check_transforms(d, d_s, s)
+    bits = _check_transforms(d, d_s, s)
     cohort = private_coin_plan(cohort_size, L, ell_eff, epsilon * scale)
     users, lengths = cohort.runs[0]
     runs = [(users + r * cohort_size, lengths) for r in range(REPETITIONS)]
-    return Plan(d=d, block=d_s, width=L, tau=cohort.tau, n_users=n, runs=runs)
+    return Plan(d=d, block=d_s, width=L, tau=cohort.tau, n_users=n, runs=runs, seed_bits=bits)
 
 
 def limited_coin_protocol(samples: np.ndarray, d: int, ell: int, epsilon: float,
@@ -715,10 +694,10 @@ def hetero_samples_plan(m: np.ndarray, d: int, ell: int, epsilon: float, s: int)
     n = m.shape[0]
     tau, blocks = _pairwise_referee(m, ell, d, epsilon)
     share = hetero_share(ell, d)
-    _check_transforms(d, share, s)
+    bits = _check_transforms(d, share, s)
     run = (np.arange(n), np.full(n, share, dtype=np.int64))
     return Plan(d=d, block=share, width=share, tau=tau, n_users=n, runs=[run] * REPETITIONS,
-                blocks=blocks)
+                blocks=blocks, seed_bits=bits)
 
 
 def hetero_samples_protocol(samples: list[np.ndarray], m: np.ndarray, d: int, ell: int,
@@ -749,10 +728,10 @@ def hetero_comm_plan(ells: np.ndarray, d: int, epsilon: float, s: int) -> Plan:
     """Plan of `hetero_comm_protocol` for budgets ells and s seed bits."""
     _check_common(d, epsilon)
     d_s, L, shares = hetero_comm_params(d, ells, s)
-    _check_transforms(d, d_s, s)
+    bits = _check_transforms(d, d_s, s)
     tau = sign_test_threshold(epsilon * retained_scale(L, d))
     return Plan(d=d, block=d_s, width=L, tau=tau, n_users=shares.shape[0],
-                runs=[(np.arange(shares.shape[0]), shares)] * REPETITIONS)
+                runs=[(np.arange(shares.shape[0]), shares)] * REPETITIONS, seed_bits=bits)
 
 
 def hetero_comm_protocol(samples: np.ndarray, d: int, ells: np.ndarray, epsilon: float,
@@ -790,7 +769,7 @@ def mix_and_match_plan(ms: np.ndarray, ells: np.ndarray, d: int, epsilon: float,
     ells = np.asarray(ells, dtype=np.int64)
     n = ms.shape[0]
     L = mix_and_match_keep_length(d, ells, s)
-    _check_transforms(d, L, s)
+    bits = _check_transforms(d, L, s)
     if partition is None:
         order, sizes = greedy_partition(ms, ells, L)
     else:
@@ -829,7 +808,7 @@ def mix_and_match_plan(ms: np.ndarray, ells: np.ndarray, d: int, epsilon: float,
         return out
 
     return Plan(runs, n, d=d, block=L, width=L, tau=tau, blocks=blocks, lengths=lengths,
-                totals=(K * L,) * REPETITIONS)
+                totals=(K * L,) * REPETITIONS, seed_bits=bits)
 
 
 def mix_and_match_protocol(samples: list[np.ndarray], users: list[UserSpec], d: int,

@@ -15,8 +15,6 @@ GF(2)-linear, so the b sign bits are a GF(2)-linear map of the 4k seed bits.
 That map is built once per field degree k, with carry-less arithmetic over
 all b points at once, and cached as a bit-packed (4k, b/8)-byte table: 24 KiB
 at k = 12 and 512 KiB at k = 16.  A draw XORs the rows whose seed bit is 1.
-`gf_mul` and `gf_poly_eval` are the scalar field arithmetic the tests compare
-the table against.
 """
 
 from __future__ import annotations
@@ -29,13 +27,7 @@ import numpy as np
 from .errors import BudgetExhaustedError, ParameterError
 from .hadamard import check_pow2
 
-__all__ = [
-    "PublicSeed",
-    "RademacherBlockSigns",
-    "fourwise_rademacher",
-    "gf_mul",
-    "gf_poly_eval",
-]
+__all__ = ["PublicSeed", "RademacherBlockSigns", "fourwise_rademacher"]
 
 
 # Condensed exponents of one irreducible polynomial per degree k (1..16);
@@ -65,30 +57,6 @@ MAX_FIELD_DEGREE = max(_IRREDUCIBLE)
 # The coefficients of the degree-3 polynomial: b > 1 signs cost this many
 # log2(b)-bit draws from the seed.
 POLY_COEFFICIENTS = 4
-
-
-def gf_mul(a: int, b: int, k: int) -> int:
-    """Carry-less multiply in GF(2^k), reduced by the table polynomial."""
-    if k not in _IRREDUCIBLE:
-        raise ParameterError(f"field degree must be in 1..{MAX_FIELD_DEGREE}, got {k}")
-    poly = _IRREDUCIBLE[k]
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        b >>= 1
-        a <<= 1
-        if a >> k:
-            a ^= poly
-    return acc
-
-
-def gf_poly_eval(coeffs: tuple[int, ...], x: int, k: int) -> int:
-    """Horner evaluation of sum_i coeffs[i] * x^i over GF(2^k)."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = gf_mul(acc, x, k) ^ c
-    return acc
 
 
 @dataclass

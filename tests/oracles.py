@@ -1,0 +1,86 @@
+"""Reference implementations that only the tests read.
+
+Each one restates, in the slowest and plainest way, something the package
+computes fast or lays out once: the dense Hadamard product, scalar GF(2^k)
+arithmetic, the referee-side wrap-around assembly, and zeroed transcripts of
+given per-user lengths.  No protocol, harness or command path runs them, so
+they live here rather than in `distmeantest`; `test_oracles_stay_out.py`
+keeps them out of the package.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from distmeantest.errors import DimensionError, InsufficientPopulationError, ParameterError
+from distmeantest.hadamard import check_pow2, hadamard_matrix
+from distmeantest.protocols import Layout, Transcript, wraparound_coords
+from distmeantest.randomness import _IRREDUCIBLE, MAX_FIELD_DEGREE
+
+
+def naive_hadamard_apply(v: np.ndarray) -> np.ndarray:
+    """O(d^2) reference: materialize the matrix and multiply.
+
+    Intended for d <= 1024; raises DimensionError beyond that so nobody leans
+    on it for real workloads.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1:
+        raise DimensionError(f"expected a vector, got shape {v.shape}")
+    k = check_pow2(v.shape[0])
+    if k > 10:
+        raise DimensionError(f"naive apply capped at d=1024, got d={v.shape[0]}")
+    return hadamard_matrix(v.shape[0]) @ v
+
+
+def gf_mul(a: int, b: int, k: int) -> int:
+    """Carry-less multiply in GF(2^k), reduced by the sign table's polynomial."""
+    if k not in _IRREDUCIBLE:
+        raise ParameterError(f"field degree must be in 1..{MAX_FIELD_DEGREE}, got {k}")
+    poly = _IRREDUCIBLE[k]
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        b >>= 1
+        a <<= 1
+        if a >> k:
+            a ^= poly
+    return acc
+
+
+def gf_poly_eval(coeffs: tuple[int, ...], x: int, k: int) -> int:
+    """Horner evaluation of sum_i coeffs[i] * x^i over GF(2^k)."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = gf_mul(acc, x, k) ^ c
+    return acc
+
+
+def assemble_wraparound(quantized: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Referee-side assembly of full binary samples from partial-budget users.
+
+    quantized: (n, L) bit matrix of per-user quantized vectors; user k
+    contributes lengths[k] bits.  Returns the floor(sum(lengths)/L) assembled
+    samples; trailing bits that do not fill a sample are dropped.
+    """
+    quantized = np.asarray(quantized, dtype=np.uint8)
+    if quantized.ndim != 2:
+        raise DimensionError(f"expected an (n, L) bit matrix, got shape {quantized.shape}")
+    L = quantized.shape[1]
+    users, coords = wraparound_coords(lengths, L)
+    stream = quantized[users, coords]
+    n_sim = stream.shape[0] // L
+    if n_sim == 0:
+        raise InsufficientPopulationError(
+            f"{stream.shape[0]} transmitted bits cannot fill one {L}-coordinate sample"
+        )
+    return stream[:n_sim * L].reshape(n_sim, L)
+
+
+def transcript_from_lengths(lengths: np.ndarray, public_bits_used: int = 0) -> Transcript:
+    """A zeroed transcript with the given per-user bit counts: the one-run
+    layout in which every user sends its whole message."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    layout = Layout(runs=[(np.arange(lengths.shape[0]), lengths)], n_users=lengths.shape[0])
+    return Transcript(layout, [np.zeros(layout.totals[0], dtype=np.uint8)], public_bits_used)

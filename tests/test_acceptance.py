@@ -27,12 +27,12 @@ from distmeantest import (
     fourwise_rademacher,
     fwht,
     hetero_pair_weight,
-    naive_hadamard_apply,
     run_batch,
     sample_brht,
     write_records_csv,
 )
 from distmeantest.cli import main as cli_main
+from oracles import naive_hadamard_apply
 
 _shared: dict = {}
 

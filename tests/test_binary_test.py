@@ -16,6 +16,7 @@ from distmeantest import (
     collision_statistic,
     collision_statistic_counts,
 )
+from distmeantest.binary_test import check_referee_size
 
 RNG = np.random.default_rng(20240818)
 
@@ -113,6 +114,17 @@ class TestCollisionStatisticCounts:
                 exact = sum((2 * c - n) ** 2 for c in row) - len(row) * n
                 assert batch[r][g] == exact / (4.0 * n * (n - 1))
                 assert batch[r][g] == collision_statistic_counts(ones[r, g], n)
+
+    def test_int64_limit(self):
+        # width * n^2 is 2.56e18 at n = 1e8 and width 256, within int64; at
+        # n = 2e8 it is 1.02e19, where the int64 sum would wrap and give
+        # -51.29 for this all-ones sample instead of 64
+        assert collision_statistic_counts(np.full(256, 10**8), 10**8) == 64.0
+        check_referee_size(10**8, 256)
+        for call in (lambda: check_referee_size(2 * 10**8, 256),
+                     lambda: collision_statistic_counts(np.full(256, 2 * 10**8), 2 * 10**8)):
+            with pytest.raises(ParameterError, match="200000000 referee rows of width 256"):
+                call()
 
 
 class TestDecisionRules:

@@ -61,10 +61,6 @@ class TestSampling:
         with pytest.raises(DimensionError):
             sample_brht(fresh_seed(), 4, 8)
 
-    def test_expanded_signs_repeat_per_block(self):
-        spec = sample_brht(fresh_seed(seed=9), 16, 4)
-        np.testing.assert_array_equal(spec.expanded_signs(), np.repeat(spec.signs, 4))
-
 
 class TestApply:
     def test_zero_maps_to_zero(self):

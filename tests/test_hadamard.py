@@ -4,8 +4,9 @@ isometry, in-place writes and input checks."""
 import numpy as np
 import pytest
 
-from distmeantest import DimensionError, fwht, fwht_inplace, hadamard_matrix, naive_hadamard_apply
+from distmeantest import DimensionError, fwht, fwht_inplace, hadamard_matrix
 from distmeantest.hadamard import MAX_FACTOR, _factor
+from oracles import naive_hadamard_apply
 
 RNG = np.random.default_rng(20240817)
 

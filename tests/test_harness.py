@@ -50,6 +50,7 @@ from distmeantest.harness import (
     bpmt_spread_alternative,
 )
 from distmeantest.protocols import Decision
+from oracles import transcript_from_lengths
 
 RNG = np.random.default_rng(20240820)
 
@@ -461,14 +462,14 @@ class TestBudgetAudit:
         _, tr = run_trial(cfg, MeanSpec("null", 0.0), 0)
         lengths = tr.bits_sent.copy()
         lengths[3] += 2                            # inflate one user past budget
-        bad = Transcript.from_lengths(lengths, public_bits_used=tr.public_bits_used)
+        bad = transcript_from_lengths(lengths, public_bits_used=tr.public_bits_used)
         report = budget_audit(bad, cfg)
         assert not report.ok
         assert any("user 3" in v for v in report.violations), report.violations
 
     def test_flags_seed_overdraw(self):
         cfg = small_config()
-        bad = Transcript.from_lengths(np.full(32, 8), public_bits_used=1)
+        bad = transcript_from_lengths(np.full(32, 8), public_bits_used=1)
         report = budget_audit(bad, cfg)   # config has s=0
         assert not report.ok
         assert any("public" in v for v in report.violations)
@@ -494,7 +495,7 @@ class TestBudgetAudit:
 
     def test_flags_user_count_mismatch(self):
         cfg = small_config()
-        report = budget_audit(Transcript.from_lengths(np.full(31, 8)), cfg)
+        report = budget_audit(transcript_from_lengths(np.full(31, 8)), cfg)
         assert not report.ok
 
 
@@ -502,7 +503,7 @@ class TestRunBatch:
     def test_stubbed_always_accept(self):
         cfg = small_config()
         stub = lambda config, mean, trial: (  # noqa: E731
-            Decision(ACCEPT), Transcript.from_lengths(np.zeros(32, dtype=np.int64)))
+            Decision(ACCEPT), transcript_from_lengths(np.zeros(32, dtype=np.int64)))
         est = estimate_error(cfg, trials=10, protocol_runner=stub)
         assert est.type1_rate == 0.0
         assert est.type2_rates == {"spike": 1.0, "spread": 1.0, "random_direction": 1.0}
@@ -512,7 +513,7 @@ class TestRunBatch:
     def test_stubbed_always_reject(self):
         cfg = small_config(mean_modes=["null", "spike"])
         stub = lambda config, mean, trial: (  # noqa: E731
-            Decision(REJECT), Transcript.from_lengths(np.zeros(32, dtype=np.int64)))
+            Decision(REJECT), transcript_from_lengths(np.zeros(32, dtype=np.int64)))
         est = estimate_error(cfg, trials=10, protocol_runner=stub)
         assert est.type1_rate == 1.0
         assert est.type2_rates == {"spike": 0.0}
@@ -521,7 +522,7 @@ class TestRunBatch:
         cfg = small_config(mean_modes=["null", "spike"])
         flip = lambda config, mean, trial: (  # noqa: E731
             Decision(REJECT if trial % 4 == 0 else ACCEPT),
-            Transcript.from_lengths(np.zeros(32, dtype=np.int64)))
+            transcript_from_lengths(np.zeros(32, dtype=np.int64)))
         est = estimate_error(cfg, trials=8, protocol_runner=flip)
         assert est.type1_rate == 0.25
         assert est.type2_rates["spike"] == 0.75
@@ -540,7 +541,7 @@ class TestRunBatch:
     def test_audit_violations_propagate(self):
         cfg = small_config(mean_modes=["null"])
         stub = lambda config, mean, trial: (  # noqa: E731
-            Decision(ACCEPT), Transcript.from_lengths(np.full(32, 9)))
+            Decision(ACCEPT), transcript_from_lengths(np.full(32, 9)))
         result = run_batch(cfg, trials=2, protocol_runner=stub)
         assert len(result.audit_violations) == 2 * 32
         assert "mode=null trial=0" in result.audit_violations[0]
@@ -852,6 +853,42 @@ class TestTranscriptDigests:
     def test_spread_and_random_direction_transcripts_are_byte_stable(self, cfg, path):
         digest = transcript_digest(cfg, path, modes=("spread", "random_direction"))
         assert digest == MEAN_MODE_DIGESTS[cfg.protocol, path]
+
+
+def limited_d64(s):
+    # d = 64 and s >= 168 give d_s = 1: seven 64-sign transforms, 168 bits
+    return PopulationConfig(d=64, epsilon=1.0, s=s, protocol="limited",
+                            users=[UserSpec(1, 4)] * 448)
+
+
+class TestSeedBitsDrawn:
+    """A trial draws only the seed bits its transforms read, whatever s is."""
+
+    def test_run_trial_requests_only_the_plan_bits(self, monkeypatch):
+        sizes = []
+        real = PublicSeed.random.__func__
+
+        def recording(cls, s, rng):
+            sizes.append(s)
+            assert s <= 1 << 12, f"a trial asked for {s} seed bits"   # never allocate s
+            return real(cls, s, rng)
+
+        monkeypatch.setattr(PublicSeed, "random", classmethod(recording))
+        for path in ("law", "literal"):
+            _, tr = run_trial(limited_d64(10**12), MeanSpec("spike", 1.0), 0, sample_path=path)
+            assert tr.public_bits_used == 168
+        # plans without seed-drawing transforms build no public stream
+        for cfg in (small_config(s=10**12), limited_d64(27)):
+            assert run_trial(cfg, MeanSpec("null", 0.0), 0)[1].public_bits_used == 0
+        assert sizes == [168, 168]
+
+    @pytest.mark.parametrize("path", ["law", "literal"])
+    @pytest.mark.parametrize("cfg", [limited_d64(168), structural_configs()[2]],
+                             ids=["limited", "hetero_samples"])
+    def test_transcripts_do_not_depend_on_unread_seed_bits(self, cfg, path):
+        wide = dataclasses.replace(cfg, s=10**7)
+        assert wide.plan.seed_bits == cfg.plan.seed_bits <= cfg.s
+        assert transcript_digest(wide, path) == transcript_digest(cfg, path)
 
 
 class TestStatisticsMatchOracle:

@@ -15,7 +15,6 @@ from distmeantest.protocols import (
     Layout,
     Transcript,
     UserSpec,
-    assemble_wraparound,
     greedy_partition,
     hetero_comm_params,
     hetero_samples_protocol,
@@ -24,6 +23,7 @@ from distmeantest.protocols import (
     seed_block_length,
 )
 from distmeantest.randomness import PublicSeed
+from oracles import assemble_wraparound
 
 
 def test_transcript_rejects_array_stream_of_wrong_length():

@@ -1,6 +1,7 @@
 """Protocol-level tests: encodings, layouts, referees, and bit accounting."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from distmeantest import (
     Transcript,
     UserSpec,
     aggregate_block,
-    assemble_wraparound,
     fwht,
     greedy_partition,
     hetero_comm_protocol,
@@ -42,6 +42,7 @@ from distmeantest.protocols import (
     limited_coin_params,
     mix_and_match_keep_length,
 )
+from oracles import assemble_wraparound, transcript_from_lengths
 
 RNG = np.random.default_rng(20240819)
 
@@ -740,7 +741,7 @@ class TestMixAndMatch:
 
 class TestTranscript:
     def test_serialize_golden(self):
-        t = Transcript.from_lengths(np.array([3, 0, 9]))
+        t = transcript_from_lengths(np.array([3, 0, 9]))
         t.data[0:3] = [1, 0, 1]
         t.data[3:12] = [1, 1, 1, 1, 1, 1, 1, 1, 1]
         assert t.serialize() == (
@@ -750,7 +751,7 @@ class TestTranscript:
         )
 
     def test_accessors(self):
-        t = Transcript.from_lengths(np.array([2, 5]), public_bits_used=12)
+        t = transcript_from_lengths(np.array([2, 5]), public_bits_used=12)
         assert t.n_users == 2
         assert t.total_bits == 7
         assert t.bits_sent.tolist() == [2, 5]
@@ -801,6 +802,19 @@ class TestPlan:
             Plan(d=8, block=None, width=8, tau=0.1, n_users=6,
                  runs=[(np.arange(4), np.full(4, 4, dtype=np.int64)),
                        (np.arange(6), np.full(6, 4, dtype=np.int64))])
+
+    def test_referee_int64_limit_checked_before_rows_are_built(self):
+        # two senders fill 2e8 rows of width 256, past the referee's int64
+        # limit: rejected before the plan builds an entry per row (1.6 GB)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="200000000 referee rows of width 256"):
+                Plan(d=256, block=None, width=256, tau=0.1, n_users=2,
+                     runs=[(np.arange(2), np.full(2, 256 * 10**8, dtype=np.int64))])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestDeferredStreams:

@@ -15,9 +15,8 @@ from distmeantest import (
     ParameterError,
     PublicSeed,
     fourwise_rademacher,
-    gf_mul,
-    gf_poly_eval,
 )
+from oracles import gf_mul, gf_poly_eval
 
 
 def all_sign_vectors(b: int) -> np.ndarray:
