@@ -373,20 +373,23 @@ def seed_block_length(d: int, s: int) -> int:
     return d >> min(s // SEED_BITS_PER_HALVING, int(d).bit_length() - 1)
 
 
-def _check_transforms(d: int, block: int, s: int) -> int:
-    """The public bits that seven (d, block) transforms draw; they are
-    rejected, before any seed bit is drawn, when the four-wise sign field or
-    the s remaining seed bits cannot supply them."""
+def _transform_bits(d: int, block: int) -> int:
+    """The public bits that seven (d, block) transforms draw."""
+    return SEED_BITS_PER_HALVING * ((d // block).bit_length() - 1)
+
+
+def _check_transforms(d: int, block: int, s: int) -> None:
+    """Reject seven (d, block) transforms that the four-wise sign field or the
+    s remaining seed bits cannot supply, before any seed bit is drawn."""
     signs = d // block
     if signs > MAX_SIGN_BLOCKS:
         raise ParameterError(
             f"d={d} with s={s} needs {signs} four-wise signs per transform; "
             f"the GF(2^{MAX_FIELD_DEGREE}) sign field caps this at {MAX_SIGN_BLOCKS}")
-    need = SEED_BITS_PER_HALVING * (signs.bit_length() - 1)
+    need = _transform_bits(d, block)
     if need > s:
         raise BudgetExhaustedError(
             f"seven ({d}, {block}) transforms need {need} public bits, only {s} left")
-    return need
 
 
 # ---------------------------------------------------------------------------
@@ -417,21 +420,18 @@ class Plan(Layout):
     The plan is the layout of every transcript it produces: the per-user
     lengths, offsets and stream totals are derived once, by `Layout`, or
     stated with a builder of the runs (`lengths`, `totals`).  `seed_bits`
-    is what the trial's transforms draw from the public seed, as
-    `_check_transforms` counts it (0 without transforms), so a trial's seed
-    needs no more bits.  A repetition whose referee would get fewer than two
+    is what the trial's transforms draw from the public seed (0 without
+    transforms), so a trial's seed needs no more bits.  A repetition whose referee would get fewer than two
     rows, or more than its int64 sum holds (`check_referee_size`), or a
     threshold that is not finite and >= 0, is rejected here, before any
     array of one entry per row is built and before any seed bit is drawn.
     """
 
     def __init__(self, runs, n_users: int, *, d: int, block: int | None, width: int,
-                 tau: float, blocks: np.ndarray | None = None, lengths=None, totals=None,
-                 seed_bits: int = 0):
+                 tau: float, blocks: np.ndarray | None = None, lengths=None, totals=None):
         check_threshold(tau)
         super().__init__(runs, n_users, lengths, totals)
         self.d, self.block, self.width, self.tau, self.blocks = d, block, width, float(tau), blocks
-        self.seed_bits = seed_bits
         for r, total in enumerate(self.totals):
             if total // width < 2:
                 raise InsufficientPopulationError(
@@ -445,6 +445,11 @@ class Plan(Layout):
         self.rows, self.groups = row_group.shape[0], (sizes, row_group)
         if any(total // width != self.rows for total in self.totals):
             raise ParameterError(f"every repetition must fill the plan's {self.rows} rows")
+
+    @property
+    def seed_bits(self) -> int:
+        """The public bits the trial's transforms draw, 0 without transforms."""
+        return 0 if self.block is None else _transform_bits(self.d, self.block)
 
     @property
     def reads_blocks(self) -> bool:
@@ -623,11 +628,11 @@ def limited_coin_plan(n: int, d: int, ell: int, epsilon: float, s: int) -> Plan:
     _check_common(d, epsilon)
     cohort_size = n // REPETITIONS
     d_s, L, ell_eff, scale = limited_coin_params(d, ell, s)
-    bits = _check_transforms(d, d_s, s)
+    _check_transforms(d, d_s, s)
     cohort = private_coin_plan(cohort_size, L, ell_eff, epsilon * scale)
     users, lengths = cohort.runs[0]
     runs = [(users + r * cohort_size, lengths) for r in range(REPETITIONS)]
-    return Plan(d=d, block=d_s, width=L, tau=cohort.tau, n_users=n, runs=runs, seed_bits=bits)
+    return Plan(d=d, block=d_s, width=L, tau=cohort.tau, n_users=n, runs=runs)
 
 
 def limited_coin_protocol(samples: np.ndarray, d: int, ell: int, epsilon: float,
@@ -694,10 +699,10 @@ def hetero_samples_plan(m: np.ndarray, d: int, ell: int, epsilon: float, s: int)
     n = m.shape[0]
     tau, blocks = _pairwise_referee(m, ell, d, epsilon)
     share = hetero_share(ell, d)
-    bits = _check_transforms(d, share, s)
+    _check_transforms(d, share, s)
     run = (np.arange(n), np.full(n, share, dtype=np.int64))
     return Plan(d=d, block=share, width=share, tau=tau, n_users=n, runs=[run] * REPETITIONS,
-                blocks=blocks, seed_bits=bits)
+                blocks=blocks)
 
 
 def hetero_samples_protocol(samples: list[np.ndarray], m: np.ndarray, d: int, ell: int,
@@ -728,10 +733,10 @@ def hetero_comm_plan(ells: np.ndarray, d: int, epsilon: float, s: int) -> Plan:
     """Plan of `hetero_comm_protocol` for budgets ells and s seed bits."""
     _check_common(d, epsilon)
     d_s, L, shares = hetero_comm_params(d, ells, s)
-    bits = _check_transforms(d, d_s, s)
+    _check_transforms(d, d_s, s)
     tau = sign_test_threshold(epsilon * retained_scale(L, d))
     return Plan(d=d, block=d_s, width=L, tau=tau, n_users=shares.shape[0],
-                runs=[(np.arange(shares.shape[0]), shares)] * REPETITIONS, seed_bits=bits)
+                runs=[(np.arange(shares.shape[0]), shares)] * REPETITIONS)
 
 
 def hetero_comm_protocol(samples: np.ndarray, d: int, ells: np.ndarray, epsilon: float,
@@ -769,7 +774,7 @@ def mix_and_match_plan(ms: np.ndarray, ells: np.ndarray, d: int, epsilon: float,
     ells = np.asarray(ells, dtype=np.int64)
     n = ms.shape[0]
     L = mix_and_match_keep_length(d, ells, s)
-    bits = _check_transforms(d, L, s)
+    _check_transforms(d, L, s)
     if partition is None:
         order, sizes = greedy_partition(ms, ells, L)
     else:
@@ -808,7 +813,7 @@ def mix_and_match_plan(ms: np.ndarray, ells: np.ndarray, d: int, epsilon: float,
         return out
 
     return Plan(runs, n, d=d, block=L, width=L, tau=tau, blocks=blocks, lengths=lengths,
-                totals=(K * L,) * REPETITIONS, seed_bits=bits)
+                totals=(K * L,) * REPETITIONS)
 
 
 def mix_and_match_protocol(samples: list[np.ndarray], users: list[UserSpec], d: int,
