@@ -17,6 +17,9 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
+
+from . import __version__
 from .errors import CalibrationFailedError, MeanTestError, ParameterError
 from .harness import (
     MAX_MULTIPLIER,
@@ -84,11 +87,20 @@ def _with_param(config: PopulationConfig, param: str, value: float) -> Populatio
     return PopulationConfig.from_dict(base)
 
 
-def _emit(summary: dict, json_out: str | None) -> None:
-    """Print the summary as JSON, and write it to json_out when given."""
+def _emit(summary: dict, args, config: PopulationConfig) -> None:
+    """Print the summary as JSON, and write it to --json when given.  A
+    written summary is the run's record, so it carries its provenance: the
+    package and numpy versions, the config's digest, the master seed and the
+    sampling path; the printed copy is the same JSON.  A summary that is only
+    printed is left as it is, so two runs whose configs differ but whose
+    plans and records agree print the same summary."""
+    if args.json_out:
+        summary = dict(summary, version=__version__, config_sha256=config.digest(),
+                       master_seed=args.seed, sample_path=args.path,
+                       numpy_version=np.__version__)
     text = json.dumps(summary, indent=2, sort_keys=True)
-    if json_out:
-        with open(json_out, "w", encoding="utf-8") as fh:
+    if args.json_out:
+        with open(args.json_out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text)
 
@@ -106,7 +118,7 @@ def _cmd_run(args, config: PopulationConfig) -> int:
         "ci_halfwidth": est.ci_halfwidth,
         "audit_violations": len(batch.audit_violations),
     }
-    _emit(summary, args.json_out)
+    _emit(summary, args, config)
     return _audit_exit(batch.audit_violations)
 
 
@@ -130,7 +142,7 @@ def _cmd_calibrate(args, config: PopulationConfig) -> int:
         "candidates": [dataclasses.asdict(c) for c in result.candidates],
         "audit_violations": len(result.audit_violations),
     }
-    _emit(summary, args.json_out)
+    _emit(summary, args, config)
     return _audit_exit(result.audit_violations)
 
 

@@ -9,8 +9,13 @@ same trial loop, stopping each candidate once its failure is certain.
 
 A population is held as runs of alike users (`UserRuns`: m, ell, count),
 so reading a config, validating it, `scaled` copies for `calibrate` and
-`to_dict` cost per run, not per user; the per-user arrays that plans read
-(`ms`, `ells`) are built once, on first use.
+`to_dict` cost per run, not per user.  The plan builders read the runs too:
+a plan states its stream lengths, referee rows, flip-probability groups,
+threshold and the most each run of users sends per run, and builds its
+per-user and per-row arrays (lengths, offsets, runs of senders, block sizes
+and row groups) only when they are read.  The per-user arrays of the
+population (`ms`, `ells`) are likewise built on first use, by the literal
+path or the audit of a transcript the plan did not lay out.
 
 A trial runs the config's plan (`PopulationConfig.plan`, built on first
 use and kept on the config) through the trial body of
@@ -30,15 +35,17 @@ single core.  The paths also agree jointly across repetitions except for
 hetero_comm, whose seven repetitions all reuse each user's one sample while
 the law path draws them independently; the test suite covers both facts.
 
-The audit reads only a transcript's lengths and counts.  The plan's
-per-user lengths are checked against the budgets once per config; each
-trial checks only that its transcript is laid out by the config's plan, its
-user count and its public bits.
+The audit reads only a transcript's lengths and counts.  The plan's sends
+are checked against the budgets once per config, run by run; each trial
+checks only that its transcript is laid out by the config's plan, its user
+count and its public bits.  So a law trial, its audit and `calibrate`
+build no array of one entry per user or per referee row.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -68,6 +75,7 @@ from .protocols import (
     private_coin_plan,
     private_coin_protocol,
     run_plan,
+    run_starts,
 )
 from .randomness import PublicSeed
 
@@ -236,19 +244,22 @@ class UserRuns:
     count, iteration yields every user, and equality compares the runs.
     The per-user arrays `ms` and `ells` are one `np.repeat` each, built on
     first use and read-only.  Every m, ell and count must be >= 1, and the
-    user count must fit in an int64.
+    user count must fit in an int64, and m, ell and count must be 1-D arrays
+    of one length.
     """
 
     def __init__(self, m, ell, count):
         m, ell, count = (np.asarray(a, dtype=np.int64) for a in (m, ell, count))
+        if m.ndim != 1 or not m.shape == ell.shape == count.shape:
+            raise ParameterError(f"user runs need m, ell and count as 1-D arrays of one length, "
+                                 f"got shapes {m.shape}, {ell.shape} and {count.shape}")
         for values, what in ((m, "user sample count"), (ell, "user bit budget"),
                              (count, "user count")):
             if values.size:
                 _at_least_one(int(values.min()), what)
         # summed over Python ints, which cannot wrap as an int64 sum could
         self.n = _user_total(sum(count.tolist()))
-        # a run starts at the first user and wherever (m, ell) changes
-        start = np.flatnonzero(np.r_[m.size > 0, (m[1:] != m[:-1]) | (ell[1:] != ell[:-1])])
+        start = run_starts(m, ell)
         self.m, self.ell = m[start], ell[start]
         self.count = np.add.reduceat(count, start) if start.size else count[start]
         for runs in (self.m, self.ell, self.count):
@@ -279,6 +290,11 @@ class UserRuns:
         out = np.repeat(values, self.count)
         out.flags.writeable = False
         return out
+
+    @property
+    def mean_ell(self) -> float:
+        """The users' mean bit budget, from the runs' exact integer sum."""
+        return sum(e * c for e, c in zip(self.ell.tolist(), self.count.tolist())) / self.n
 
     def to_dicts(self) -> list[dict]:
         return [{"m": m, "ell": ell, "count": count} for m, ell, count
@@ -314,12 +330,11 @@ class PopulationConfig:
 
     The users are held as `UserRuns`: a sequence of `UserSpec`s given as
     `users` is compressed into runs once, at construction, and validation,
-    `scaled`, `to_dict` and `n_users` read the runs.  Frozen: the runs are
-    read-only, and the per-user arrays (`ms`, `ells`) and the protocol plan
-    are derived on first use and kept (populations run to ~10^6 users, so
-    they must not be rebuilt per trial); no field may be reassigned after
-    construction (`scaled`, `from_dict` and `dataclasses.replace` build new
-    configs).
+    `scaled`, `to_dict`, `digest`, `n_users` and the plan read the runs.
+    Frozen: the runs are read-only, and the per-user arrays (`ms`, `ells`)
+    and the protocol plan are derived on first use and kept, so they are
+    never rebuilt per trial; no field may be reassigned after construction
+    (`scaled`, `from_dict` and `dataclasses.replace` build new configs).
     """
 
     d: int
@@ -361,23 +376,32 @@ class PopulationConfig:
 
     @cached_property
     def plan(self) -> Plan:
-        """The protocol plan, in the dimension padded to a power of two."""
-        d, n, ell = next_pow2(self.d), self.n_users(), int(self.users.ell[0])
+        """The protocol plan, in the dimension padded to a power of two, built
+        from the user runs."""
+        users, d, n = self.users, next_pow2(self.d), self.n_users()
+        ell = int(users.ell[0])
         if self.protocol == "private":
             return private_coin_plan(n, d, min(ell, d), self.epsilon)
         if self.protocol == "limited":
             return limited_coin_plan(n, d, min(ell, d), self.epsilon, self.s)
         if self.protocol == "hetero_samples":
-            return hetero_samples_plan(self.ms(), d, ell, self.epsilon, self.s)
+            return hetero_samples_plan(users.m, d, ell, self.epsilon, self.s, users.count)
         if self.protocol == "hetero_comm":
-            return hetero_comm_plan(self.ells(), d, self.epsilon, self.s)
-        return mix_and_match_plan(self.ms(), self.ells(), d, self.epsilon, self.s, self.partition)
+            return hetero_comm_plan(users.ell, d, self.epsilon, self.s, users.count)
+        return mix_and_match_plan(users.m, users.ell, d, self.epsilon, self.s, self.partition,
+                                  users.count)
 
     @cached_property
     def _plan_overdraws(self) -> tuple[str, ...]:
-        """The budget violations of the plan's per-user lengths: what
-        `budget_audit` reports for every transcript laid out by the plan,
-        checked once."""
+        """The budget violations of the plan's sends: what `budget_audit`
+        reports for every transcript laid out by the plan, checked once.
+        The plan states the most the users of each of the config's runs
+        send (the private and limited plans, laid out at once, state it per
+        user of their one-run configs), so the check costs per run; only a
+        plan past some budget has its per-user lengths read, to name the
+        users."""
+        if np.all(self.plan.bounds[0] <= self.users.ell):
+            return ()
         return _overdrawn_users(self.plan.lengths, self.ells())
 
     def scaled(self, multiplier: int) -> "PopulationConfig":
@@ -423,6 +447,11 @@ class PopulationConfig:
         if self.partition is not None:
             out["partition"] = self.partition
         return out
+
+    def digest(self) -> str:
+        """sha256 of the canonical JSON of `to_dict()`: sorted keys, no spaces."""
+        text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     @classmethod
     def from_json_file(cls, path: str) -> "PopulationConfig":
@@ -489,7 +518,7 @@ class LawSource:
             stacked = BrhtSpec(d=plan.d, L=plan.block, b=plan.d // plan.block,
                                signs=np.stack([spec.signs for spec in specs]))
             mu_rot = brht_apply(stacked, mu_rot, keep=plan.width)
-        p = sign_flip_prob(np.sqrt(plan.groups[0])[:, None] * mu_rot[:, None, :])
+        p = sign_flip_prob(np.sqrt(plan.group_sizes)[:, None] * mu_rot[:, None, :])
         # one draw per repetition, group and column, in that order
         counts = self.rng.binomial(plan.group_rows[:, None], p)
         return counts.sum(axis=1), [lambda r=r: self._stream(plan, r, counts[r], p[r])
@@ -561,12 +590,12 @@ def budget_audit(transcript: Transcript, config: PopulationConfig) -> AuditRepor
     """Exact integer checks: per-user bits within budget, seed within s.
 
     A transcript whose layout is the config's plan (every trial's, since
-    `run_trial` lays its transcripts out by `config.plan`) has the plan's
-    per-user lengths, so they are checked against the budgets once per
-    config (`PopulationConfig._plan_overdraws`) and each trial checks only
-    the user count and the public bits.  Any other transcript, such as one
-    laid out by hand, gets the full per-user check; one whose layout is not
-    a `Plan` never makes the config build its plan.
+    `run_trial` lays its transcripts out by `config.plan`) sends what the
+    plan states, so the plan is checked against the budgets once per config,
+    run by run (`PopulationConfig._plan_overdraws`), and each trial checks
+    only the user count and the public bits.  Any other transcript, such as
+    one laid out by hand, gets the full per-user check; one whose layout is
+    not a `Plan` never makes the config build its plan.
     """
     violations: list[str] = []
     if transcript.n_users != config.n_users():
@@ -755,8 +784,7 @@ def calibrate(config: PopulationConfig, target_error: float, trials: int = 200,
         candidates.append(Candidate(multiplier, n, ran, ran < trials * len(candidate.mean_modes)))
         violations.extend(f"x{multiplier} {v}" for v in batch.audit_violations)
         if batch.estimate.worst_rate <= target_error:
-            constant = (n * config.epsilon ** 2
-                        * math.sqrt(float(candidate.ells().mean())) / config.d)
+            constant = n * config.epsilon ** 2 * math.sqrt(candidate.users.mean_ell) / config.d
             return CalibrationResult(multiplier=multiplier, n_users=n, estimate=batch.estimate,
                                      scaling_constant=constant, candidates=candidates,
                                      audit_violations=violations)

@@ -13,12 +13,13 @@ referee on the assembled binary samples.  Shared structure:
 
 Each protocol is written once, in three parts.  Its *plan* (`*_plan`) holds
 everything that does not depend on the trial: validation, transform block
-length, threshold, and the layout, stated once as each repetition's runs of
-senders (a `Layout`, which derives each user's bit count and the transcript
-offsets from them, once per plan; mix-and-match states the bit counts and
-builds the runs only when read), with the flip-probability groups of the
-referee's rows and whether repetition r reads block r + 1 of each sender's
-samples or the sender's one sample.  A *bit source* returns, for a whole
+length, threshold, and the layout, stated in runs of alike users (a
+`Layout`): each repetition's stream length, the most bits each run's users
+send, and a builder of each repetition's runs of senders, from which the
+per-user bit counts and the transcript offsets are derived only when read;
+with the flip-probability groups of the referee's rows, stated as runs of
+rows, and whether repetition r reads block r + 1 of each sender's samples
+or the sender's one sample.  A *bit source* returns, for a whole
 trial, each repetition's column counts over the referee's full rows and its
 stream of sign bits of the rotated, block-aggregated data of the senders at
 their rotated coordinates: `LiteralSource` quantizes real samples, and the
@@ -40,6 +41,7 @@ arithmetic needs no alignment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -119,47 +121,70 @@ class Layout:
 
     runs[r] = (users, lengths): users[i] sends the next lengths[i] bits of
     repetition r's stream.  A user sends at most one segment per repetition,
-    and its message is its segments in repetition order.  Derived here, once:
-    `lengths` (each of the n_users users' bits, silent users included), the
-    transcript `offsets` (their cumulative sum from 0) and `totals` (each
-    stream's length).  `lengths` and `offsets` are read-only, because every
-    trial's transcript shares them, and layouts compare by identity.  Runs
-    whose per-user lengths do not sum to the streams' total (a run naming
-    one user twice) are rejected.
+    and its message is its segments in repetition order.  A layout holds
+    `totals` (each stream's length) and `bounds`, runs of alike users as
+    (bits, count): count[i] consecutive users send at most bits[i] bits
+    each.  From the runs come `lengths` (each of the n_users users' bits,
+    silent users included) and the transcript `offsets` (their cumulative
+    sum from 0), read-only, because every trial's transcript shares them;
+    layouts compare by identity.
 
-    The runs may instead be given as a zero-argument callable that builds
-    them, with the per-user `lengths` and the stream `totals` they lay out
-    (the idiom of `Transcript`'s deferred streams).  They are then built on
-    the first read of `runs`, and rejected unless they give exactly those
-    lengths and totals; a reader of lengths, offsets and totals alone, such
-    as a law-path trial and its audit, never builds them.
+    Runs given as a list are read at once, and each user is a run of
+    `bounds` at its exact length; runs whose per-user lengths do not sum to
+    the streams' total (a run naming one user twice) are rejected.  The
+    runs may instead be given as a zero-argument callable that builds them
+    (the idiom of `Transcript`'s deferred streams), with the `totals` and
+    either `bounds` or the exact per-user `lengths`.  They are then built on
+    the first read of `runs`, `lengths` or `offsets`, and rejected unless
+    they give those totals and no user sends more than stated.  A reader of
+    totals and bounds alone, such as a law-path trial and its audit, never
+    builds them or any other array of one entry per user.
     """
 
-    def __init__(self, runs, n_users: int, lengths=None, totals=None):
+    def __init__(self, runs, n_users: int, lengths=None, totals=None, bounds=None):
         self.n_users = n_users
+        self._runs = self._lengths = None
         if callable(runs):
-            self._runs, self._build_runs = None, runs
-            self.lengths = np.asarray(lengths, dtype=np.int64)
+            self._build_runs = runs
             self.totals = tuple(int(total) for total in totals)
         else:
             self._runs = runs
-            self.lengths, self.totals = _lengths_and_totals(runs, n_users)
-        self.offsets = np.concatenate([[0], np.cumsum(self.lengths)])
-        if self.offsets[-1] != sum(self.totals):
-            raise ParameterError("per-user lengths do not sum to the streams' total "
-                                 "(a run names one user more than once)")
-        self.lengths.flags.writeable = self.offsets.flags.writeable = False
+            lengths, self.totals = _lengths_and_totals(runs, n_users)
+        if lengths is not None:
+            lengths = np.asarray(lengths, dtype=np.int64)
+            if lengths.sum() != sum(self.totals):
+                raise ParameterError("per-user lengths do not sum to the streams' total "
+                                     "(a run names one user more than once)")
+            lengths.flags.writeable = False
+            self._lengths, bounds = lengths, (lengths, np.ones(n_users, dtype=np.int64))
+        self.bounds = tuple(np.asarray(values, dtype=np.int64) for values in bounds)
 
     @property
     def runs(self) -> list[tuple[np.ndarray, np.ndarray]]:
         if self._runs is None:
             runs = self._build_runs()
             lengths, totals = _lengths_and_totals(runs, self.n_users)
-            if totals != self.totals or not np.array_equal(lengths, self.lengths):
-                raise ParameterError("runs do not give the layout's stated per-user lengths "
+            # stated lengths sum to the totals, so runs within them give them exactly
+            if totals != self.totals or np.any(lengths > np.repeat(*self.bounds)):
+                raise ParameterError("runs do not keep to the layout's stated per-user lengths "
                                      "and stream totals")
             self._runs = runs
+            if self._lengths is None:
+                lengths.flags.writeable = False
+                self._lengths = lengths
         return self._runs
+
+    @property
+    def lengths(self) -> np.ndarray:
+        if self._lengths is None:
+            self.runs       # derives them
+        return self._lengths
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        offsets = np.concatenate([[0], np.cumsum(self.lengths)])
+        offsets.flags.writeable = False
+        return offsets
 
 
 def _lengths_and_totals(runs, n_users: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -176,11 +201,14 @@ class Transcript:
     The bits are held as a `Layout` and the repetition streams it lays out,
     each stream an array or a zero-argument callable that draws it.  The
     offsets, per-user lengths and total are the layout's, shared by every
-    transcript of one plan; they are exact integers, never padded.  On the
-    first read of `data` the streams are resolved in repetition order and
-    the user-major bits (user k's message at data[offsets[k]:offsets[k+1]])
-    are built from them and kept: a user's message is its per-repetition
-    segments, in repetition order.  Counts and lengths never build them.
+    transcript of one plan; they are exact integers, never padded.  The
+    total is the sum of the layout's stream totals, so reading it builds no
+    per-user array; the offsets and lengths are built on their first read
+    (see `Layout`).  On the first read of `data` the streams are resolved
+    in repetition order and the user-major bits (user k's message at
+    data[offsets[k]:offsets[k+1]]) are built from them and kept: a user's
+    message is its per-repetition segments, in repetition order.  Counts
+    and lengths never build them.
     """
 
     def __init__(self, layout: Layout, streams, public_bits_used: int = 0):
@@ -223,7 +251,7 @@ class Transcript:
 
     @property
     def total_bits(self) -> int:
-        return int(self.offsets[-1])
+        return sum(self.layout.totals)
 
     def message(self, k: int) -> np.ndarray:
         return self.data[self.offsets[k]:self.offsets[k + 1]]
@@ -312,46 +340,59 @@ def greedy_partition(ms: np.ndarray, ells: np.ndarray, L: int) -> tuple[np.ndarr
 
     Budgets are clipped at 7L first, which moves no group boundary (a user
     holding 7L bits closes its group either way) and keeps every sum within
-    int64.  The walk then goes run by run over the clipped budgets in group
-    order: in a run of c users of v bits each, the open group closes after
-    ceil((7L - held) / v) users and every later group after ceil(7L / v),
-    so the loop runs once per run, not once per user.
+    int64.  The users in group order are then cut into runs of equal
+    (m, clipped budget) for `_greedy_walk`, the walk a mix-and-match plan
+    makes over its population's runs.
+    """
+    order = np.argsort(-ms, kind="stable")
+    budgets = _clipped_budgets(ells[order], L)
+    start = run_starts(ms[order], budgets)
+    closes = _greedy_walk(budgets[start], np.diff(start, append=order.shape[0]), L)
+    return order, _group_sizes(closes, start, order.shape[0])
+
+
+def run_starts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where each run of equal (a[i], b[i]) neighbours starts."""
+    return np.flatnonzero(np.r_[a.size > 0, (a[1:] != a[:-1]) | (b[1:] != b[:-1])])
+
+
+def _greedy_walk(budgets: np.ndarray, count: np.ndarray, L: int) -> np.ndarray:
+    """The greedy groups over runs of users taken in group order, count[i]
+    users of budgets[i] bits each.
+
+    In a run of c users of v bits, the open group, holding `held` bits,
+    closes at the run's t = ceil((7L - held) / v)-th user and every later
+    group k = ceil(7L / v) users on: q groups in all.  So the loop runs once
+    per run, not once per user.  Returns (i, t, k, q) of each run in which
+    groups close, as the rows of a (4, closing runs) array; the leftover
+    users after the last close join the last group.  Raises
+    InfeasiblePartitionError when the runs hold fewer than 7L bits.
     """
     if L < 1:
         raise ParameterError(f"L must be >= 1, got {L}")
-    need = REPETITIONS * L
-    order = np.argsort(-ms, kind="stable")
-    budgets = _clipped_budgets(ells[order], L)
-    total = int(budgets.sum())
-    if total < need:
+    need, held, closes = REPETITIONS * L, 0, []
+    for i, (v, c) in enumerate(zip(budgets.tolist(), count.tolist())):
+        if held + v * c < need:
+            held += v * c
+            continue
+        t, k = -((held - need) // v), -(-need // v)
+        q = (c - t) // k + 1
+        closes += i, t, k, q
+        held = (c - t) % k * v
+    if not closes:
         raise InfeasiblePartitionError(
-            f"population holds {total} message bits, below the per-group requirement {need}"
-        )
-    # the runs of equal budgets in group order: first user, users, bits
-    start = np.flatnonzero(np.r_[True, budgets[1:] != budgets[:-1]])
-    users = np.diff(start, append=order.shape[0])
-    runs_users, closes, held = users.tolist(), [], 0
-    for i, w in enumerate((budgets[start] * users).tolist()):
-        held += w
-        if held >= need:
-            c = runs_users[i]
-            if c == 1:              # a lone user closes the group (interleaved mixes)
-                closes += i, 1, 1, 1
-                held = 0
-                continue
-            # the open group, holding held - w bits, closes at the run's t-th
-            # user, and each later one k users on: q groups in all
-            held -= w
-            v = w // c
-            t, k = -((held - need) // v), -(-need // v)
-            q = (c - t) // k + 1
-            closes += i, t, k, q
-            held = (c - t) % k * v
-    i, t, k, q = np.array(closes, dtype=np.int64).reshape(-1, 4).T
+            f"population holds {held} message bits, below the per-group requirement {need}")
+    return np.array(closes, dtype=np.int64).reshape(-1, 4).T
+
+
+def _group_sizes(closes: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
+    """Each greedy group's size, from the walk's `closes` over runs whose
+    first users sit at positions `first` of the n users in group order."""
+    i, t, k, q = closes
     j = np.arange(q.sum()) - np.repeat(np.cumsum(q) - q, q)
-    ends = np.repeat(start[i] + t, q) + np.repeat(k, q) * j
-    ends[-1] = order.shape[0]
-    return order, np.diff(ends, prepend=0)
+    ends = np.repeat(first[i] + t, q) + np.repeat(k, q) * j
+    ends[-1] = n
+    return np.diff(ends, prepend=0)
 
 
 def _clipped_budgets(budgets: np.ndarray, L: int) -> np.ndarray:
@@ -407,31 +448,32 @@ class Plan(Layout):
     one referee sample, tested at threshold tau.  Every repetition has the
     same number of full rows, `rows`, stated here once for every reader.
 
-    `blocks` is given by the plans whose users aggregate samples: row j's
-    senders sum blocks of blocks[j] samples, and repetition r reads block
-    r + 1 of each sender's samples.  Without it each user holds one sample,
-    which every repetition reads; `reads_blocks` states which.  Rows whose
-    senders share a block size share their bits' law: `groups` is (the block
-    size of each flip-probability group, the group of each full row), one
-    group of block size 1 when each user holds one sample, and
-    `group_rows` counts the full rows per group, the same in every
-    repetition; both come from the one pass that finds the groups.
+    `blocks` is given by the plans whose users aggregate samples, as runs of
+    rows (sizes, count): the senders of count[i] consecutive rows sum blocks
+    of sizes[i] samples, and repetition r reads block r + 1 of each sender's
+    samples.  Without it each user holds one sample, which every repetition
+    reads; `reads_blocks` states which.  Rows whose senders share a block
+    size share their bits' law: `group_sizes` holds the block size of each
+    flip-probability group (one group of block size 1 when each user holds
+    one sample) and `group_rows` counts each group's full rows, the same in
+    every repetition; both are derived from the runs.  The per-row arrays
+    are built only when read: `blocks`, each row's block size, and `groups`,
+    (group_sizes, the group of each row).
 
-    The plan is the layout of every transcript it produces: the per-user
-    lengths, offsets and stream totals are derived once, by `Layout`, or
-    stated with a builder of the runs (`lengths`, `totals`).  `seed_bits`
-    is what the trial's transforms draw from the public seed (0 without
-    transforms), so a trial's seed needs no more bits.  A repetition whose referee would get fewer than two
-    rows, or more than its int64 sum holds (`check_referee_size`), or a
-    threshold that is not finite and >= 0, is rejected here, before any
-    array of one entry per row is built and before any seed bit is drawn.
+    The plan is the layout of every transcript it produces, stated as
+    `Layout` states it.  `seed_bits` is what the trial's transforms draw
+    from the public seed (0 without transforms), so a trial's seed needs no
+    more bits.  A repetition whose referee would get fewer than two rows, or
+    more than its int64 sum holds (`check_referee_size`), or a threshold
+    that is not finite and >= 0, is rejected here, before any array of one
+    entry per row is built and before any seed bit is drawn.
     """
 
     def __init__(self, runs, n_users: int, *, d: int, block: int | None, width: int,
-                 tau: float, blocks: np.ndarray | None = None, lengths=None, totals=None):
+                 tau: float, blocks=None, lengths=None, totals=None, bounds=None):
         check_threshold(tau)
-        super().__init__(runs, n_users, lengths, totals)
-        self.d, self.block, self.width, self.tau, self.blocks = d, block, width, float(tau), blocks
+        super().__init__(runs, n_users, lengths, totals, bounds)
+        self.d, self.block, self.width, self.tau = d, block, width, float(tau)
         for r, total in enumerate(self.totals):
             if total // width < 2:
                 raise InsufficientPopulationError(
@@ -439,23 +481,34 @@ class Plan(Layout):
                     f"{total // width} full {width}-coordinate samples; "
                     f"the referee needs 2")
             check_referee_size(total // width, width)
-        sizes, row_group, self.group_rows = np.unique(
-            blocks if self.reads_blocks else np.ones(self.totals[0] // width, np.int64),
-            return_inverse=True, return_counts=True)
-        self.rows, self.groups = row_group.shape[0], (sizes, row_group)
+        self.rows = self.totals[0] // width
         if any(total // width != self.rows for total in self.totals):
             raise ParameterError(f"every repetition must fill the plan's {self.rows} rows")
+        self.reads_blocks = blocks is not None
+        sizes, count = ((np.asarray(values, dtype=np.int64) for values in blocks)
+                        if self.reads_blocks else (np.ones(1, np.int64), np.array([self.rows])))
+        if int(count.sum()) != self.rows:
+            raise ParameterError(f"block sizes are given for {int(count.sum())} rows, "
+                                 f"the streams fill {self.rows}")
+        self.group_sizes, group = np.unique(sizes, return_inverse=True)
+        self.group_rows = np.zeros(self.group_sizes.shape[0], dtype=np.int64)
+        np.add.at(self.group_rows, group, count)
+        self._row_runs = sizes, group, count
+
+    @cached_property
+    def blocks(self) -> np.ndarray | None:
+        sizes, _, count = self._row_runs
+        return np.repeat(sizes, count) if self.reads_blocks else None
+
+    @cached_property
+    def groups(self) -> tuple[np.ndarray, np.ndarray]:
+        _, group, count = self._row_runs
+        return self.group_sizes, np.repeat(group, count)
 
     @property
     def seed_bits(self) -> int:
         """The public bits the trial's transforms draw, 0 without transforms."""
         return 0 if self.block is None else _transform_bits(self.d, self.block)
-
-    @property
-    def reads_blocks(self) -> bool:
-        """Whether repetition r reads block r + 1 of each sender's samples,
-        rather than the sender's one sample."""
-        return self.blocks is not None
 
 
 class LiteralSource:
@@ -662,16 +715,17 @@ def hetero_share(ell: int, d: int) -> int:
     return min(pow2_floor(ell // REPETITIONS), d)
 
 
-def hetero_pair_weight(m: np.ndarray, block_floor: bool = True) -> float:
+def hetero_pair_weight(m: np.ndarray, block_floor: bool = True, counts=None) -> float:
     """N = sum over ordered user pairs of sqrt(w_k1 * w_k2), w = floor(m/7)
     (or w = m when block_floor is False, the variant maximized by balanced
-    allocations)."""
+    allocations).  m holds one entry per user or, with `counts`, per run of
+    counts[i] users alike."""
     m = np.asarray(m, dtype=np.int64)
     if np.any(m < 1):
         raise ParameterError("sample counts must be >= 1")
     w = (m // REPETITIONS).astype(np.float64) if block_floor else m.astype(np.float64)
-    roots = np.sqrt(w)
-    return float(roots.sum() ** 2 - w.sum())
+    c = np.ones(m.shape) if counts is None else np.asarray(counts, dtype=np.float64)
+    return float((c * np.sqrt(w)).sum() ** 2 - (c * w).sum())
 
 
 def hetero_threshold(epsilon: float, ell: int, N: float, d: int, n: int) -> float:
@@ -681,28 +735,43 @@ def hetero_threshold(epsilon: float, ell: int, N: float, d: int, n: int) -> floa
     return 0.5 * eps_prime * eps_prime
 
 
-def _pairwise_referee(m: np.ndarray, ell: int, d: int, epsilon: float) -> tuple[float, np.ndarray]:
-    """(threshold, block size floor(m_k/7) of each sender) of the
-    heterogeneous-samples referee over senders holding m_k samples and ell
-    message bits each."""
-    if m.shape[0] < 2:
-        raise DegenerateInputError(f"pairwise referee needs >= 2 senders, got {m.shape[0]}")
+def _pairwise_referee(m: np.ndarray, count: np.ndarray, ell: int, d: int, epsilon: float
+                      ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """(threshold, block sizes as runs) of the heterogeneous-samples referee
+    over runs of senders, count[i] of them holding m[i] samples, each sender
+    with ell message bits: the senders of a run aggregate blocks of
+    floor(m[i]/7) samples."""
+    senders = int(count.sum())
+    if senders < 2:
+        raise DegenerateInputError(f"pairwise referee needs >= 2 senders, got {senders}")
     if np.any(m < REPETITIONS):
         raise DegenerateInputError("every sender needs at least 7 samples")
-    return hetero_threshold(epsilon, ell, hetero_pair_weight(m), d, m.shape[0]), m // REPETITIONS
+    tau = hetero_threshold(epsilon, ell, hetero_pair_weight(m, counts=count), d, senders)
+    return tau, (m // REPETITIONS, count)
 
 
-def hetero_samples_plan(m: np.ndarray, d: int, ell: int, epsilon: float, s: int) -> Plan:
-    """Plan of `hetero_samples_protocol` for sample counts m and s seed bits."""
+def _counts(values: np.ndarray, count) -> np.ndarray:
+    """The users of each entry of a builder's values: count, or one each."""
+    return np.ones(values.shape, np.int64) if count is None else np.asarray(count, np.int64)
+
+
+def hetero_samples_plan(m: np.ndarray, d: int, ell: int, epsilon: float, s: int,
+                        count=None) -> Plan:
+    """Plan of `hetero_samples_protocol` for sample counts m, one per user or,
+    with `count`, one per run of count[i] users, and s seed bits.  Each user
+    fills one row of each repetition, so the rows' block sizes are runs
+    like the users'."""
     _check_common(d, epsilon)
     m = np.asarray(m, dtype=np.int64)
-    n = m.shape[0]
-    tau, blocks = _pairwise_referee(m, ell, d, epsilon)
+    count = _counts(m, count)
+    n = int(count.sum())
+    tau, blocks = _pairwise_referee(m, count, ell, d, epsilon)
     share = hetero_share(ell, d)
     _check_transforms(d, share, s)
-    run = (np.arange(n), np.full(n, share, dtype=np.int64))
-    return Plan(d=d, block=share, width=share, tau=tau, n_users=n, runs=[run] * REPETITIONS,
-                blocks=blocks)
+    return Plan(lambda: [(np.arange(n), np.full(n, share, dtype=np.int64))] * REPETITIONS, n,
+                d=d, block=share, width=share, tau=tau, blocks=blocks,
+                totals=(n * share,) * REPETITIONS,
+                bounds=(np.full(m.shape, REPETITIONS * share), count))
 
 
 def hetero_samples_protocol(samples: list[np.ndarray], m: np.ndarray, d: int, ell: int,
@@ -729,14 +798,18 @@ def hetero_comm_params(d: int, ells: np.ndarray, s: int) -> tuple[int, int, np.n
     return seed_block_length(d, s), L, np.minimum(ells // REPETITIONS, L)
 
 
-def hetero_comm_plan(ells: np.ndarray, d: int, epsilon: float, s: int) -> Plan:
-    """Plan of `hetero_comm_protocol` for budgets ells and s seed bits."""
+def hetero_comm_plan(ells: np.ndarray, d: int, epsilon: float, s: int, count=None) -> Plan:
+    """Plan of `hetero_comm_protocol` for budgets ells, one per user or, with
+    `count`, one per run of count[i] users, and s seed bits."""
     _check_common(d, epsilon)
     d_s, L, shares = hetero_comm_params(d, ells, s)
+    count = _counts(shares, count)
     _check_transforms(d, d_s, s)
     tau = sign_test_threshold(epsilon * retained_scale(L, d))
-    return Plan(d=d, block=d_s, width=L, tau=tau, n_users=shares.shape[0],
-                runs=[(np.arange(shares.shape[0]), shares)] * REPETITIONS)
+    n, total = int(count.sum()), sum(a * b for a, b in zip(shares.tolist(), count.tolist()))
+    return Plan(lambda: [(np.arange(n), np.repeat(shares, count))] * REPETITIONS, n,
+                d=d, block=d_s, width=L, tau=tau, totals=(total,) * REPETITIONS,
+                bounds=(REPETITIONS * shares, count))
 
 
 def hetero_comm_protocol(samples: np.ndarray, d: int, ells: np.ndarray, epsilon: float,
@@ -765,55 +838,84 @@ def mix_and_match_keep_length(d: int, ells: np.ndarray, s: int) -> int:
 
 
 def mix_and_match_plan(ms: np.ndarray, ells: np.ndarray, d: int, epsilon: float, s: int,
-                       partition: list[list[int]] | None = None) -> Plan:
+                       partition: list[list[int]] | None = None, count=None) -> Plan:
     """Plan of `mix_and_match_protocol` for users with sample counts ms and
-    bit budgets ells, and s seed bits; the groups are `partition` when
-    given, else `greedy_partition`'s."""
+    bit budgets ells, one pair per user or, with `count`, per run of
+    count[i] users alike, and s seed bits; the groups are `partition` when
+    given (lists of user indices), else `greedy_partition`'s.
+
+    The greedy groups come from one `_greedy_walk` over the runs: the users
+    in group order are the runs in stable descending-m order, walked as runs
+    of equal (m, clipped budget).  Each group's minimum m is then the m of
+    the run where it closes (for the last group, which takes in the users
+    left after it, the m of the last run), so the threshold and the rows'
+    block sizes are stated per run, and the per-user group order, group
+    sizes and runs of senders are built only when the runs are read.
+    """
     _check_common(d, epsilon)
-    ms = np.asarray(ms, dtype=np.int64)
-    ells = np.asarray(ells, dtype=np.int64)
-    n = ms.shape[0]
+    ms, ells = np.asarray(ms, dtype=np.int64), np.asarray(ells, dtype=np.int64)
+    count = _counts(ms, count)
+    n = int(count.sum())
     L = mix_and_match_keep_length(d, ells, s)
     _check_transforms(d, L, s)
+    need, budgets = REPETITIONS * L, _clipped_budgets(ells, L)
     if partition is None:
-        order, sizes = greedy_partition(ms, ells, L)
+        perm = np.argsort(-ms, kind="stable")
+        start = run_starts(ms[perm], budgets[perm])
+        m, v, c = ms[perm][start], budgets[perm][start], np.add.reduceat(count[perm], start)
+        closes = _greedy_walk(v, c, L)
+        i, _, _, q = closes
+        # rows[j] consecutive groups have minimum m mins[j]
+        mins, rows = np.r_[m[i], m[-1]], np.r_[q[:-1], q[-1] - 1, 1]
+
+        def groups():
+            # run perm[j]'s users, from its first user on, hold the group
+            # positions from `at[j]` on
+            first, at = np.cumsum(count) - count, np.cumsum(count[perm]) - count[perm]
+            order = np.arange(n) + np.repeat(first[perm] - at, count[perm])
+            return order, _group_sizes(closes, np.cumsum(c) - c, n), np.repeat(v, c)
     else:
         sizes = np.array([len(group) for group in partition], dtype=np.int64)
         order = np.array([i for group in partition for i in group], dtype=np.int64)
         if order.shape[0] != n or not np.array_equal(np.sort(order), np.arange(n)):
             raise ParameterError("partition must cover every user exactly once")
-    need, K = REPETITIONS * L, sizes.shape[0]
-    ells_o = _clipped_budgets(ells[order], L)
-    group = np.repeat(np.arange(K), sizes)
-    budget = np.bincount(group, weights=ells_o, minlength=K)
-    if np.any(budget < need):
-        raise InfeasiblePartitionError(
-            f"group budget {int(budget[budget < need][0])} is below the requirement {need}")
-    first = np.cumsum(sizes) - sizes
-    tau, blocks = _pairwise_referee(np.minimum.reduceat(ms[order], first), need, d, epsilon)
+        K, user_budgets = sizes.shape[0], np.repeat(budgets, count)[order]
+        budget = np.bincount(np.repeat(np.arange(K), sizes), weights=user_budgets, minlength=K)
+        if np.any(budget < need):
+            raise InfeasiblePartitionError(
+                f"group budget {int(budget[budget < need][0])} is below the requirement {need}")
+        first = np.cumsum(sizes) - sizes
+        mins, rows = np.minimum.reduceat(np.repeat(ms, count)[order], first), np.ones(K, np.int64)
 
-    # In group order, user k fills positions [start, end) of its group's
-    # 7L-position stream; position p is coordinate p mod L of the user's
-    # repetition-(p div L) vector.  Every group's clipped budget reaches 7L,
-    # so its users fill the stream exactly: each repetition's stream holds L
-    # bits per group.  The runs, one masked pass per repetition, are built
-    # only when read.
-    cum = np.cumsum(ells_o) - ells_o
-    start = np.minimum(cum - cum[first][group], need)
-    end = np.minimum(start + ells_o, need)
-    lengths = np.empty(n, dtype=np.int64)
-    lengths[order] = end - start
+        def groups():
+            return order, sizes, user_budgets
+    tau, blocks = _pairwise_referee(mins[rows > 0], rows[rows > 0], need, d, epsilon)
+    return Plan(lambda: _mix_runs(*groups(), L), n, d=d, block=L, width=L, tau=tau,
+                blocks=blocks, totals=(int(rows.sum()) * L,) * REPETITIONS, bounds=(budgets, count))
 
-    def runs():
-        out = []
-        for r in range(REPETITIONS):
-            sent = np.minimum(end, (r + 1) * L) - np.maximum(start, r * L)
-            meets = sent > 0
-            out.append((order[meets], sent[meets]))
-        return out
 
-    return Plan(runs, n, d=d, block=L, width=L, tau=tau, blocks=blocks, lengths=lengths,
-                totals=(K * L,) * REPETITIONS)
+def _mix_runs(order: np.ndarray, sizes: np.ndarray, budgets: np.ndarray, L: int) -> list:
+    """Each repetition's runs of a mix-and-match layout, given the users in
+    group order, the group sizes and the users' clipped budgets in group
+    order.
+
+    User k fills positions [start, end) of its group's 7L-position stream;
+    position p is coordinate p mod L of the user's repetition-(p div L)
+    vector.  Every group's clipped budget reaches 7L, so its users fill the
+    stream exactly: each repetition's stream holds L bits per group.  One
+    masked pass per repetition finds its senders.
+    """
+    need = REPETITIONS * L
+    group = np.repeat(np.arange(sizes.shape[0]), sizes)
+    cum = np.cumsum(budgets) - budgets
+    start = np.minimum(cum - cum[np.cumsum(sizes) - sizes][group], need)
+    end = np.minimum(start + budgets, need)
+    out = []
+    for r in range(REPETITIONS):
+        sent = np.minimum(end, (r + 1) * L) - np.maximum(start, r * L)
+        meets = sent > 0
+        out.append((order[meets], sent[meets]))
+    return out
 
 
 def mix_and_match_protocol(samples: list[np.ndarray], users: list[UserSpec], d: int,

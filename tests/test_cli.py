@@ -337,3 +337,35 @@ class TestBudgetAndCountLimits:
         assert code == EXIT_INFEASIBLE
         err = capsys.readouterr().err
         assert err.startswith("infeasible: count total") and "64-bit" in err, err
+
+
+class TestProvenance:
+    """The run and calibrate summaries say which package, config, seed,
+    sampling path and numpy made them."""
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--trials", "2", "--seed", "9", "--path", "literal"],
+        ["calibrate", "--trials", "20", "--seed", "9", "--target", "0.45"],
+    ], ids=["run", "calibrate"])
+    def test_summary_carries_provenance(self, config_path, tmp_path, capsys, command):
+        json_path = tmp_path / "summary.json"
+        code = main(command + ["--config", config_path, "--json", str(json_path)])
+        assert code == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert json.loads(json_path.read_text()) == summary
+        config = PopulationConfig.from_json_file(config_path)
+        assert summary["version"] == distmeantest.__version__
+        assert summary["config_sha256"] == config.digest()
+        assert summary["master_seed"] == 9
+        assert summary["sample_path"] == ("literal" if command[0] == "run" else "law")
+        assert summary["numpy_version"] == np.__version__
+
+    def test_digest_survives_a_round_trip_and_follows_the_config(self, config_path):
+        config = PopulationConfig.from_json_file(config_path)
+        digest = config.digest()
+        assert len(digest) == 64 and int(digest, 16) >= 0
+        assert PopulationConfig.from_dict(config.to_dict()).digest() == digest
+        assert PopulationConfig.from_dict(json.loads(json.dumps(config.to_dict()))).digest() \
+            == digest
+        assert config.scaled(1).digest() == digest
+        assert PopulationConfig.from_dict(dict(config.to_dict(), s=28)).digest() != digest
