@@ -10,10 +10,10 @@ same trial loop, stopping each candidate once its failure is certain.
 A population is held as runs of alike users (`UserRuns`: m, ell, count),
 so reading a config, validating it, `scaled` copies for `calibrate` and
 `to_dict` cost per run, not per user.  The plan builders read the runs too:
-a plan states its stream lengths, referee rows, flip-probability groups,
-threshold and the most each run of users sends per run, and builds its
-per-user and per-row arrays (lengths, offsets, runs of senders, block sizes
-and row groups) only when they are read.  The per-user arrays of the
+every protocol's plan states its stream lengths, referee rows,
+flip-probability groups, threshold and the most each run of users sends
+per run, and builds its per-user and per-row arrays (lengths, offsets, runs
+of senders, block sizes and row groups) only when they are read.  The per-user arrays of the
 population (`ms`, `ells`) are likewise built on first use, by the literal
 path or the audit of a transcript the plan did not lay out.
 
@@ -395,11 +395,9 @@ class PopulationConfig:
     def _plan_overdraws(self) -> tuple[str, ...]:
         """The budget violations of the plan's sends: what `budget_audit`
         reports for every transcript laid out by the plan, checked once.
-        The plan states the most the users of each of the config's runs
-        send (the private and limited plans, laid out at once, state it per
-        user of their one-run configs), so the check costs per run; only a
-        plan past some budget has its per-user lengths read, to name the
-        users."""
+        Every plan states the most the users of each of the config's runs
+        send, so the check costs per run; only a plan past some budget has
+        its per-user lengths read, to name the users."""
         if np.all(self.plan.bounds[0] <= self.users.ell):
             return ()
         return _overdrawn_users(self.plan.lengths, self.ells())

@@ -13,10 +13,11 @@ referee on the assembled binary samples.  Shared structure:
 
 Each protocol is written once, in three parts.  Its *plan* (`*_plan`) holds
 everything that does not depend on the trial: validation, transform block
-length, threshold, and the layout, stated in runs of alike users (a
-`Layout`): each repetition's stream length, the most bits each run's users
-send, and a builder of each repetition's runs of senders, from which the
-per-user bit counts and the transcript offsets are derived only when read;
+length, threshold, and the layout, which every plan states in runs of
+alike users (a `Layout`): each repetition's stream length, the most bits
+each run's users send, and a builder of each repetition's runs of senders,
+from which the per-user bit counts and the transcript offsets are derived
+only when read;
 with the flip-probability groups of the referee's rows, stated as runs of
 rows, and whether repetition r reads block r + 1 of each sender's samples
 or the sender's one sample.  A *bit source* returns, for a whole
@@ -121,42 +122,26 @@ class Layout:
 
     runs[r] = (users, lengths): users[i] sends the next lengths[i] bits of
     repetition r's stream.  A user sends at most one segment per repetition,
-    and its message is its segments in repetition order.  A layout holds
+    and its message is its segments in repetition order.  A layout states
     `totals` (each stream's length) and `bounds`, runs of alike users as
     (bits, count): count[i] consecutive users send at most bits[i] bits
-    each.  From the runs come `lengths` (each of the n_users users' bits,
-    silent users included) and the transcript `offsets` (their cumulative
-    sum from 0), read-only, because every trial's transcript shares them;
-    layouts compare by identity.
-
-    Runs given as a list are read at once, and each user is a run of
-    `bounds` at its exact length; runs whose per-user lengths do not sum to
-    the streams' total (a run naming one user twice) are rejected.  The
-    runs may instead be given as a zero-argument callable that builds them
-    (the idiom of `Transcript`'s deferred streams), with the `totals` and
-    either `bounds` or the exact per-user `lengths`.  They are then built on
-    the first read of `runs`, `lengths` or `offsets`, and rejected unless
-    they give those totals and no user sends more than stated.  A reader of
-    totals and bounds alone, such as a law-path trial and its audit, never
-    builds them or any other array of one entry per user.
+    each.  The runs come from `build_runs`, a zero-argument callable (the
+    idiom of `Transcript`'s deferred streams), called on the first read of
+    `runs`, `lengths` or `offsets`.  From the runs come `lengths` (each of
+    the n_users users' bits, silent users included) and the transcript
+    `offsets` (their cumulative sum from 0), read-only, because every
+    trial's transcript shares them; layouts compare by identity.  Runs are
+    rejected unless they give the stated totals, their per-user lengths sum
+    to those totals (a run naming one user twice does not) and no user
+    sends more than its bound.
+    A reader of totals and bounds alone, such as a law-path trial and its
+    audit, never builds the runs or any other array of one entry per user.
     """
 
-    def __init__(self, runs, n_users: int, lengths=None, totals=None, bounds=None):
+    def __init__(self, build_runs, n_users: int, totals, bounds):
         self.n_users = n_users
-        self._runs = self._lengths = None
-        if callable(runs):
-            self._build_runs = runs
-            self.totals = tuple(int(total) for total in totals)
-        else:
-            self._runs = runs
-            lengths, self.totals = _lengths_and_totals(runs, n_users)
-        if lengths is not None:
-            lengths = np.asarray(lengths, dtype=np.int64)
-            if lengths.sum() != sum(self.totals):
-                raise ParameterError("per-user lengths do not sum to the streams' total "
-                                     "(a run names one user more than once)")
-            lengths.flags.writeable = False
-            self._lengths, bounds = lengths, (lengths, np.ones(n_users, dtype=np.int64))
+        self._build_runs, self._runs, self._lengths = build_runs, None, None
+        self.totals = tuple(int(total) for total in totals)
         self.bounds = tuple(np.asarray(values, dtype=np.int64) for values in bounds)
 
     @property
@@ -164,20 +149,17 @@ class Layout:
         if self._runs is None:
             runs = self._build_runs()
             lengths, totals = _lengths_and_totals(runs, self.n_users)
-            # stated lengths sum to the totals, so runs within them give them exactly
-            if totals != self.totals or np.any(lengths > np.repeat(*self.bounds)):
+            if (totals != self.totals or int(lengths.sum()) != sum(totals)
+                    or np.any(lengths > np.repeat(*self.bounds))):
                 raise ParameterError("runs do not keep to the layout's stated per-user lengths "
                                      "and stream totals")
-            self._runs = runs
-            if self._lengths is None:
-                lengths.flags.writeable = False
-                self._lengths = lengths
+            lengths.flags.writeable = False
+            self._runs, self._lengths = runs, lengths
         return self._runs
 
     @property
     def lengths(self) -> np.ndarray:
-        if self._lengths is None:
-            self.runs       # derives them
+        self.runs       # derives them
         return self._lengths
 
     @cached_property
@@ -340,15 +322,25 @@ def greedy_partition(ms: np.ndarray, ells: np.ndarray, L: int) -> tuple[np.ndarr
 
     Budgets are clipped at 7L first, which moves no group boundary (a user
     holding 7L bits closes its group either way) and keeps every sum within
-    int64.  The users in group order are then cut into runs of equal
-    (m, clipped budget) for `_greedy_walk`, the walk a mix-and-match plan
-    makes over its population's runs.
+    int64.  The users are then walked as runs of one user each, by
+    `_walk_runs`, the walk a mix-and-match plan makes over its population's
+    runs.
     """
-    order = np.argsort(-ms, kind="stable")
-    budgets = _clipped_budgets(ells[order], L)
-    start = run_starts(ms[order], budgets)
-    closes = _greedy_walk(budgets[start], np.diff(start, append=order.shape[0]), L)
-    return order, _group_sizes(closes, start, order.shape[0])
+    order, _, _, count, closes = _walk_runs(ms, _clipped_budgets(ells, L),
+                                            np.ones(ms.shape, np.int64), L)
+    return order, _group_sizes(closes, np.cumsum(count) - count, order.shape[0])
+
+
+def _walk_runs(ms: np.ndarray, budgets: np.ndarray, count: np.ndarray, L: int):
+    """The greedy walk over runs of users, count[i] users of ms[i] samples
+    and budgets[i] clipped bits each: the runs are taken in stable
+    descending-m order, `perm`, and their neighbours of equal (m, budget)
+    merged.  Returns (perm, m, budgets, count) of the merged runs, and the
+    walk's `closes` over them."""
+    perm = np.argsort(-ms, kind="stable")
+    start = run_starts(ms[perm], budgets[perm])
+    m, v, c = ms[perm][start], budgets[perm][start], np.add.reduceat(count[perm], start)
+    return perm, m, v, c, _greedy_walk(v, c, L)
 
 
 def run_starts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -461,18 +453,20 @@ class Plan(Layout):
     (group_sizes, the group of each row).
 
     The plan is the layout of every transcript it produces, stated as
-    `Layout` states it.  `seed_bits` is what the trial's transforms draw
-    from the public seed (0 without transforms), so a trial's seed needs no
-    more bits.  A repetition whose referee would get fewer than two rows, or
+    `Layout` states it: every protocol's plan states its totals and bounds
+    per run and passes a builder of its runs of senders, so building a plan
+    builds no array of one entry per user.  `seed_bits` is what the trial's
+    transforms draw from the public seed (0 without transforms), so a
+    trial's seed needs no more bits.  A repetition whose referee would get fewer than two rows, or
     more than its int64 sum holds (`check_referee_size`), or a threshold
     that is not finite and >= 0, is rejected here, before any array of one
     entry per row is built and before any seed bit is drawn.
     """
 
-    def __init__(self, runs, n_users: int, *, d: int, block: int | None, width: int,
-                 tau: float, blocks=None, lengths=None, totals=None, bounds=None):
+    def __init__(self, build_runs, n_users: int, totals, bounds, *, d: int, block: int | None,
+                 width: int, tau: float, blocks=None):
         check_threshold(tau)
-        super().__init__(runs, n_users, lengths, totals, bounds)
+        super().__init__(build_runs, n_users, totals, bounds)
         self.d, self.block, self.width, self.tau = d, block, width, float(tau)
         for r, total in enumerate(self.totals):
             if total // width < 2:
@@ -633,10 +627,22 @@ def sign_test_threshold(epsilon: float) -> float:
 def private_coin_plan(n: int, d: int, ell: int, epsilon: float) -> Plan:
     """Plan of `private_coin_protocol` for n users."""
     _check_common(d, epsilon)
-    ell_eff, group, n_sim = private_coin_layout(n, d, ell)
+    return _cohorts_plan(n, 1, d, ell, d=d, block=None, tau=sign_test_threshold(epsilon))
+
+
+def _cohorts_plan(n: int, cohorts: int, width: int, ell: int, **plan) -> Plan:
+    """The plan of `cohorts` consecutive cohorts of n // cohorts users, each
+    laid out as the private-coin protocol over `width` coordinates with bit
+    budget ell: a cohort's first n_sim * group users send ell_eff bits each,
+    in one run per cohort, and the users past them stay silent."""
+    size = n // cohorts
+    ell_eff, group, n_sim = private_coin_layout(size, width, ell)
     active = n_sim * group
-    return Plan(d=d, block=None, width=d, tau=sign_test_threshold(epsilon), n_users=n,
-                runs=[(np.arange(active), np.full(active, ell_eff, dtype=np.int64))])
+
+    def runs():
+        sent = np.full(active, ell_eff, dtype=np.int64)
+        return [(np.arange(active) + r * size, sent) for r in range(cohorts)]
+    return Plan(runs, n, (active * ell_eff,) * cohorts, ([ell_eff], [n]), width=width, **plan)
 
 
 def private_coin_protocol(samples: np.ndarray, d: int, ell: int,
@@ -679,13 +685,10 @@ def limited_coin_params(d: int, ell: int, s: int) -> tuple[int, int, int, float]
 def limited_coin_plan(n: int, d: int, ell: int, epsilon: float, s: int) -> Plan:
     """Plan of `limited_coin_protocol` for n users and s seed bits."""
     _check_common(d, epsilon)
-    cohort_size = n // REPETITIONS
     d_s, L, ell_eff, scale = limited_coin_params(d, ell, s)
     _check_transforms(d, d_s, s)
-    cohort = private_coin_plan(cohort_size, L, ell_eff, epsilon * scale)
-    users, lengths = cohort.runs[0]
-    runs = [(users + r * cohort_size, lengths) for r in range(REPETITIONS)]
-    return Plan(d=d, block=d_s, width=L, tau=cohort.tau, n_users=n, runs=runs)
+    return _cohorts_plan(n, REPETITIONS, L, ell_eff, d=d, block=d_s,
+                         tau=sign_test_threshold(epsilon * scale))
 
 
 def limited_coin_protocol(samples: np.ndarray, d: int, ell: int, epsilon: float,
@@ -860,10 +863,7 @@ def mix_and_match_plan(ms: np.ndarray, ells: np.ndarray, d: int, epsilon: float,
     _check_transforms(d, L, s)
     need, budgets = REPETITIONS * L, _clipped_budgets(ells, L)
     if partition is None:
-        perm = np.argsort(-ms, kind="stable")
-        start = run_starts(ms[perm], budgets[perm])
-        m, v, c = ms[perm][start], budgets[perm][start], np.add.reduceat(count[perm], start)
-        closes = _greedy_walk(v, c, L)
+        perm, m, v, c, closes = _walk_runs(ms, budgets, count, L)
         i, _, _, q = closes
         # rows[j] consecutive groups have minimum m mins[j]
         mins, rows = np.r_[m[i], m[-1]], np.r_[q[:-1], q[-1] - 1, 1]

@@ -2,10 +2,10 @@
 
 Each one restates, in the slowest and plainest way, something the package
 computes fast or lays out once: the dense Hadamard product, scalar GF(2^k)
-arithmetic, the referee-side wrap-around assembly, and zeroed transcripts of
-given per-user lengths.  No protocol, harness or command path runs them, so
-they live here rather than in `distmeantest`; `test_oracles_stay_out.py`
-keeps them out of the package.
+arithmetic, the referee-side wrap-around assembly, layouts and plans of
+given runs, and zeroed transcripts of given per-user lengths.  No protocol,
+harness or command path runs them, so they live here rather than in
+`distmeantest`; `test_oracles_stay_out.py` keeps them out of the package.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from distmeantest.errors import DimensionError, InsufficientPopulationError, ParameterError
 from distmeantest.hadamard import check_pow2, hadamard_matrix
-from distmeantest.protocols import Layout, Transcript, wraparound_coords
+from distmeantest.protocols import Layout, Plan, Transcript, wraparound_coords
 from distmeantest.randomness import _IRREDUCIBLE, MAX_FIELD_DEGREE
 
 
@@ -78,9 +78,27 @@ def assemble_wraparound(quantized: np.ndarray, lengths: np.ndarray) -> np.ndarra
     return stream[:n_sim * L].reshape(n_sim, L)
 
 
+def layout_of(runs: list, n_users: int, kind=Layout, **fields) -> Layout:
+    """A `kind` layout of the given runs, read at once: its totals are the
+    runs' stream lengths and each user's bound is its exact length over the
+    runs.  `plan_of` passes `Plan` and the plan's fields."""
+    lengths = np.zeros(n_users, dtype=np.int64)
+    for users, sent in runs:
+        np.add.at(lengths, users, sent)
+    layout = kind(lambda: runs, n_users, [int(np.sum(sent)) for _, sent in runs],
+                  (lengths, np.ones(n_users, dtype=np.int64)), **fields)
+    layout.runs
+    return layout
+
+
+def plan_of(runs: list, n_users: int, **fields) -> Plan:
+    """The `Plan` counterpart of `layout_of`."""
+    return layout_of(runs, n_users, Plan, **fields)
+
+
 def transcript_from_lengths(lengths: np.ndarray, public_bits_used: int = 0) -> Transcript:
     """A zeroed transcript with the given per-user bit counts: the one-run
     layout in which every user sends its whole message."""
     lengths = np.asarray(lengths, dtype=np.int64)
-    layout = Layout(runs=[(np.arange(lengths.shape[0]), lengths)], n_users=lengths.shape[0])
+    layout = layout_of([(np.arange(lengths.shape[0]), lengths)], lengths.shape[0])
     return Transcript(layout, [np.zeros(layout.totals[0], dtype=np.uint8)], public_bits_used)

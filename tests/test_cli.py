@@ -254,7 +254,9 @@ class TestInfeasibleInputs:
         assert "distinct" in capsys.readouterr().err
 
     def test_count_beyond_memory(self, tmp_path, capsys):
-        # 10^15 users need an 8 PB list, whose allocation fails at once
+        # 10^15 users fill 10^15 referee rows, past the int64 limit of the
+        # referee's sum: rejected when the plan is built, before any array
+        # of one entry per user or row is allocated
         cfg = {"d": 8, "epsilon": 1.0, "s": 0, "protocol": "private",
                "users": [{"m": 1, "ell": 8, "count": 10 ** 15}]}
         path = tmp_path / "huge.json"
@@ -262,7 +264,16 @@ class TestInfeasibleInputs:
         code = main(["run", "--config", str(path), "--trials", "2"])
         assert code == EXIT_INFEASIBLE
         err = capsys.readouterr().err
-        assert err.startswith("infeasible:") and "memory" in err, err
+        assert err.startswith("infeasible:") and "overflow its int64 sum" in err, err
+
+    def test_memory_error_exits_infeasible(self, config_path, monkeypatch, capsys):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr("distmeantest.cli.run_batch", out_of_memory)
+        code = main(["run", "--config", config_path, "--trials", "2"])
+        assert code == EXIT_INFEASIBLE == 3
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible:") and "does not fit in memory" in err, err
 
     @pytest.mark.parametrize("field", ["m", "ell", "count"])
     def test_integer_beyond_int64(self, tmp_path, capsys, field):

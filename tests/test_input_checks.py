@@ -12,7 +12,6 @@ from distmeantest.cli import EXIT_OK, main
 from distmeantest.errors import DimensionError, ParameterError
 from distmeantest.harness import PopulationConfig, estimate_error
 from distmeantest.protocols import (
-    Layout,
     Transcript,
     UserSpec,
     greedy_partition,
@@ -23,11 +22,11 @@ from distmeantest.protocols import (
     seed_block_length,
 )
 from distmeantest.randomness import PublicSeed
-from oracles import assemble_wraparound
+from oracles import assemble_wraparound, layout_of
 
 
 def test_transcript_rejects_array_stream_of_wrong_length():
-    layout = Layout(runs=[(np.arange(2), np.array([3, 2]))], n_users=2)
+    layout = layout_of([(np.arange(2), np.array([3, 2]))], 2)
     with pytest.raises(ParameterError, match="do not match their runs"):
         Transcript(layout, [np.zeros(4, dtype=np.uint8)])
 

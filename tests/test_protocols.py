@@ -42,7 +42,7 @@ from distmeantest.protocols import (
     limited_coin_params,
     mix_and_match_keep_length,
 )
-from oracles import assemble_wraparound, transcript_from_lengths
+from oracles import assemble_wraparound, layout_of, plan_of, transcript_from_lengths
 
 RNG = np.random.default_rng(20240819)
 
@@ -761,7 +761,12 @@ class TestTranscript:
     def test_layout_naming_a_user_twice_rejected(self):
         # user 1's second segment would be lost from its length and offsets
         with pytest.raises(ParameterError, match="lengths"):
-            Layout(runs=[(np.array([0, 1, 1]), np.full(3, 4, dtype=np.int64))], n_users=2)
+            layout_of([(np.array([0, 1, 1]), np.full(3, 4, dtype=np.int64))], 2)
+        # a builder's run naming user 0 twice would record lengths [3, 0]
+        layout = Layout(lambda: [(np.array([0, 0]), np.array([2, 3]))], 2, totals=(5,),
+                        bounds=([5], [2]))
+        with pytest.raises(ParameterError, match="lengths"):
+            layout.lengths
 
 
 class TestDecision:
@@ -778,8 +783,8 @@ class TestDecision:
 
 def two_row_plan(tau: float = 0.1) -> Plan:
     # four users send 4 bits each: two full 8-coordinate rows
-    return Plan(d=8, block=None, width=8, tau=tau, n_users=4,
-                runs=[(np.arange(4), np.full(4, 4, dtype=np.int64))])
+    return plan_of([(np.arange(4), np.full(4, 4, dtype=np.int64))], 4,
+                   d=8, block=None, width=8, tau=tau)
 
 
 class TestPlan:
@@ -799,9 +804,9 @@ class TestPlan:
     def test_repetitions_filling_different_rows_rejected(self):
         # group_rows is one array because every repetition fills the same rows
         with pytest.raises(ParameterError, match="rows"):
-            Plan(d=8, block=None, width=8, tau=0.1, n_users=6,
-                 runs=[(np.arange(4), np.full(4, 4, dtype=np.int64)),
-                       (np.arange(6), np.full(6, 4, dtype=np.int64))])
+            plan_of([(np.arange(4), np.full(4, 4, dtype=np.int64)),
+                     (np.arange(6), np.full(6, 4, dtype=np.int64))], 6,
+                    d=8, block=None, width=8, tau=0.1)
 
     def test_referee_int64_limit_checked_before_rows_are_built(self):
         # two senders fill 2e8 rows of width 256, past the referee's int64
@@ -809,8 +814,8 @@ class TestPlan:
         tracemalloc.start()
         try:
             with pytest.raises(ParameterError, match="200000000 referee rows of width 256"):
-                Plan(d=256, block=None, width=256, tau=0.1, n_users=2,
-                     runs=[(np.arange(2), np.full(2, 256 * 10**8, dtype=np.int64))])
+                plan_of([(np.arange(2), np.full(2, 256 * 10**8, dtype=np.int64))], 2,
+                        d=256, block=None, width=256, tau=0.1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -828,7 +833,7 @@ class TestDeferredStreams:
                 return np.full(16, r, dtype=np.uint8)
             return draw
 
-        t = Transcript(Layout(plan.runs * 2, 4), [stream(0), stream(1)])
+        t = Transcript(layout_of(plan.runs * 2, 4), [stream(0), stream(1)])
         assert drawn == [] and t.total_bits == 32
         assert t.message(2).tolist() == [0] * 4 + [1] * 4
         t.serialize()
@@ -836,6 +841,6 @@ class TestDeferredStreams:
 
     def test_stream_of_wrong_length_rejected_on_read(self):
         plan = two_row_plan()
-        t = Transcript(Layout(plan.runs, 4), [lambda: np.zeros(15, dtype=np.uint8)])
+        t = Transcript(layout_of(plan.runs, 4), [lambda: np.zeros(15, dtype=np.uint8)])
         with pytest.raises(ParameterError, match="streams"):
             t.data

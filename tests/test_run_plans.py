@@ -21,6 +21,7 @@ from distmeantest import (
 )
 from distmeantest.harness import _overdrawn_users
 from distmeantest.protocols import Layout, _clipped_budgets, mix_and_match_plan
+from test_harness import structural_configs, wider_configs
 from test_protocols import greedy_oracle
 
 BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
@@ -28,6 +29,14 @@ BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
 
 def bench_config(name: str) -> PopulationConfig:
     return PopulationConfig.from_json_file(str(BENCH_CONFIGS / f"{name}.json"))
+
+
+def scale_base(name: str) -> PopulationConfig:
+    """A bench config, or a private one of 1,000 users at d = 8."""
+    if name == "private-d8":
+        return PopulationConfig(d=8, epsilon=1.0, s=0, protocol="private",
+                                users=UserRuns([1], [8], [1000]))
+    return bench_config(name)
 
 
 def random_runs(rng: np.random.Generator, L: int) -> UserRuns:
@@ -171,15 +180,25 @@ class TestRunStatements:
         assert Layout(lambda: runs, 2, totals=(5,), bounds=([3], [2])).offsets.tolist() == [0, 3, 5]
 
 
+@pytest.mark.parametrize("cfg", structural_configs() + list(wider_configs().values()),
+                         ids=[c.protocol for c in structural_configs()] + list(wider_configs()))
+def test_building_a_plan_builds_no_per_user_or_row_array(cfg):
+    # every protocol's plan states its layout and builds its runs on first read
+    plan = cfg.plan
+    assert plan._runs is None and plan._lengths is None
+    assert not {"offsets", "blocks", "groups"} & set(vars(plan))
+
+
 class TestScaleGuard:
     """At about 2e6 users, building a plan and running a law batch with its
     audits builds no array of one entry per user or per referee row: each
     would take 16 MB as int64."""
 
     @pytest.mark.parametrize("name, k", [("hetero_samples", 21), ("hetero_comm", 14),
-                                         ("mix_and_match", 13)])
+                                         ("mix_and_match", 13), ("literal_batch", 140),
+                                         ("wide_rotation", 560), ("private-d8", 2000)])
     def test_law_batch_builds_no_per_user_array(self, name, k):
-        cfg = bench_config(name).scaled(k)
+        cfg = scale_base(name).scaled(k)
         assert 1_900_000 < cfg.n_users() < 2_100_000
         tracemalloc.start()
         try:
