@@ -54,7 +54,8 @@ class BrhtSpec:
     """A sampled transform: dimension d, block length L, b = d/L block signs.
 
     `signs` has shape (b,) for one transform, or (..., b) for a stack of
-    (d, L) transforms, one per row of a batch (see `brht_apply`).
+    (d, L) transforms, such as the (count, b) stack `sample_brht` draws
+    (see `brht_apply` for how a stack meets a batch).
     """
 
     d: int
@@ -64,15 +65,23 @@ class BrhtSpec:
     bits_consumed: int = 0
 
 
-def sample_brht(seed: PublicSeed, d: int, L: int) -> BrhtSpec:
-    """Draw the block signs for a (d, L) transform from the public seed."""
+def sample_brht(seed: PublicSeed, d: int, L: int, count: int | None = None) -> BrhtSpec:
+    """Draw the block signs for a (d, L) transform from the public seed.
+
+    Given `count` >= 1, draw that many transforms in order, each from its
+    own `fourwise_rademacher` call, as one spec whose signs have shape
+    (count, b) and whose `bits_consumed` is their sum.  d and L are checked
+    once, and b against the field cap, before any seed bit is drawn.
+    """
     check_pow2(d, "d")
     check_pow2(L, "L")
     if L > d or d % L != 0:
         raise DimensionError(f"block length {L} must divide dimension {d}")
     b = d // L
-    drawn = fourwise_rademacher(seed, b)
-    return BrhtSpec(d=d, L=L, b=b, signs=drawn.signs, bits_consumed=drawn.bits_consumed)
+    before = seed.consumed
+    rows = [fourwise_rademacher(seed, b).signs for _ in range(1 if count is None else count)]
+    return BrhtSpec(d=d, L=L, b=b, signs=rows[0] if count is None else np.array(rows, np.int8),
+                    bits_consumed=seed.consumed - before)
 
 
 def brht_apply(spec: BrhtSpec, x: np.ndarray, keep: int | None = None) -> np.ndarray:
@@ -80,14 +89,17 @@ def brht_apply(spec: BrhtSpec, x: np.ndarray, keep: int | None = None) -> np.nda
 
     The leading axes of `spec.signs` (shape (..., b)) broadcast against those
     of x: signs of shape (b,) rotate every vector of x by the one transform,
-    and a stack of shape (k, b) rotates row r of a (k, d) batch by transform
-    r, in one pass, with the same values as k single applications.  keep
-    defaults to d.  When keep is a power of two dividing d the first
-    `keep` output coordinates are computed directly by folding: the leading
-    keep-row band of H_d is (1/sqrt(d/keep)) * [H_keep ... H_keep], so summing
-    the sign-flipped chunks and transforming the length-keep fold gives the
-    same values as slicing the full transform, in O(d + keep log keep) per
-    vector instead of O(d log d).
+    a stack of shape (k, b) rotates row r of a (k, d) batch by transform r,
+    and the same stack rotates one (d,) vector by each of its k transforms,
+    in one pass, with the same values as k single applications.  The signs
+    are applied as x is written into a new C-ordered result, so the sums run
+    in one order for any layout of x; a float x keeps its dtype, any other
+    becomes float64.  keep defaults to d.  When keep is a power of two
+    dividing d the first `keep` output coordinates are computed directly by
+    folding: the leading keep-row band of H_d is (1/sqrt(d/keep)) *
+    [H_keep ... H_keep], so summing the sign-flipped chunks and transforming
+    the length-keep fold gives the same values as slicing the full
+    transform, in O(d + keep log keep) per vector instead of O(d log d).
     """
     x = np.asarray(x)
     if x.shape[-1] != spec.d:
@@ -97,12 +109,12 @@ def brht_apply(spec: BrhtSpec, x: np.ndarray, keep: int | None = None) -> np.nda
     if keep < 1 or keep > spec.d:
         raise DimensionError(f"keep must be in 1..{spec.d}, got {keep}")
     dtype = np.result_type(x, np.float64) if x.dtype.kind != "f" else x.dtype
-    flipped = x.astype(dtype, order="C", copy=True)   # sums run in one order for any layout
-    flipped = flipped.reshape(x.shape[:-1] + (spec.b, spec.L))
-    flipped *= spec.signs[..., None]
-    flipped = flipped.reshape(x.shape[:-1] + (spec.d,))
+    flipped = np.multiply(x.reshape(x.shape[:-1] + (spec.b, spec.L)), spec.signs[..., None],
+                          dtype=dtype, order="C")
+    lead = flipped.shape[:-2]
+    flipped = flipped.reshape(lead + (spec.d,))
     if is_pow2(keep) and spec.d % keep == 0 and keep < spec.d:
-        folded = flipped.reshape(x.shape[:-1] + (spec.d // keep, keep)).sum(axis=-2)
+        folded = flipped.reshape(lead + (spec.d // keep, keep)).sum(axis=-2)
         fwht_inplace(folded)
         folded *= 1.0 / np.sqrt(spec.d // keep)
         return folded

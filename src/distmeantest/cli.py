@@ -71,18 +71,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _with_param(config: PopulationConfig, param: str, value: float) -> PopulationConfig:
-    if param != "epsilon" and not value.is_integer():
-        raise ParameterError(f"--param {param} needs integer values, got {value:g}")
+def _swept_value(param: str, text: str) -> int | float:
+    """One --values entry: an exact integer for s and ell, a float for epsilon."""
+    if param == "epsilon":
+        return float(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError(f"--param {param} needs integer values, got {text!r}") from None
+
+
+def _value_text(value: int | float) -> str:
+    """A swept value as the table and the audit lines write it: an integer
+    exactly, a float as `:g` writes it when that reads back as the same
+    float, and as its shortest round-trip form otherwise."""
+    if isinstance(value, int):
+        return str(value)
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
+
+
+def _with_param(config: PopulationConfig, param: str, value: int | float) -> PopulationConfig:
     # an explicit partition is kept; a value that leaves a group short of its
     # requirement is infeasible
     base = config.to_dict()
     if param == "s":
-        base["s"] = int(value)
+        base["s"] = value
     elif param == "epsilon":
         base["epsilon"] = value
     else:
-        base["users"] = [{"m": u["m"], "ell": int(value), "count": u["count"]}
+        base["users"] = [{"m": u["m"], "ell": value, "count": u["count"]}
                          for u in base["users"]]
     return PopulationConfig.from_dict(base)
 
@@ -147,7 +165,7 @@ def _cmd_calibrate(args, config: PopulationConfig) -> int:
 
 
 def _cmd_sweep(args, config: PopulationConfig) -> int:
-    values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+    values = [_swept_value(args.param, v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise MeanTestError("sweep needs at least one value")
     variants = [_with_param(config, args.param, value) for value in values]
@@ -160,9 +178,9 @@ def _cmd_sweep(args, config: PopulationConfig) -> int:
     for value, variant in zip(values, variants):
         batch = run_batch(variant, args.trials, master_seed=args.seed,
                           sample_path=args.path, timing=False)
-        violations.extend(f"{args.param}={value:g} {v}" for v in batch.audit_violations)
+        violations.extend(f"{args.param}={_value_text(value)} {v}" for v in batch.audit_violations)
         est = batch.estimate
-        cells = [args.param, f"{value:g}", str(est.trials), repr(est.type1_rate)]
+        cells = [args.param, _value_text(value), str(est.trials), repr(est.type1_rate)]
         cells += [repr(est.type2_rates[mode]) for mode in alt_modes]
         cells.append(repr(est.ci_halfwidth))
         rows.append(",".join(cells))

@@ -131,14 +131,15 @@ def _check_mode(mode: str) -> None:
 # mean vectors and Gaussian sampling
 
 
-_ERFC = np.frompyfunc(math.erfc, 1, 1)
-
-
 def sign_flip_prob(mu):
     """P(coordinate with mean mu quantizes to 1) = 0.5 * erfc(-mu/sqrt(2)),
-    elementwise over a scalar or an array of means."""
-    return (0.5 * np.asarray(_ERFC(-np.asarray(mu, dtype=np.float64) / math.sqrt(2.0)),
-                             dtype=np.float64))[()]
+    elementwise over a scalar or an array of means: `math.erfc` of each
+    value, read into a float64 array of the input's shape, so a scalar or
+    0-d input gives a scalar."""
+    z = -np.asarray(mu, dtype=np.float64) / math.sqrt(2.0)
+    p = np.fromiter(map(math.erfc, z.ravel().tolist()), np.float64, z.size).reshape(z.shape)
+    p *= 0.5
+    return p[()]
 
 
 @dataclass(frozen=True)
@@ -487,13 +488,14 @@ class LawSource:
     distinct (user, coordinate) pairs.  The rows of one flip-probability group
     are therefore i.i.d., and a column's count over them is one binomial
     draw; all repetitions' counts are one binomial call over a (repetitions,
-    groups, width) array.  The mean is rotated once per trial: the
-    transforms' signs are stacked, one `brht_apply` call rotates a
-    (repetitions, d) batch of the mean, row r by transform r, and one
-    `sign_flip_prob` call gives every flip probability.  Each stream is
-    drawn from the exact conditional law given its counts: in each group
-    and column the ones sit on a uniformly random subset of the group's
-    rows, and a trailing partial row (hetero_comm only) is drawn bit by bit.
+    groups, width) array.  The mean is rotated once per trial: one
+    `brht_apply` call rotates the (d,) mean by the trial's stacked
+    transforms, giving a (repetitions, width) array whose row r is the mean
+    under transform r, and one `sign_flip_prob` call gives every flip
+    probability.  Each stream is drawn from the exact conditional law given
+    its counts: in each group and column the ones sit on a uniformly random
+    subset of the group's rows, and a trailing partial row (hetero_comm
+    only) is drawn bit by bit.
     Repetitions are drawn independently: exact where they use disjoint
     samples, which holds for every protocol but hetero_comm.
 
@@ -508,19 +510,17 @@ class LawSource:
         self.mu = mu
         self.rng = rng
 
-    def draw(self, plan: Plan, specs: list[BrhtSpec | None]):
+    def draw(self, plan: Plan, spec: BrhtSpec | None):
         """Each repetition's column counts over its full rows, and a callable
         per repetition that draws its stream given them."""
-        mu_rot = np.broadcast_to(self.mu, (len(specs), plan.d))
-        if plan.block is not None:
-            stacked = BrhtSpec(d=plan.d, L=plan.block, b=plan.d // plan.block,
-                               signs=np.stack([spec.signs for spec in specs]))
-            mu_rot = brht_apply(stacked, mu_rot, keep=plan.width)
+        reps = len(plan.totals)
+        mu_rot = (np.broadcast_to(self.mu, (reps, plan.d)) if spec is None
+                  else brht_apply(spec, self.mu, keep=plan.width))
         p = sign_flip_prob(np.sqrt(plan.group_sizes)[:, None] * mu_rot[:, None, :])
         # one draw per repetition, group and column, in that order
         counts = self.rng.binomial(plan.group_rows[:, None], p)
         return counts.sum(axis=1), [lambda r=r: self._stream(plan, r, counts[r], p[r])
-                                    for r in range(len(specs))]
+                                    for r in range(reps)]
 
     def _stream(self, plan: Plan, r: int, counts: np.ndarray, p: np.ndarray) -> np.ndarray:
         full = np.empty((plan.rows, plan.width), dtype=np.uint8)

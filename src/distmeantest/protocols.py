@@ -521,9 +521,12 @@ class LiteralSource:
         self.samples = samples
         self.first = np.cumsum(counts) - counts
 
-    def draw(self, plan: Plan, specs: list[BrhtSpec | None]):
-        """Each repetition's column counts over its full rows, and its bits."""
-        streams = [self._bits(plan, r, spec) for r, spec in enumerate(specs)]
+    def draw(self, plan: Plan, spec: BrhtSpec | None):
+        """Each repetition's column counts over its full rows, and its bits;
+        repetition r reads row r of the trial's stacked transforms."""
+        streams = [self._bits(plan, r, None if spec is None else
+                              BrhtSpec(spec.d, spec.L, spec.b, spec.signs[r]))
+                   for r in range(len(plan.totals))]
         return [bits[:plan.rows * plan.width].reshape(-1, plan.width).sum(axis=0, dtype=np.int64)
                 for bits in streams], streams
 
@@ -580,24 +583,24 @@ def run_plan(plan: Plan, seed: PublicSeed, source) -> tuple[Decision, Transcript
     """The trial body every protocol and every bit source share.
 
     The trial's transforms are drawn from the public seed first, in
-    repetition order (a plan without transforms draws none, so its seed may
-    be empty), and the transcript records the seed bits they consumed.  Then
-    one call `source.draw(plan, specs)` returns each repetition's column
-    counts over its full rows under its transform spec, one row per
-    repetition, and each repetition's stream (an array, or a callable the
-    transcript resolves on first read).  The referee reads only the counts,
-    all repetitions' rows in one `collision_statistic_counts` call: a
-    repetition rejects iff its collision statistic exceeds `plan.tau`, and
-    amplified plans accept only if every repetition does.  The plan is the
-    transcript's layout, so every trial of a plan shares its lengths and
-    offsets.
+    repetition order, as one `sample_brht` spec whose signs row r is
+    repetition r's transform (a plan without transforms draws none and
+    passes None, so its seed may be empty), and the transcript records the
+    seed bits they consumed.  Then one call `source.draw(plan, spec)`
+    returns each repetition's column counts over its full rows under its
+    transform, one row per repetition, and each repetition's stream (an
+    array, or a callable the transcript resolves on first read).  The
+    referee reads only the counts, all repetitions' rows in one
+    `collision_statistic_counts` call: a repetition rejects iff its
+    collision statistic exceeds `plan.tau`, and amplified plans accept only
+    if every repetition does.  The plan is the transcript's layout, so
+    every trial of a plan shares its lengths and offsets.
     """
-    before = seed.consumed
-    specs = [None if plan.block is None else sample_brht(seed, plan.d, plan.block)
-             for _ in plan.totals]
-    ones, streams = source.draw(plan, specs)
+    spec = (None if plan.block is None
+            else sample_brht(seed, plan.d, plan.block, len(plan.totals)))
+    ones, streams = source.draw(plan, spec)
     statistics = tuple(collision_statistic_counts(ones, plan.rows))
-    transcript = Transcript(plan, streams, seed.consumed - before)
+    transcript = Transcript(plan, streams, 0 if spec is None else spec.bits_consumed)
     rep_accepts = tuple(t <= plan.tau for t in statistics)
     accepts = rep_accepts if len(rep_accepts) > 1 else None
     verdict = ACCEPT if all(rep_accepts) else REJECT

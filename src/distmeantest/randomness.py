@@ -57,6 +57,9 @@ MAX_FIELD_DEGREE = max(_IRREDUCIBLE)
 # The coefficients of the degree-3 polynomial: b > 1 signs cost this many
 # log2(b)-bit draws from the seed.
 POLY_COEFFICIENTS = 4
+# The sign of a parity bit: 0 -> +1, 1 -> -1.
+_SIGN_OF_BIT = np.array([1, -1], dtype=np.int8)
+_SIGN_OF_BIT.flags.writeable = False
 
 
 @dataclass
@@ -68,7 +71,7 @@ class PublicSeed:
 
     def __post_init__(self):
         self.bits = np.asarray(self.bits, dtype=np.uint8)
-        if self.bits.ndim != 1 or not np.all(self.bits <= 1):
+        if self.bits.ndim != 1 or self.bits.max(initial=0) > 1:
             raise ParameterError("seed bits must be a flat 0/1 array")
 
     @property
@@ -172,6 +175,7 @@ def fourwise_rademacher(seed: PublicSeed, b: int) -> RademacherBlockSigns:
         raise ParameterError(
             f"{b} signs need GF(2^{k}); field degree must be in 1..{MAX_FIELD_DEGREE}")
     raw = seed.draw_bits(POLY_COEFFICIENTS * k)
-    packed = np.bitwise_xor.reduce(_sign_table(k)[raw.astype(bool)], axis=0)
-    signs = np.where(np.unpackbits(packed, count=b), -1, 1).astype(np.int8)
+    # a seed holds only 0/1 bytes, so its bits read as a bool mask in place
+    packed = np.bitwise_xor.reduce(_sign_table(k)[raw.view(bool)], axis=0)
+    signs = _SIGN_OF_BIT[np.unpackbits(packed, count=b)]
     return RademacherBlockSigns(signs=signs, bits_consumed=raw.shape[0])

@@ -62,6 +62,58 @@ class TestSampling:
             sample_brht(fresh_seed(), 4, 8)
 
 
+def seed_of_blocks(values, k):
+    """A seed whose repetition r holds values[r] as its 4k-bit block, MSB first."""
+    n = 4 * k
+    shifts = np.arange(n - 1, -1, -1)
+    return PublicSeed(((np.asarray(values)[:, None] >> shifts) & 1).astype(np.uint8).ravel())
+
+
+class TestStackedSampling:
+    """`sample_brht(seed, d, L, count)` is `count` single draws in one spec."""
+
+    @staticmethod
+    def assert_stack_is_single_draws(bits, d, L, count=7):
+        stacked_seed, single_seed = PublicSeed(bits.copy()), PublicSeed(bits.copy())
+        stacked = sample_brht(stacked_seed, d, L, count)
+        singles = [sample_brht(single_seed, d, L) for _ in range(count)]
+        assert (stacked.d, stacked.L, stacked.b) == (d, L, d // L)
+        assert stacked.signs.shape == (count, d // L) and stacked.signs.dtype == np.int8
+        for row, single in zip(stacked.signs, singles):
+            assert np.array_equal(row, single.signs)
+        assert stacked.bits_consumed == sum(single.bits_consumed for single in singles)
+        assert stacked_seed.consumed == single_seed.consumed == stacked.bits_consumed
+
+    @pytest.mark.parametrize("d,L", [(4, 2), (16, 4), (64, 8)])   # b = 2, 4, 8
+    def test_every_seed_value_in_every_repetition(self, d, L):
+        # block r of seed v holds v * (2r + 1) mod 2^(4k): an odd multiplier is a
+        # bijection, so each repetition reads every value of the seed space
+        k = (d // L).bit_length() - 1
+        space = 1 << (4 * k)
+        for value in range(space):
+            blocks = [value * (2 * r + 1) % space for r in range(7)]
+            self.assert_stack_is_single_draws(seed_of_blocks(blocks, k).bits, d, L)
+
+    def test_random_seeds_at_4096_blocks(self):
+        rng = np.random.default_rng(4096)
+        for _ in range(3):
+            self.assert_stack_is_single_draws(rng.integers(0, 2, 7 * 48, dtype=np.uint8), 4096, 1)
+
+    def test_one_block_draws_no_bit(self):
+        seed = fresh_seed()
+        spec = sample_brht(seed, 8, 8, 7)
+        assert spec.signs.tolist() == [[1]] * 7
+        assert spec.bits_consumed == 0 and seed.consumed == 0
+
+    @pytest.mark.parametrize("d,L,error", [(8, 3, DimensionError), (8, 16, DimensionError),
+                                           (1 << 17, 1, ParameterError)])
+    def test_bad_transform_rejected_before_any_draw(self, d, L, error):
+        seed = fresh_seed(s=1000)
+        with pytest.raises(error):
+            sample_brht(seed, d, L, 7)
+        assert seed.consumed == 0
+
+
 class TestApply:
     def test_zero_maps_to_zero(self):
         spec = sample_brht(fresh_seed(), 16, 4)
@@ -121,6 +173,18 @@ class TestApply:
         mean = np.broadcast_to(x[0], (7, d))    # one vector under seven transforms
         assert np.array_equal(brht_apply(stacked, mean, keep=keep),
                               np.array([brht_apply(spec, x[0], keep=keep) for spec in specs]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+    @pytest.mark.parametrize("d,L,keep", [(32, 4, 8), (32, 4, 32), (64, 2, 5), (4096, 1, 64)])
+    def test_stacked_signs_rotate_one_vector(self, dtype, d, L, keep):
+        # a (d,) vector under (7, b) signs is, bit for bit, the (7, d) broadcast
+        # of it under the same signs, in the same dtype
+        spec = sample_brht(fresh_seed(s=7 * 48, seed=d + keep), d, L, 7)
+        x = (RNG.standard_normal(d) * 100).astype(dtype)
+        out = brht_apply(spec, x, keep=keep)
+        assert out.shape == (7, keep)
+        assert out.dtype == (np.float32 if dtype == np.float32 else np.float64)
+        assert np.array_equal(out, brht_apply(spec, np.broadcast_to(x, (7, d)), keep=keep))
 
     def test_length_mismatch_rejected(self):
         spec = sample_brht(fresh_seed(), 16, 4)

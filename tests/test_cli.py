@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import distmeantest
-from distmeantest import harness
+from distmeantest import cli, harness
 from distmeantest.cli import EXIT_AUDIT, EXIT_INFEASIBLE, EXIT_OK, main
 from distmeantest.harness import AuditReport, BatchResult, ErrorEstimate, PopulationConfig
 
@@ -210,6 +210,52 @@ class TestSweep:
                      "--values", value, "--trials", "3"])
         assert code == EXIT_INFEASIBLE
         capsys.readouterr()
+
+    def test_integer_values_are_read_exactly(self, config_path, monkeypatch, capsys):
+        # 2^53 + 1 is not a float64: read through a float it would run at 2^53
+        swept = []
+        run = cli.run_batch
+        monkeypatch.setattr(cli, "run_batch",
+                            lambda config, *args, **kwargs: swept.append(config.s)
+                            or run(config, *args, **kwargs))
+        code = main(["sweep", "--config", config_path, "--param", "s",
+                     "--values", "9007199254740993", "--trials", "2"])
+        assert code == EXIT_OK
+        assert swept == [9007199254740993]
+        assert capsys.readouterr().out.splitlines()[1].startswith("s,9007199254740993,2,")
+
+    @pytest.mark.parametrize("value", ["28.0", "1e3", "0x10"])
+    def test_integer_values_must_be_written_as_integers(self, config_path, capsys, value):
+        code = main(["sweep", "--config", config_path, "--param", "s",
+                     "--values", value, "--trials", "2"])
+        assert code == EXIT_INFEASIBLE
+        assert "--param s needs integer values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("param,values,cells", [
+        ("s", "28,1234567", ["28", "1234567"]),
+        ("ell", "8,1", ["8", "1"]),
+        ("epsilon", "0.5,1,0.123456789", ["0.5", "1", "0.123456789"]),
+        ("epsilon", "0.1234567", ["0.1234567"]),
+    ])
+    def test_values_are_written_exactly(self, config_path, capsys, param, values, cells):
+        code = main(["sweep", "--config", config_path, "--param", param,
+                     "--values", values, "--trials", "2"])
+        assert code == EXIT_OK
+        written = [line.split(",")[1] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert written == cells
+        parse = float if param == "epsilon" else int
+        assert [parse(cell) for cell in written] == [parse(v) for v in values.split(",")]
+
+    @pytest.mark.parametrize("param,value", [("s", "1234567"), ("epsilon", "0.123456789")])
+    def test_audit_lines_name_the_value_exactly(self, config_path, monkeypatch, capsys,
+                                                param, value):
+        monkeypatch.setattr(harness, "budget_audit", lambda transcript, config: AuditReport(
+            False, ["user 0 sent 9 bits, budget 8"]))
+        code = main(["sweep", "--config", config_path, "--param", param,
+                     "--values", value, "--trials", "2"])
+        assert code == EXIT_AUDIT
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == f"audit: {param}={value} mode=null trial=0: user 0 sent 9 bits, budget 8"
 
 
 class TestInfeasibleInputs:

@@ -140,6 +140,30 @@ class TestSignFlipProb:
         freq = sign_quantize(draws).mean()
         assert abs(freq - sign_flip_prob(mu)) < 0.01
 
+    @staticmethod
+    def reference(x: float) -> float:
+        return 0.5 * math.erfc(-x / math.sqrt(2))
+
+    EDGES = [0.0, -0.0, 38.0, -38.0, 5e-324, -5e-324, 1e-310, 0.3, -1.7, 8.5, -8.5]
+
+    @pytest.mark.parametrize("x", EDGES)
+    def test_scalar_is_math_erfc_bit_for_bit(self, x):
+        for value in (x, np.float64(x), np.array(x)):
+            out = sign_flip_prob(value)
+            assert isinstance(out, np.float64)
+            assert out.tobytes() == np.float64(self.reference(x)).tobytes()
+
+    @pytest.mark.parametrize("shape", [(7, 1, 4), (7, 3, 16), (2, 11)])
+    def test_array_is_math_erfc_bit_for_bit(self, shape):
+        x = RNG.standard_normal(shape) * 6
+        x.flat[:len(self.EDGES)] = self.EDGES
+        out = sign_flip_prob(x)
+        assert out.shape == shape and out.dtype == np.float64
+        expected = np.array([self.reference(v) for v in x.ravel().tolist()]).reshape(shape)
+        assert out.tobytes() == expected.tobytes()
+        # a non-contiguous view reads its own values
+        assert sign_flip_prob(x[..., ::2]).tobytes() == expected[..., ::2].copy().tobytes()
+
 
 class TestGaussianSampling:
     def test_shape_and_replay(self):
