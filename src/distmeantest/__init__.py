@@ -62,7 +62,6 @@ from .harness import (
     make_mean,
     run_batch,
     run_trial,
-    sign_flip_prob,
     write_records_csv,
 )
 from .protocols import (
@@ -82,6 +81,7 @@ from .protocols import (
     mix_and_match_protocol,
     private_coin_layout,
     private_coin_protocol,
+    sign_flip_prob,
     sign_quantize,
     wraparound_coords,
 )

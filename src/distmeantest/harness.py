@@ -9,21 +9,17 @@ same trial loop, stopping each candidate once its failure is certain.
 
 A population is held as runs of alike users (`UserRuns`: m, ell, count),
 so reading a config, validating it, `scaled` copies for `calibrate` and
-`to_dict` cost per run, not per user.  The plan builders read the runs too:
-every protocol's plan states its stream lengths, referee rows,
-flip-probability groups, threshold and the most each run of users sends
-per run, and builds its per-user and per-row arrays (lengths, offsets, runs
-of senders, block sizes and row groups) only when they are read.  The per-user arrays of the
-population (`ms`, `ells`) are likewise built on first use, by the literal
-path or the audit of a transcript the plan did not lay out.
+`to_dict` cost per run, not per user, and so does building the config's
+protocol plan (`PopulationConfig.plan`, built on first use and kept on the
+config), which builds its per-user and per-row arrays only when they are
+read.  The per-user arrays of the population (`ms`, `ells`) are likewise
+built on first use, by the literal path or the audit of a transcript the
+plan did not lay out.
 
-A trial runs the config's plan (`PopulationConfig.plan`, built on first
-use and kept on the config) through the trial body of
-:mod:`distmeantest.protocols`, which states how a plan, a bit source and
-the trial body share the work.  Each trial reads its own (mean, public
-seed, data) streams, derived from (master seed, mode, trial) and built only
-when read.  The harness chooses the bit source, one of two sampling paths
-that give every repetition's bits the same law:
+Each trial reads its own (mean, public seed, data) streams, derived from
+(master seed, mode, trial) and built only when read, and runs the plan
+through the trial body `run_plan` with the bit source its sampling path
+names:
 
 * ``literal``  — `LiteralSource` sign-quantizes every user's real Gaussian
   samples, drawn for the whole trial in one call;
@@ -31,9 +27,9 @@ that give every repetition's bits the same law:
   and the transmitted bits only when the transcript is read.
 
 The law path is the default: it makes six-figure populations tractable on a
-single core.  The paths also agree jointly across repetitions except for
-hetero_comm, whose seven repetitions all reuse each user's one sample while
-the law path draws them independently; the test suite covers both facts.
+single core.  The plan, both sources and the bit law they share live in
+:mod:`distmeantest.protocols`; of a plan the harness reads only its
+dimension, seed bits, send bounds and per-user lengths, and its identity.
 
 The audit reads only a transcript's lengths and counts.  The plan's sends
 are checked against the budgets once per config, run by run; each trial
@@ -56,12 +52,14 @@ from functools import cached_property
 import numpy as np
 
 from .binary_test import ACCEPT, REJECT, bpmt_decide, check_epsilon
-from .brht import BrhtSpec, brht_apply, next_pow2, sample_brht
+from .brht import brht_apply, next_pow2, sample_brht
 from .errors import CalibrationFailedError, ParameterError
-# sample_brht, greedy_partition and the two coin protocols are bound here as
-# well so that bench/run.py can trace them where this module binds them
+# sample_brht, brht_apply, greedy_partition and the two coin protocols are
+# bound here as well so that bench/run.py can trace them where this module
+# binds them
 from .protocols import (
     Decision,
+    LawSource,
     LiteralSource,
     Plan,
     Transcript,
@@ -93,7 +91,6 @@ __all__ = [
     "AuditReport",
     "Candidate",
     "CalibrationResult",
-    "sign_flip_prob",
     "make_mean",
     "gen_gaussian_samples",
     "run_trial",
@@ -129,17 +126,6 @@ def _check_mode(mode: str) -> None:
 
 # ---------------------------------------------------------------------------
 # mean vectors and Gaussian sampling
-
-
-def sign_flip_prob(mu):
-    """P(coordinate with mean mu quantizes to 1) = 0.5 * erfc(-mu/sqrt(2)),
-    elementwise over a scalar or an array of means: `math.erfc` of each
-    value, read into a float64 array of the input's shape, so a scalar or
-    0-d input gives a scalar."""
-    z = -np.asarray(mu, dtype=np.float64) / math.sqrt(2.0)
-    p = np.fromiter(map(math.erfc, z.ravel().tolist()), np.float64, z.size).reshape(z.shape)
-    p *= 0.5
-    return p[()]
 
 
 @dataclass(frozen=True)
@@ -454,8 +440,13 @@ class PopulationConfig:
 
     @classmethod
     def from_json_file(cls, path: str) -> "PopulationConfig":
+        """The config of a JSON file; one nested past the parser's recursion
+        limit is rejected with ParameterError, as any other malformed config."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except RecursionError:
+                raise ParameterError(f"config {path} is nested too deeply to read") from None
 
 
 # ---------------------------------------------------------------------------
@@ -474,61 +465,6 @@ def _trial_stream(master_seed: int, mode: str, trial_index: int, stream: str
     it reads."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
         master_seed, spawn_key=(MEAN_MODES.index(mode), trial_index, _STREAMS.index(stream)))))
-
-
-class LawSource:
-    """Bit source that draws a trial's column counts from their exact law,
-    and each repetition's transmitted bits only when the transcript is read.
-
-    A quantized rotated coordinate is 1 with probability Phi(mu_rot[c]),
-    where mu_rot is the rotated mean, scaled by sqrt(block) after a block of
-    samples is aggregated (block 1 when each user holds one sample):
-    rotations are orthogonal, so rotated samples are Gaussian with identity
-    covariance around mu_rot, and distinct bits of one repetition come from
-    distinct (user, coordinate) pairs.  The rows of one flip-probability group
-    are therefore i.i.d., and a column's count over them is one binomial
-    draw; all repetitions' counts are one binomial call over a (repetitions,
-    groups, width) array.  The mean is rotated once per trial: one
-    `brht_apply` call rotates the (d,) mean by the trial's stacked
-    transforms, giving a (repetitions, width) array whose row r is the mean
-    under transform r, and one `sign_flip_prob` call gives every flip
-    probability.  Each stream is drawn from the exact conditional law given
-    its counts: in each group and column the ones sit on a uniformly random
-    subset of the group's rows, and a trailing partial row (hetero_comm
-    only) is drawn bit by bit.
-    Repetitions are drawn independently: exact where they use disjoint
-    samples, which holds for every protocol but hetero_comm.
-
-    The streams, the bits a law-path transcript's `data`, `message` and
-    `serialize` give, exist only to make the law path checkable against the
-    literal one.  Nothing in this package, its command line or bench/ reads
-    them (the verdict, the records and the audit read counts and lengths),
-    so no feature should be built on them.
-    """
-
-    def __init__(self, mu: np.ndarray, rng: np.random.Generator):
-        self.mu = mu
-        self.rng = rng
-
-    def draw(self, plan: Plan, spec: BrhtSpec | None):
-        """Each repetition's column counts over its full rows, and a callable
-        per repetition that draws its stream given them."""
-        reps = len(plan.totals)
-        mu_rot = (np.broadcast_to(self.mu, (reps, plan.d)) if spec is None
-                  else brht_apply(spec, self.mu, keep=plan.width))
-        p = sign_flip_prob(np.sqrt(plan.group_sizes)[:, None] * mu_rot[:, None, :])
-        # one draw per repetition, group and column, in that order
-        counts = self.rng.binomial(plan.group_rows[:, None], p)
-        return counts.sum(axis=1), [lambda r=r: self._stream(plan, r, counts[r], p[r])
-                                    for r in range(reps)]
-
-    def _stream(self, plan: Plan, r: int, counts: np.ndarray, p: np.ndarray) -> np.ndarray:
-        full = np.empty((plan.rows, plan.width), dtype=np.uint8)
-        for g, n_g in enumerate(plan.group_rows.tolist()):
-            ones_first = np.arange(n_g)[:, None] < counts[g]
-            full[plan.groups[1] == g] = self.rng.permuted(ones_first, axis=0)
-        rest = plan.totals[r] - full.size
-        return np.concatenate([full.reshape(-1), self.rng.random(rest) < p[0, :rest]])
 
 
 def run_trial(config: PopulationConfig, mean: MeanSpec, trial_index: int,

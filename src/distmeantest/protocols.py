@@ -13,24 +13,25 @@ referee on the assembled binary samples.  Shared structure:
 
 Each protocol is written once, in three parts.  Its *plan* (`*_plan`) holds
 everything that does not depend on the trial: validation, transform block
-length, threshold, and the layout, which every plan states in runs of
-alike users (a `Layout`): each repetition's stream length, the most bits
-each run's users send, and a builder of each repetition's runs of senders,
-from which the per-user bit counts and the transcript offsets are derived
-only when read;
-with the flip-probability groups of the referee's rows, stated as runs of
-rows, and whether repetition r reads block r + 1 of each sender's samples
-or the sender's one sample.  A *bit source* returns, for a whole
-trial, each repetition's column counts over the referee's full rows and its
-stream of sign bits of the rotated, block-aggregated data of the senders at
-their rotated coordinates: `LiteralSource` quantizes real samples, and the
-harness supplies a source that draws the counts from their exact law and
-the streams only on demand.  The *trial body* `run_plan` draws all of the
-trial's transforms from the public seed, calls the source once, referees
-the counts and hands the repetition streams with the plan, as their layout,
-to the `Transcript`, which builds the per-user messages only when they are
-first read.  The public `*_protocol` functions are plan + literal source +
-trial body.
+length, threshold, and the layout, which every plan states in runs of alike
+users (a `Layout`): each repetition's stream length, the most bits each
+run's users send, and a builder of each repetition's runs of senders, from
+which the per-user bit counts and the transcript offsets are derived only
+when read.  It also states the flip-probability groups of the referee's
+rows, as runs of rows, and whether repetition r reads block r + 1 of each
+sender's samples or the sender's one sample.  A *bit source* returns, for a
+whole trial, each repetition's column counts over the referee's full rows
+and its stream of sign bits of the rotated, block-aggregated data of the
+senders at their rotated coordinates.  There are two: `LiteralSource`
+quantizes real samples, and `LawSource` draws the counts from their exact
+law and the streams only on demand.  That law is stated once, by
+`flip_probs` from the plan's groups and the trial's transforms, beside
+`sign_flip_prob`, the law of one quantized coordinate.  The *trial body*
+`run_plan` draws all of the trial's transforms from the public seed, calls
+the source once, referees the counts and hands the repetition streams with
+the plan, as their layout, to the `Transcript`, which builds the per-user
+messages only when they are first read.  The public `*_protocol` functions
+are plan + literal source + trial body.
 
 Budget flooring policy: coordinate-block sizes (private/limited `ell`, the
 per-repetition share of the heterogeneous-samples protocol, which doubles as
@@ -41,6 +42,7 @@ arithmetic needs no alignment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -66,6 +68,8 @@ __all__ = [
     "Layout",
     "Transcript",
     "sign_quantize",
+    "sign_flip_prob",
+    "flip_probs",
     "aggregate_block",
     "wraparound_coords",
     "greedy_partition",
@@ -260,6 +264,17 @@ class Transcript:
 def sign_quantize(x: np.ndarray) -> np.ndarray:
     """1 where a coordinate is strictly positive, else 0 (any shape)."""
     return (np.asarray(x) > 0).astype(np.uint8)
+
+
+def sign_flip_prob(mu):
+    """P(coordinate with mean mu quantizes to 1) = 0.5 * erfc(-mu/sqrt(2)),
+    elementwise over a scalar or an array of means: `math.erfc` of each
+    value, read into a float64 array of the input's shape, so a scalar or
+    0-d input gives a scalar."""
+    z = -np.asarray(mu, dtype=np.float64) / math.sqrt(2.0)
+    p = np.fromiter(map(math.erfc, z.ravel().tolist()), np.float64, z.size).reshape(z.shape)
+    p *= 0.5
+    return p[()]
 
 
 def aggregate_block(samples: np.ndarray, t: int, block: int) -> np.ndarray:
@@ -457,10 +472,11 @@ class Plan(Layout):
     per run and passes a builder of its runs of senders, so building a plan
     builds no array of one entry per user.  `seed_bits` is what the trial's
     transforms draw from the public seed (0 without transforms), so a
-    trial's seed needs no more bits.  A repetition whose referee would get fewer than two rows, or
-    more than its int64 sum holds (`check_referee_size`), or a threshold
-    that is not finite and >= 0, is rejected here, before any array of one
-    entry per row is built and before any seed bit is drawn.
+    trial's seed needs no more bits.  A repetition whose referee would get
+    fewer than two rows, or more than its int64 sum holds
+    (`check_referee_size`), or a threshold that is not finite and >= 0, is
+    rejected here, before any array of one entry per row is built and before
+    any seed bit is drawn.
     """
 
     def __init__(self, build_runs, n_users: int, totals, bounds, *, d: int, block: int | None,
@@ -518,8 +534,7 @@ class LiteralSource:
     """
 
     def __init__(self, samples: np.ndarray, counts: np.ndarray):
-        self.samples = samples
-        self.first = np.cumsum(counts) - counts
+        self.samples, self.first = samples, np.cumsum(counts) - counts
 
     def draw(self, plan: Plan, spec: BrhtSpec | None):
         """Each repetition's column counts over its full rows, and its bits;
@@ -577,6 +592,71 @@ def _user_rows(samples: list, m: np.ndarray, d: int, exact: bool) -> LiteralSour
             raise DimensionError(f"user {k} samples must have shape ({m[k]}, {d}), got {x.shape}")
     return LiteralSource(np.concatenate(arrays, dtype=np.float64),
                          np.array([x.shape[0] for x in arrays], dtype=np.int64))
+
+
+def flip_probs(plan: Plan, mu: np.ndarray, spec: BrhtSpec | None) -> np.ndarray:
+    """The law of the bits the referee reads, for the padded (d,) mean mu
+    under the trial's stacked transforms (None for a plan without them):
+    p[r, g, c] is the probability that coordinate c of a row of
+    flip-probability group g is 1 in repetition r, of shape (repetitions,
+    groups, width).
+
+    A quantized rotated coordinate is 1 with probability Phi(mu_rot[c]),
+    where mu_rot is the rotated mean, scaled by sqrt(block) after a block of
+    samples is aggregated (block 1 when each user holds one sample):
+    rotations are orthogonal, so rotated samples are Gaussian with identity
+    covariance around mu_rot, and distinct bits of one repetition come from
+    distinct (user, coordinate) pairs, so the rows of one group are i.i.d.
+    The mean is rotated once: one `brht_apply` call rotates it by the
+    stacked transforms, giving a (repetitions, width) array whose row r is
+    the mean under transform r, and one `sign_flip_prob` call gives every
+    flip probability.
+    """
+    mu_rot = (np.broadcast_to(mu, (len(plan.totals), plan.d)) if spec is None
+              else brht_apply(spec, mu, keep=plan.width))
+    return sign_flip_prob(np.sqrt(plan.group_sizes)[:, None] * mu_rot[:, None, :])
+
+
+class LawSource:
+    """Bit source that draws a trial's column counts from their exact law,
+    `flip_probs`, and each repetition's transmitted bits only when the
+    transcript is read.
+
+    The rows of one flip-probability group are i.i.d., so a column's count
+    over them is one binomial draw; all repetitions' counts are one binomial
+    call over the (repetitions, groups, width) probabilities.  Each stream is
+    drawn from the exact conditional law given its counts: in each group and
+    column the ones sit on a uniformly random subset of the group's rows,
+    and a trailing partial row (hetero_comm only) is drawn bit by bit.
+    Repetitions are drawn independently: exact where they use disjoint
+    samples, which holds for every protocol but hetero_comm.
+
+    The streams, the bits a law-path transcript's `data`, `message` and
+    `serialize` give, exist only to make the law path checkable against the
+    literal one.  Nothing in this package, its command line or bench/ reads
+    them (the verdict, the records and the audit read counts and lengths),
+    so no feature should be built on them.
+    """
+
+    def __init__(self, mu: np.ndarray, rng: np.random.Generator):
+        self.mu, self.rng = mu, rng
+
+    def draw(self, plan: Plan, spec: BrhtSpec | None):
+        """Each repetition's column counts over its full rows, and a callable
+        per repetition that draws its stream given them."""
+        p = flip_probs(plan, self.mu, spec)
+        # one draw per repetition, group and column, in that order
+        counts = self.rng.binomial(plan.group_rows[:, None], p)
+        return counts.sum(axis=1), [lambda r=r: self._stream(plan, r, counts[r], p[r])
+                                    for r in range(len(plan.totals))]
+
+    def _stream(self, plan: Plan, r: int, counts: np.ndarray, p: np.ndarray) -> np.ndarray:
+        full = np.empty((plan.rows, plan.width), dtype=np.uint8)
+        for g, n_g in enumerate(plan.group_rows.tolist()):
+            ones_first = np.arange(n_g)[:, None] < counts[g]
+            full[plan.groups[1] == g] = self.rng.permuted(ones_first, axis=0)
+        rest = plan.totals[r] - full.size
+        return np.concatenate([full.reshape(-1), self.rng.random(rest) < p[0, :rest]])
 
 
 def run_plan(plan: Plan, seed: PublicSeed, source) -> tuple[Decision, Transcript]:

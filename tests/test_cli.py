@@ -271,6 +271,23 @@ class TestInfeasibleInputs:
         assert code == EXIT_INFEASIBLE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", [["run"], ["calibrate", "--target", "0.1"],
+                                         ["sweep", "--param", "s", "--values", "0"]],
+                             ids=["run", "calibrate", "sweep"])
+    def test_deeply_nested_json(self, tmp_path, command):
+        # 2000 nested arrays pass the JSON parser's recursion limit
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 2000 + "]" * 2000)
+        src = str(Path(distmeantest.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.run([sys.executable, "-m", "distmeantest.cli", *command,
+                                "--config", str(path), "--trials", "2"],
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert child.returncode == EXIT_INFEASIBLE
+        assert child.stderr == f"infeasible: config {path} is nested too deeply to read\n"
+        assert "Traceback" not in child.stderr
+
     def test_missing_keys(self, tmp_path, capsys):
         path = tmp_path / "partial.json"
         path.write_text(json.dumps({"d": 8, "protocol": "private"}))

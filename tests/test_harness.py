@@ -14,6 +14,7 @@ import pytest
 
 from distmeantest import (
     MEAN_MODES,
+    BrhtSpec,
     PublicSeed,
     CalibrationFailedError,
     MeanSpec,
@@ -974,6 +975,21 @@ class TestStatisticsMatchOracle:
         p = sign_flip_prob(np.sqrt(group_min_m // 7)[:, None] * self._rotated_mean(mean, d))
         self._check(cfg, mean, path, bpmt_moments_oracle(p, 24))
 
+    @pytest.mark.parametrize("path", ["law", "literal"])
+    def test_hetero_samples_unequal_groups(self, path):
+        # blocks of 1, 2 and 3 samples over 16, 4 and 4 rows: unlike groups of
+        # equal rows, a law that gives one group another group's flip
+        # probabilities moves the mean of T
+        d = 8
+        ms = np.array([7] * 16 + [14] * 4 + [21] * 4)
+        cfg = PopulationConfig(d=d, epsilon=1.0, s=0, protocol="hetero_samples",
+                               users=[UserSpec(int(m), 7 * d) for m in ms],
+                               mean_modes=["null", "spike"])
+        assert cfg.plan.group_rows.tolist() == [16, 4, 4]
+        mean = MeanSpec("spike", cfg.epsilon)
+        p = sign_flip_prob(np.sqrt(ms // 7)[:, None] * self._rotated_mean(mean, d))
+        self._check(cfg, mean, path, bpmt_moments_oracle(p, ms.shape[0]))
+
     @staticmethod
     def _rotated_mean(mean, d):
         """The trial mean under the (d, d) transform, which draws no seed bit."""
@@ -987,6 +1003,48 @@ class TestStatisticsMatchOracle:
             for trial in range(self.TRIALS)])
         tolerance = 4.0 * math.sqrt(oracle.var_bound / stats.shape[0])
         assert abs(stats.mean() - oracle.mean_t) <= tolerance, (stats.mean(), oracle.mean_t)
+
+
+class TestVerdictsMeetThePaperThreshold:
+    def test_private(self):
+        # one repetition at tau = (epsilon/sqrt(8))^2 / 2, computed here from
+        # the paper's formula: the trial accepts iff its T is at most tau.
+        # Some T equal 1/16, the exact tau at epsilon = 1, so tau is rounded
+        # in the order `sign_test_threshold` rounds it
+        cfg = structural_configs()[0]
+        tau = (cfg.epsilon / math.sqrt(8.0)) ** 2 / 2
+        near = 0
+        for mode, trial in itertools.product(cfg.mean_modes, range(300)):
+            mean = MeanSpec(mode, 0.0 if mode == "null" else cfg.epsilon)
+            decision = run_trial(cfg, mean, trial, master_seed=7)[0]
+            assert (decision.verdict == ACCEPT) == all(t <= tau for t in decision.statistics)
+            near += sum(tau < t <= 1.1 * tau for t in decision.statistics)
+        # statistics just past tau, so a threshold 10% too high shows
+        assert near > 0
+
+
+class TestFlipProbs:
+    """`flip_probs`, the law-path bit law, against the law written out
+    coordinate by coordinate: p[r, g, c] is `sign_flip_prob` of
+    sqrt(block of group g) times coordinate c of the mean under transform r."""
+
+    @pytest.mark.parametrize("cfg", structural_configs(),
+                             ids=[c.protocol for c in structural_configs()])
+    def test_matches_the_law_elementwise(self, cfg):
+        plan, rng = cfg.plan, np.random.default_rng(3)
+        mu = np.zeros(plan.d)
+        mu[:cfg.d] = make_mean(MeanSpec("random_direction", cfg.epsilon), cfg.d, rng)
+        spec = None if plan.block is None else sample_brht(
+            PublicSeed.random(plan.seed_bits, rng), plan.d, plan.block, len(plan.totals))
+        expected = np.empty((len(plan.totals), len(plan.group_rows), plan.width))
+        for r in range(expected.shape[0]):
+            rotated = mu if spec is None else brht_apply(
+                BrhtSpec(spec.d, spec.L, spec.b, spec.signs[r]), mu, keep=plan.width)
+            for g, c in itertools.product(range(expected.shape[1]), range(plan.width)):
+                expected[r, g, c] = sign_flip_prob(math.sqrt(plan.group_sizes[g]) * rotated[c])
+        p = protocols.flip_probs(plan, mu, spec)
+        assert p.shape == expected.shape
+        assert p.tobytes() == expected.tobytes()
 
 
 def calibrate_oracle(config, target_error, trials, master_seed, max_multiplier=MAX_MULTIPLIER):
