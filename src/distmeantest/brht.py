@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, check_at_least
 from .hadamard import check_pow2, fwht_inplace, is_pow2
 from .randomness import PublicSeed, fourwise_rademacher
 
@@ -37,15 +37,13 @@ RETENTION_FACTOR = 1.0 / 100.0
 
 def pow2_floor(x: int) -> int:
     """Largest power of two <= x (x >= 1)."""
-    if x < 1:
-        raise ParameterError(f"pow2_floor needs a positive integer, got {x}")
+    check_at_least(x, 1, "pow2_floor input")
     return 1 << (int(x).bit_length() - 1)
 
 
 def next_pow2(x: int) -> int:
     """Smallest power of two >= x (x >= 1)."""
-    if x < 1:
-        raise ParameterError(f"next_pow2 needs a positive integer, got {x}")
+    check_at_least(x, 1, "next_pow2 input")
     return 1 << (int(x - 1).bit_length() if x > 1 else 0)
 
 

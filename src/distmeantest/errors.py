@@ -1,4 +1,6 @@
-"""Exception taxonomy shared by the transform, protocol, and harness layers."""
+"""Exception taxonomy shared by the transform, protocol, and harness layers,
+and `check_at_least`, the one lower-bound check of every count, budget,
+length and seed the package takes."""
 
 
 class MeanTestError(Exception):
@@ -11,6 +13,14 @@ class DimensionError(MeanTestError):
 
 class ParameterError(MeanTestError):
     """A numeric parameter is outside its admissible range."""
+
+
+def check_at_least(value, low: int, what: str) -> None:
+    """The lower bound of every count, budget, length and seed: value >= low.
+    It compares one number, so it costs one comparison on a trial's hot
+    path; a caller holding an array passes its least entry."""
+    if value < low:
+        raise ParameterError(f"{what} must be >= {low}, got {value}")
 
 
 class BudgetExhaustedError(MeanTestError):

@@ -53,7 +53,7 @@ import numpy as np
 
 from .binary_test import ACCEPT, REJECT, bpmt_decide, check_epsilon
 from .brht import brht_apply, next_pow2, sample_brht
-from .errors import CalibrationFailedError, ParameterError
+from .errors import CalibrationFailedError, ParameterError, check_at_least
 # sample_brht, brht_apply, greedy_partition and the two coin protocols are
 # bound here as well so that bench/run.py can trace them where this module
 # binds them
@@ -113,12 +113,6 @@ SAMPLE_PATHS = ("law", "literal")
 MAX_MULTIPLIER = 1 << 14
 
 
-def _at_least_one(value: int, what: str) -> None:
-    """The lower bound of every count the harness takes: value >= 1."""
-    if value < 1:
-        raise ParameterError(f"{what} must be >= 1, got {value}")
-
-
 def _check_mode(mode: str) -> None:
     if mode not in MEAN_MODES:
         raise ParameterError(f"unknown mean mode {mode!r}")
@@ -148,7 +142,7 @@ def make_mean(spec: MeanSpec, d: int, stream: np.random.Generator | None) -> np.
     """Draw the mean vector: zero, a single spike, a flat spread, or a random
     direction, always with Euclidean norm spec.norm (to 1e-12).  Only a
     random direction reads `stream`."""
-    _at_least_one(d, "dimension")
+    check_at_least(d, 1, "dimension")
     if spec.mode == "null":
         return np.zeros(d)
     if spec.mode == "spike":
@@ -171,7 +165,7 @@ def gen_gaussian_samples(mu: np.ndarray, count: int,
     the rows of one (count, d) array; mu is added in place, so the draw needs
     no second array of that size."""
     mu = np.asarray(mu, dtype=np.float64)
-    _at_least_one(count, "sample count")
+    check_at_least(count, 1, "sample count")
     samples = stream.standard_normal((count, mu.shape[0]))
     samples += mu
     return samples
@@ -184,13 +178,15 @@ _JSON_KINDS = {int: "an integer", (int, float): "a number", str: "a string",
                list: "an array", dict: "an object"}
 
 
-# JSON integers are unbounded; every integer field is held as an int64
+# JSON integers are unbounded; every integer field, and a population's user
+# count, is held as an int64
 _INT64 = np.iinfo(np.int64)
 
 
 def _expect(value, kind, what: str):
     """value, if it has the JSON type `kind` (booleans are not numbers) and,
-    if it is an integer, fits in an int64."""
+    if it is an integer, fits in an int64: the one int64 check, which also
+    bounds a population's user count."""
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ParameterError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
     if isinstance(value, int) and not _INT64.min <= value <= _INT64.max:
@@ -230,9 +226,10 @@ class UserRuns:
     runs read as the sequence of the users' `UserSpec`s: `len` is the user
     count, iteration yields every user, and equality compares the runs.
     The per-user arrays `ms` and `ells` are one `np.repeat` each, built on
-    first use and read-only.  Every m, ell and count must be >= 1, and the
-    user count must fit in an int64, and m, ell and count must be 1-D arrays
-    of one length.
+    first use and read-only.  m, ell and count must be 1-D arrays of one
+    length, every m, ell and count must be >= 1 (`check_at_least`, on each
+    array's least entry), and the user count must fit in an int64 (the
+    int64 check of the JSON fields, `_expect`).
     """
 
     def __init__(self, m, ell, count):
@@ -242,10 +239,9 @@ class UserRuns:
                                  f"got shapes {m.shape}, {ell.shape} and {count.shape}")
         for values, what in ((m, "user sample count"), (ell, "user bit budget"),
                              (count, "user count")):
-            if values.size:
-                _at_least_one(int(values.min()), what)
+            check_at_least(int(values.min(initial=1)), 1, what)
         # summed over Python ints, which cannot wrap as an int64 sum could
-        self.n = _user_total(sum(count.tolist()))
+        self.n = _expect(sum(count.tolist()), int, "count total")
         start = run_starts(m, ell)
         self.m, self.ell = m[start], ell[start]
         self.count = np.add.reduceat(count, start) if start.size else count[start]
@@ -262,7 +258,7 @@ class UserRuns:
         """The users repeated k times; the seam between copies merges when
         the last run matches the first, so one run stays one run."""
         if self.m.size == 1:
-            return UserRuns(self.m, self.ell, [_user_total(self.n * k)])
+            return UserRuns(self.m, self.ell, [_expect(self.n * k, int, "count total")])
         return UserRuns(np.tile(self.m, k), np.tile(self.ell, k), np.tile(self.count, k))
 
     @cached_property
@@ -304,13 +300,6 @@ class UserRuns:
         return f"UserRuns({self.to_dicts()})"
 
 
-def _user_total(n: int) -> int:
-    """n, a population's user count, if it fits in an int64."""
-    if n > _INT64.max:
-        raise ParameterError(f"count total {n} does not fit in a 64-bit integer")
-    return n
-
-
 @dataclass(frozen=True)
 class PopulationConfig:
     """An instance of the distributed testing problem plus simulation choices.
@@ -335,10 +324,9 @@ class PopulationConfig:
     def __post_init__(self):
         if not isinstance(self.users, UserRuns):
             object.__setattr__(self, "users", UserRuns.of(self.users))
-        _at_least_one(self.d, "dimension")
+        check_at_least(self.d, 1, "dimension")
         check_epsilon(self.epsilon)
-        if self.s < 0:
-            raise ParameterError(f"public seed budget must be >= 0, got {self.s}")
+        check_at_least(self.s, 0, "public seed budget")
         if self.protocol not in PROTOCOL_NAMES:
             raise ParameterError(f"unknown protocol {self.protocol!r}")
         if not self.users:
@@ -393,7 +381,7 @@ class PopulationConfig:
         """Repeat the user mix `multiplier` times.  An explicit partition is
         repeated with it, copy by copy: copy j's groups name users j * n + i
         for the n users of the config, so `scaled(1)` equals the config."""
-        _at_least_one(multiplier, "multiplier")
+        check_at_least(multiplier, 1, "multiplier")
         n = self.n_users()
         partition = None if self.partition is None else [
             [j * n + i for i in group] for j in range(multiplier) for group in self.partition]
@@ -591,7 +579,7 @@ def run_batch(config: PopulationConfig, trials: int, master_seed: int = 0,
     every transcript, and tally error rates.  `protocol_runner` (config,
     mean, trial) -> (decision, transcript) overrides the real protocol when
     injected."""
-    _at_least_one(trials, "trials")
+    check_at_least(trials, 1, "trials")
     return _trial_loop(config, trials, protocol_runner or _protocol(master_seed, sample_path),
                        timing)
 
@@ -704,8 +692,8 @@ def calibrate(config: PopulationConfig, target_error: float, trials: int = 200,
     """
     if not (0.0 < target_error < 0.5):
         raise ParameterError(f"target error must be in (0, 0.5), got {target_error}")
-    _at_least_one(trials, "trials")
-    _at_least_one(max_multiplier, "max_multiplier")
+    check_at_least(trials, 1, "trials")
+    check_at_least(max_multiplier, 1, "max_multiplier")
     runner = _protocol(master_seed, sample_path)
     candidates: list[Candidate] = []
     violations: list[str] = []

@@ -58,6 +58,7 @@ from .errors import (
     InfeasiblePartitionError,
     InsufficientPopulationError,
     ParameterError,
+    check_at_least,
 )
 from .hadamard import check_pow2
 from .randomness import MAX_FIELD_DEGREE, POLY_COEFFICIENTS, PublicSeed
@@ -100,10 +101,8 @@ class UserSpec:
     ell: int
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ParameterError(f"user sample count must be >= 1, got {self.m}")
-        if self.ell < 1:
-            raise ParameterError(f"user bit budget must be >= 1, got {self.ell}")
+        check_at_least(self.m, 1, "user sample count")
+        check_at_least(self.ell, 1, "user bit budget")
 
 
 @dataclass
@@ -287,8 +286,7 @@ def aggregate_block(samples: np.ndarray, t: int, block: int) -> np.ndarray:
     if samples.ndim < 2:
         raise DimensionError(f"expected (..., m, d) samples, got shape {samples.shape}")
     m = samples.shape[-2]
-    if block < 1:
-        raise ParameterError(f"block size must be >= 1, got {block}")
+    check_at_least(block, 1, "block size")
     if t < 1 or t * block > m:
         raise ParameterError(f"block {t} of size {block} does not fit in {m} samples")
     window = samples[..., (t - 1) * block:t * block, :]
@@ -375,8 +373,7 @@ def _greedy_walk(budgets: np.ndarray, count: np.ndarray, L: int) -> np.ndarray:
     users after the last close join the last group.  Raises
     InfeasiblePartitionError when the runs hold fewer than 7L bits.
     """
-    if L < 1:
-        raise ParameterError(f"L must be >= 1, got {L}")
+    check_at_least(L, 1, "L")
     need, held, closes = REPETITIONS * L, 0, []
     for i, (v, c) in enumerate(zip(budgets.tolist(), count.tolist())):
         if held + v * c < need:
@@ -416,8 +413,7 @@ def _check_common(d: int, epsilon: float) -> None:
 def seed_block_length(d: int, s: int) -> int:
     """d_s = d / 2^min(floor(s/28), log2 d): the finest block length for which
     seven (d, d_s) transforms fit in s seed bits."""
-    if s < 0:
-        raise ParameterError(f"seed budget must be >= 0, got {s}")
+    check_at_least(s, 0, "seed budget")
     return d >> min(s // SEED_BITS_PER_HALVING, int(d).bit_length() - 1)
 
 
@@ -807,8 +803,7 @@ def hetero_pair_weight(m: np.ndarray, block_floor: bool = True, counts=None) -> 
     allocations).  m holds one entry per user or, with `counts`, per run of
     counts[i] users alike."""
     m = np.asarray(m, dtype=np.int64)
-    if np.any(m < 1):
-        raise ParameterError("sample counts must be >= 1")
+    check_at_least(int(m.min(initial=1)), 1, "user sample count")
     w = (m // REPETITIONS).astype(np.float64) if block_floor else m.astype(np.float64)
     c = np.ones(m.shape) if counts is None else np.asarray(counts, dtype=np.float64)
     return float((c * np.sqrt(w)).sum() ** 2 - (c * w).sum())
@@ -878,8 +873,7 @@ def hetero_samples_protocol(samples: list[np.ndarray], m: np.ndarray, d: int, el
 def hetero_comm_params(d: int, ells: np.ndarray, s: int) -> tuple[int, int, np.ndarray]:
     """(block length d_s, kept length L, per-user per-repetition shares)."""
     ells = np.asarray(ells, dtype=np.int64)
-    if np.any(ells < 1):
-        raise ParameterError("bit budgets must be >= 1")
+    check_at_least(int(ells.min(initial=1)), 1, "user bit budget")
     L = mix_and_match_keep_length(d, ells, s)
     return seed_block_length(d, s), L, np.minimum(ells // REPETITIONS, L)
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetExhaustedError, ParameterError
+from .errors import BudgetExhaustedError, ParameterError, check_at_least
 from .hadamard import check_pow2
 
 __all__ = ["PublicSeed", "RademacherBlockSigns", "fourwise_rademacher"]
@@ -84,8 +84,7 @@ class PublicSeed:
 
     @classmethod
     def random(cls, s: int, rng: np.random.Generator) -> "PublicSeed":
-        if s < 0:
-            raise ParameterError(f"seed length must be >= 0, got {s}")
+        check_at_least(s, 0, "seed length")
         return cls(bits=rng.integers(0, 2, size=s, dtype=np.uint8))
 
     @classmethod
@@ -102,8 +101,7 @@ class PublicSeed:
 
     def draw_bits(self, count: int) -> np.ndarray:
         """Consume and return the next `count` bits; overdraw is an error."""
-        if count < 0:
-            raise ParameterError(f"cannot draw {count} bits")
+        check_at_least(count, 0, "bit count")
         if self.consumed + count > self.size:
             raise BudgetExhaustedError(
                 f"requested {count} public bits with only {self.remaining} of {self.size} left"
