@@ -8,9 +8,10 @@ statistic
 
 has mean ||p - u||^2 under a product distribution with mean vector p (u is
 the all-1/2 vector), so the tester rejects "mean is uniform" exactly when
-T > epsilon^2 / 2 (strictly).  The numerator of T is computed in exact
-integer arithmetic: S_i^2 - n/4 = ((2*ones_i - n)^2 - n) / 4 with ones_i the
-integer column sum, so there is a single float division at the end.  That
+T > epsilon^2 / 2 (strictly), the threshold `bpmt_threshold` states.  The
+numerator of T is computed in exact integer arithmetic: S_i^2 - n/4 =
+((2*ones_i - n)^2 - n) / 4 with ones_i the integer column sum, so there is a
+single float division at the end.  That
 numerator is an int64 sum of d squares of at most n^2 each, so the referee
 takes at most d * n^2 <= 2^63 - 1 (`check_referee_size`).
 
@@ -38,6 +39,7 @@ __all__ = [
     "BpmtMoments",
     "collision_statistic",
     "collision_statistic_counts",
+    "bpmt_threshold",
     "bpmt_decide",
     "bpmt_decide_threshold",
     "bpmt_moments_oracle",
@@ -107,10 +109,17 @@ def check_threshold(tau: float) -> None:
         raise ParameterError(f"threshold must be finite and >= 0, got {tau}")
 
 
+def bpmt_threshold(sq_distance: float) -> float:
+    """tau = delta^2 / 2, the threshold of the test at squared distance
+    delta^2: reject iff T > tau.  Halving is exact, so tau is exactly half
+    the squared distance the caller forms."""
+    return sq_distance / 2
+
+
 def bpmt_decide(samples: np.ndarray, epsilon: float) -> str:
     """Reject iff T > epsilon^2 / 2 (strict); ties accept."""
     check_epsilon(epsilon)
-    return bpmt_decide_threshold(samples, 0.5 * epsilon * epsilon)
+    return bpmt_decide_threshold(samples, bpmt_threshold(epsilon * epsilon))
 
 
 def bpmt_decide_threshold(samples: np.ndarray, tau: float) -> str:

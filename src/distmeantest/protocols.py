@@ -48,8 +48,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .binary_test import (ACCEPT, REJECT, check_epsilon, check_referee_size, check_threshold,
-                          collision_statistic_counts)
+from .binary_test import (ACCEPT, REJECT, bpmt_threshold, check_epsilon, check_referee_size,
+                          check_threshold, collision_statistic_counts)
 from .brht import BrhtSpec, RETENTION_FACTOR, brht_apply, pow2_floor, sample_brht
 from .errors import (
     BudgetExhaustedError,
@@ -89,7 +89,9 @@ SEED_BITS_PER_HALVING = POLY_COEFFICIENTS * REPETITIONS
 # b four-wise signs are evaluations over GF(b), so b is capped by the field table.
 MAX_SIGN_BLOCKS = 1 << MAX_FIELD_DEGREE
 # Confidence/threshold constants baked into the protocol family.
-SIGN_QUANTIZE_DISTANCE_FACTOR = 1.0 / np.sqrt(8.0)   # Gaussian -> binary distance loss
+# Gaussian -> binary distance loss; `sign_test_threshold` divides by its
+# square, 8, exactly
+SIGN_QUANTIZE_DISTANCE_FACTOR = 1.0 / np.sqrt(8.0)
 HETERO_DISTANCE_FACTOR = 1.0 / 80.0                  # heterogeneous referee prefactor
 
 
@@ -697,10 +699,11 @@ def private_coin_layout(n: int, d: int, ell: int) -> tuple[int, int, int]:
 
 
 def sign_test_threshold(epsilon: float) -> float:
-    """tau = (epsilon/sqrt(8))^2 / 2: the centralized test's threshold at the
-    distance that sign quantization leaves of a Gaussian distance epsilon."""
-    eps = epsilon * SIGN_QUANTIZE_DISTANCE_FACTOR
-    return 0.5 * eps * eps
+    """tau = (epsilon/sqrt(8))^2 / 2 = epsilon^2 / 16: the centralized test's
+    threshold at the distance that sign quantization leaves of a Gaussian
+    distance epsilon.  The squared distance is formed as epsilon^2 / 8, not by
+    squaring a rounded epsilon/sqrt(8), so tau(1) is exactly 1/16."""
+    return bpmt_threshold(epsilon * epsilon / 8)
 
 
 def private_coin_plan(n: int, d: int, ell: int, epsilon: float) -> Plan:
@@ -813,7 +816,7 @@ def hetero_threshold(epsilon: float, ell: int, N: float, d: int, n: int) -> floa
     """tau = ((epsilon/80) * sqrt(ell*N / (7*d*n*(n-1))))^2 / 2."""
     eps_prime = HETERO_DISTANCE_FACTOR * epsilon * np.sqrt(
         ell * N / (REPETITIONS * d * n * (n - 1.0)))
-    return 0.5 * eps_prime * eps_prime
+    return bpmt_threshold(eps_prime * eps_prime)
 
 
 def _pairwise_referee(m: np.ndarray, count: np.ndarray, ell: int, d: int, epsilon: float

@@ -1007,12 +1007,11 @@ class TestStatisticsMatchOracle:
 
 class TestVerdictsMeetThePaperThreshold:
     def test_private(self):
-        # one repetition at tau = (epsilon/sqrt(8))^2 / 2, computed here from
-        # the paper's formula: the trial accepts iff its T is at most tau.
-        # Some T equal 1/16, the exact tau at epsilon = 1, so tau is rounded
-        # in the order `sign_test_threshold` rounds it
+        # one repetition at tau = (epsilon/sqrt(8))^2 / 2 = epsilon^2 / 16,
+        # computed here from the paper's formula: the trial accepts iff its T
+        # is at most tau.  Some T equal 1/16, the exact tau at epsilon = 1
         cfg = structural_configs()[0]
-        tau = (cfg.epsilon / math.sqrt(8.0)) ** 2 / 2
+        tau = cfg.epsilon ** 2 / 16
         near = 0
         for mode, trial in itertools.product(cfg.mean_modes, range(300)):
             mean = MeanSpec(mode, 0.0 if mode == "null" else cfg.epsilon)
@@ -1021,6 +1020,19 @@ class TestVerdictsMeetThePaperThreshold:
             near += sum(tau < t <= 1.1 * tau for t in decision.statistics)
         # statistics just past tau, so a threshold 10% too high shows
         assert near > 0
+
+    @pytest.mark.parametrize("epsilon", [1.0, 0.5, 0.25])
+    def test_sign_test_threshold_is_exact(self, epsilon):
+        assert protocols.sign_test_threshold(epsilon) == epsilon * epsilon / 16
+
+    @pytest.mark.parametrize("mode, trial", [("spike", 44), ("spike", 119),
+                                             ("random_direction", 285)])
+    def test_statistic_at_tau_accepts(self, mode, trial):
+        # T is exactly 1/16 = tau(1) on these trials; ties accept
+        cfg = structural_configs()[0]
+        decision = run_trial(cfg, MeanSpec(mode, cfg.epsilon), trial, master_seed=7)[0]
+        assert cfg.epsilon == 1.0 and decision.statistics == (1 / 16,)
+        assert decision.verdict == ACCEPT
 
 
 class TestFlipProbs:
