@@ -329,8 +329,7 @@ class PopulationConfig:
         check_at_least(self.s, 0, "public seed budget")
         if self.protocol not in PROTOCOL_NAMES:
             raise ParameterError(f"unknown protocol {self.protocol!r}")
-        if not self.users:
-            raise ParameterError("population must contain at least one user")
+        check_at_least(self.users.n, 1, "population size")
         _check_modes(self.mean_modes)
         if self.partition is not None and self.protocol != "mix_and_match":
             raise ParameterError("explicit partitions only apply to mix_and_match")
@@ -473,6 +472,8 @@ def run_trial(config: PopulationConfig, mean: MeanSpec, trial_index: int,
     """
     if sample_path not in SAMPLE_PATHS:
         raise ParameterError(f"unknown sample path {sample_path!r}")
+    check_at_least(master_seed, 0, "master seed")
+    check_at_least(trial_index, 0, "trial index")
     plan = config.plan
     key = (master_seed, mean.mode, trial_index)
     mu = np.zeros(plan.d)
@@ -740,6 +741,7 @@ def bpmt_spread_alternative(d: int, epsilon: float) -> np.ndarray:
 def bpmt_error_rates(d: int, epsilon: float, n: int, trials: int,
                      master_seed: int = 0) -> dict[str, float]:
     """Monte Carlo error rates of the centralized test at sample size n."""
+    check_at_least(master_seed, 0, "master seed")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
         master_seed, spawn_key=(97, n))))
     alternatives = {"spike": bpmt_spike_alternative(d, epsilon),

@@ -568,22 +568,24 @@ class LiteralSource:
 
 
 def _check_samples(samples: np.ndarray, d: int) -> LiteralSource:
-    """The literal source of users holding one sample each: the rows of an
-    (n, d) array."""
+    """The literal source of n >= 1 users holding one sample each: the rows
+    of an (n, d) array."""
     samples = np.asarray(samples)
     if samples.ndim != 2 or samples.shape[1] != d:
         raise DimensionError(f"expected (n, {d}) samples, got shape {samples.shape}")
+    check_at_least(samples.shape[0], 1, "population size")
     return LiteralSource(samples, np.ones(samples.shape[0], np.int64))
 
 
 def _user_rows(samples: list, m: np.ndarray, d: int, exact: bool) -> LiteralSource:
-    """The literal source of per-user sample arrays, one per entry of m: every
-    user's array is checked, silent users included, and then all are
-    concatenated once as float64 rows.  User k's array must have d columns
-    and m[k] rows, or at least m[k] rows when not `exact`; the source is
-    given the actual row counts."""
+    """The literal source of per-user sample arrays, one per entry of m, of
+    at least one user: every user's array is checked, silent users included,
+    and then all are concatenated once as float64 rows.  User k's array must
+    have d columns and m[k] rows, or at least m[k] rows when not `exact`; the
+    source is given the actual row counts."""
     if len(samples) != len(m):
         raise DimensionError(f"{len(samples)} sample sets for {len(m)} users")
+    check_at_least(len(m), 1, "population size")
     arrays = [np.asarray(x) for x in samples]
     for k, x in enumerate(arrays):
         if x.ndim != 2 or x.shape[1] != d or x.shape[0] < m[k] or (exact and x.shape[0] != m[k]):

@@ -288,6 +288,15 @@ class TestInfeasibleInputs:
         assert child.stderr == f"infeasible: config {path} is nested too deeply to read\n"
         assert "Traceback" not in child.stderr
 
+    @pytest.mark.parametrize("command", [["run"], ["calibrate", "--target", "0.1"],
+                                         ["sweep", "--param", "s", "--values", "0"]],
+                             ids=["run", "calibrate", "sweep"])
+    def test_negative_seed(self, config_path, capsys, command):
+        code = main([*command, "--config", config_path, "--trials", "2", "--seed", "-1"])
+        assert code == EXIT_INFEASIBLE == 3
+        err = capsys.readouterr().err
+        assert err == "infeasible: master seed must be >= 0, got -1\n", err
+
     def test_missing_keys(self, tmp_path, capsys):
         path = tmp_path / "partial.json"
         path.write_text(json.dumps({"d": 8, "protocol": "private"}))

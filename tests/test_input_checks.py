@@ -10,15 +10,26 @@ from distmeantest.binary_test import bpmt_moments_oracle
 from distmeantest.brht import compression_probe, sample_brht
 from distmeantest.cli import EXIT_OK, main
 from distmeantest.errors import DimensionError, ParameterError
-from distmeantest.harness import PopulationConfig, estimate_error
+from distmeantest.harness import (
+    MeanSpec,
+    PopulationConfig,
+    bpmt_error_rates,
+    calibrate,
+    estimate_error,
+    run_batch,
+    run_trial,
+)
 from distmeantest.protocols import (
     Transcript,
     UserSpec,
     greedy_partition,
     hetero_comm_params,
+    hetero_comm_protocol,
     hetero_samples_protocol,
     limited_coin_params,
+    limited_coin_protocol,
     mix_and_match_protocol,
+    private_coin_protocol,
     seed_block_length,
 )
 from distmeantest.randomness import PublicSeed
@@ -98,6 +109,37 @@ def test_scaled_rejects_zero_multiplier():
     cfg = PopulationConfig(d=8, epsilon=1.0, s=0, protocol="private", users=[UserSpec(1, 8)] * 16)
     with pytest.raises(ParameterError):
         cfg.scaled(0)
+
+
+def private_config() -> PopulationConfig:
+    return PopulationConfig(d=8, epsilon=1.0, s=0, protocol="private",
+                            users=[UserSpec(1, 8)] * 16, mean_modes=["null", "spike"])
+
+
+@pytest.mark.parametrize("run, named", [
+    (lambda: run_trial(private_config(), MeanSpec("null", 0.0), 0, master_seed=-1),
+     "master seed must be >= 0, got -1"),
+    (lambda: run_trial(private_config(), MeanSpec("null", 0.0), -1), "trial index must be >= 0"),
+    (lambda: run_batch(private_config(), 2, master_seed=-1), "master seed must be >= 0"),
+    (lambda: calibrate(private_config(), 0.1, trials=2, master_seed=-1),
+     "master seed must be >= 0"),
+    (lambda: bpmt_error_rates(8, 1.0, 16, 2, master_seed=-1), "master seed must be >= 0"),
+], ids=["run_trial", "trial_index", "run_batch", "calibrate", "bpmt_error_rates"])
+def test_negative_seed_is_named(run, named):
+    with pytest.raises(ParameterError, match=named):
+        run()
+
+
+@pytest.mark.parametrize("run", [
+    lambda seed: private_coin_protocol(np.zeros((0, 8)), 8, 8, 1.0),
+    lambda seed: limited_coin_protocol(np.zeros((0, 8)), 8, 4, 1.0, seed),
+    lambda seed: hetero_comm_protocol(np.zeros((0, 8)), 8, np.zeros(0, np.int64), 1.0, seed),
+    lambda seed: hetero_samples_protocol([], np.zeros(0, np.int64), 8, 14, 1.0, seed),
+    lambda seed: mix_and_match_protocol([], [], 8, 1.0, seed),
+], ids=["private", "limited", "hetero_comm", "hetero_samples", "mix_and_match"])
+def test_empty_population_rejected(run):
+    with pytest.raises(ParameterError, match="population size must be >= 1, got 0"):
+        run(PublicSeed(np.zeros(28)))
 
 
 def test_to_dict_round_trip_keeps_partition():

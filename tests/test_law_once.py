@@ -1,7 +1,9 @@
 """The bit law has one statement: under src/distmeantest, `erfc` is read
 only by `sign_flip_prob`, the law of one quantized coordinate, and
 `sign_flip_prob` is called only by `flip_probs`, the law of a trial's bits.
-Any other reader would state the law a second time."""
+Any other reader would state the law a second time.  Likewise every referee
+threshold is tau = delta^2 / 2 of its squared distance, stated by
+`bpmt_threshold`."""
 
 import ast
 from pathlib import Path
@@ -61,3 +63,9 @@ def test_erfc_is_read_only_by_sign_flip_prob():
 def test_sign_flip_prob_is_called_only_by_flip_probs():
     assert sites(lambda node: isinstance(node, ast.Call) and named(node.func) == "sign_flip_prob"
                  ) == {"protocols.py:flip_probs"}
+
+
+def test_every_threshold_is_halved_by_bpmt_threshold():
+    assert sites(lambda node: isinstance(node, ast.Call) and named(node.func) == "bpmt_threshold"
+                 ) == {"binary_test.py:bpmt_decide", "protocols.py:sign_test_threshold",
+                       "protocols.py:hetero_threshold"}
