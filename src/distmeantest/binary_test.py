@@ -11,9 +11,9 @@ the all-1/2 vector), so the tester rejects "mean is uniform" exactly when
 T > epsilon^2 / 2 (strictly), the threshold `bpmt_threshold` states.  The
 numerator of T is computed in exact integer arithmetic: S_i^2 - n/4 =
 ((2*ones_i - n)^2 - n) / 4 with ones_i the integer column sum, so there is a
-single float division at the end.  That
-numerator is an int64 sum of d squares of at most n^2 each, so the referee
-takes at most d * n^2 <= 2^63 - 1 (`check_referee_size`).
+single float division at the end.  That numerator is an int64 sum of d
+squares of at most n^2 each, so the referee takes at most d * n^2 <= 2^63 - 1
+(`check_referee_size`).
 
 `bpmt_moments_oracle` returns the matching closed-form mean together with the
 variance bound

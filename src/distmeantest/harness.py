@@ -31,6 +31,11 @@ single core.  The plan, both sources and the bit law they share live in
 :mod:`distmeantest.protocols`; of a plan the harness reads only its
 dimension, seed bits, send bounds and per-user lengths, and its identity.
 
+Every lower bound the harness checks (a count, the dimension, the seed
+budget, the master seed) raises from `errors.check_at_least`, and every
+integer field and the population's user count must fit in an int64, which
+`_expect` checks.
+
 The audit reads only a transcript's lengths and counts.  The plan's sends
 are checked against the budgets once per config, run by run; each trial
 checks only that its transcript is laid out by the config's plan, its user

@@ -89,9 +89,7 @@ SEED_BITS_PER_HALVING = POLY_COEFFICIENTS * REPETITIONS
 # b four-wise signs are evaluations over GF(b), so b is capped by the field table.
 MAX_SIGN_BLOCKS = 1 << MAX_FIELD_DEGREE
 # Confidence/threshold constants baked into the protocol family.
-# Gaussian -> binary distance loss; `sign_test_threshold` divides by its
-# square, 8, exactly
-SIGN_QUANTIZE_DISTANCE_FACTOR = 1.0 / np.sqrt(8.0)
+SIGN_QUANTIZE_DISTANCE_FACTOR = 1.0 / np.sqrt(8.0)   # Gaussian -> binary distance loss
 HETERO_DISTANCE_FACTOR = 1.0 / 80.0                  # heterogeneous referee prefactor
 
 
