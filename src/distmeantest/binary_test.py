@@ -50,13 +50,18 @@ REJECT = "reject"
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
+def _check_sample_count(n: int) -> None:
+    """T averages over ordered pairs of samples, so it needs n >= 2."""
+    if n < 2:
+        raise DegenerateInputError(f"need at least 2 samples, got {n}")
+
+
 def _check_bits(samples: np.ndarray) -> np.ndarray:
     samples = np.asarray(samples)
     if samples.ndim != 2:
         raise DegenerateInputError(f"expected an (n, d) bit matrix, got shape {samples.shape}")
     n, d = samples.shape
-    if n < 2:
-        raise DegenerateInputError(f"need at least 2 samples, got {n}")
+    _check_sample_count(n)
     if d < 1:
         raise DegenerateInputError("need at least 1 coordinate")
     if samples.dtype.kind not in "iub" or (samples.dtype.kind != "b" and samples.max(initial=0) > 1):
@@ -142,8 +147,7 @@ def bpmt_moments_oracle(p: np.ndarray, n: int) -> BpmtMoments:
     and strictly negative deviations from 1/2.
     """
     p = np.asarray(p, dtype=np.float64)
-    if n < 2:
-        raise DegenerateInputError(f"need n >= 2, got {n}")
+    _check_sample_count(n)
     if p.ndim not in (1, 2):
         raise ParameterError(f"p must be a vector or an (n, d) matrix, got shape {p.shape}")
     if p.ndim == 2 and p.shape[0] != n:

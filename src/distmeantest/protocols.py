@@ -915,8 +915,10 @@ def hetero_comm_protocol(samples: np.ndarray, d: int, ells: np.ndarray, epsilon:
 
 
 def mix_and_match_keep_length(d: int, ells: np.ndarray, s: int) -> int:
-    """L = max(d/2^floor(s/28), max ell), floored to a power of two, capped at d."""
+    """L = max(d/2^floor(s/28), max ell), floored to a power of two, capped at d,
+    for the budgets ells of at least one user."""
     ells = np.asarray(ells, dtype=np.int64)
+    check_at_least(ells.size, 1, "population size")
     return min(d, max(seed_block_length(d, s), pow2_floor(int(min(ells.max(), d)))))
 
 

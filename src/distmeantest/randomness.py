@@ -93,6 +93,7 @@ class PublicSeed:
 
         Used by the exhaustive enumeration tests to sweep a whole seed space.
         """
+        check_at_least(length, 0, "seed length")
         if value < 0 or value >= (1 << length):
             raise ParameterError(f"value {value} does not fit in {length} bits")
         bits = np.array([(value >> (length - 1 - i)) & 1 for i in range(length)],

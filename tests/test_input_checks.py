@@ -24,10 +24,13 @@ from distmeantest.protocols import (
     UserSpec,
     greedy_partition,
     hetero_comm_params,
+    hetero_comm_plan,
     hetero_comm_protocol,
     hetero_samples_protocol,
     limited_coin_params,
     limited_coin_protocol,
+    mix_and_match_keep_length,
+    mix_and_match_plan,
     mix_and_match_protocol,
     private_coin_protocol,
     seed_block_length,
@@ -168,3 +171,20 @@ def test_sweep_over_seed_budget(tmp_path, capsys):
                              master_seed=5)
         assert line.split(",")[3:] == [repr(est.type1_rate), repr(est.type2_rates["spike"]),
                                        repr(est.ci_halfwidth)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: hetero_comm_params(16, np.array([], np.int64), 0),
+    lambda: hetero_comm_plan(np.array([], np.int64), 16, 1.0, 0),
+    lambda: mix_and_match_keep_length(8, [], 0),
+    lambda: mix_and_match_plan([], [], 8, 1.0, 0),
+], ids=["hetero_comm_params", "hetero_comm_plan", "mix_and_match_keep_length",
+        "mix_and_match_plan"])
+def test_plan_builders_reject_an_empty_population(build):
+    with pytest.raises(ParameterError, match="population size must be >= 1, got 0"):
+        build()
+
+
+def test_seed_from_int_rejects_a_negative_length():
+    with pytest.raises(ParameterError, match="seed length must be >= 0, got -1"):
+        PublicSeed.from_int(0, -1)

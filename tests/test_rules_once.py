@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distmeantest.errors import ParameterError
+from distmeantest.binary_test import bpmt_moments_oracle, collision_statistic
+from distmeantest.errors import DegenerateInputError, ParameterError
 from distmeantest.harness import PopulationConfig, UserRuns
 from distmeantest.protocols import (UserSpec, hetero_comm_params, hetero_pair_weight,
                                     seed_block_length)
@@ -107,3 +108,14 @@ def config(**fields) -> PopulationConfig:
 ], ids=["m", "ell", "s", "int64"])
 def test_each_bound_raises_from_one_site(site, builds):
     assert {raised_from(build) for build in builds} == {site}
+
+
+def test_sample_count_rule_is_one_message():
+    # the referee's statistic and its oracle state n >= 2 once
+    messages = set()
+    for build in (lambda: collision_statistic(np.zeros((1, 4), np.uint8)),
+                  lambda: bpmt_moments_oracle(np.full(4, 0.5), 1)):
+        with pytest.raises(DegenerateInputError) as info:
+            build()
+        messages.add(str(info.value))
+    assert messages == {"need at least 2 samples, got 1"}
