@@ -22,7 +22,7 @@ through the trial body `run_plan` with the bit source its sampling path
 names:
 
 * ``literal``  — `LiteralSource` sign-quantizes every user's real Gaussian
-  samples, drawn for the whole trial in one call;
+  samples, drawn in user order a bounded chunk at a time;
 * ``law``      — `LawSource` draws the column counts from their exact law,
   and the transmitted bits only when the transcript is read.
 
@@ -168,7 +168,9 @@ def gen_gaussian_samples(mu: np.ndarray, count: int,
                          stream: np.random.Generator) -> np.ndarray:
     """count i.i.d. draws from the identity-covariance Gaussian around mu, as
     the rows of one (count, d) array; mu is added in place, so the draw needs
-    no second array of that size."""
+    no second array of that size.  Consecutive calls on one stream give the
+    rows one call for their total count gives, so a literal trial draws its
+    samples a chunk at a time."""
     mu = np.asarray(mu, dtype=np.float64)
     check_at_least(count, 1, "sample count")
     samples = stream.standard_normal((count, mu.shape[0]))
@@ -468,12 +470,15 @@ def run_trial(config: PopulationConfig, mean: MeanSpec, trial_index: int,
     each built only when read (the mean stream for random directions, the
     public stream when the plan's transforms draw seed bits), draws the mean
     and the shared seed, and runs the configured protocol's cached plan with
-    the bit source of `sample_path`; the literal path draws every user's
-    samples as consecutive rows of one array, in one call, and gives the
-    source each user's sample count.  Dimensions that are not powers of two
-    are embedded into the next power of two: the mean is zero-padded and
-    samples carry fresh unit-variance noise in the padded coordinates
-    (realized by sampling in the padded dimension).
+    the bit source of `sample_path`.  The literal path gives the source each
+    user's sample count and a reader that draws the next rows of every
+    user's samples, user after user, with `gen_gaussian_samples`: the
+    source draws them a chunk at a time (`protocols.LiteralSource`), and
+    the chunks follow one another in the data stream as one call's rows
+    would, so the trial never holds all of them.  Dimensions that are not
+    powers of two are embedded into the next power of two: the mean is
+    zero-padded and samples carry fresh unit-variance noise in the padded
+    coordinates (realized by sampling in the padded dimension).
     """
     if sample_path not in SAMPLE_PATHS:
         raise ParameterError(f"unknown sample path {sample_path!r}")
@@ -493,8 +498,8 @@ def run_trial(config: PopulationConfig, mean: MeanSpec, trial_index: int,
     if sample_path == "law":
         source = LawSource(mu, data_rng)
     else:
-        ms = config.ms()
-        source = LiteralSource(gen_gaussian_samples(mu, int(ms.sum()), data_rng), ms)
+        source = LiteralSource(lambda count: gen_gaussian_samples(mu, count, data_rng),
+                               config.ms())
     return run_plan(plan, seed, source)
 
 

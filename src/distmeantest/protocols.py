@@ -23,8 +23,8 @@ sender's samples or the sender's one sample.  A *bit source* returns, for a
 whole trial, each repetition's column counts over the referee's full rows
 and its stream of sign bits of the rotated, block-aggregated data of the
 senders at their rotated coordinates.  There are two: `LiteralSource`
-quantizes real samples, and `LawSource` draws the counts from their exact
-law and the streams only on demand.  That law is stated once, by
+quantizes real samples, read a bounded chunk at a time, and `LawSource`
+draws the counts from their exact law and the streams only on demand.  That law is stated once, by
 `flip_probs` from the plan's groups and the trial's transforms, beside
 `sign_flip_prob`, the law of one quantized coordinate.  The *trial body*
 `run_plan` draws all of the trial's transforms from the public seed, calls
@@ -517,52 +517,158 @@ class Plan(Layout):
         return 0 if self.block is None else _transform_bits(self.d, self.block)
 
 
-class LiteralSource:
-    """Bit source that sign-quantizes real samples.
+# A literal trial holds this many bytes of float64 sample rows at a time,
+# and sums and rotates at most an eighth of that at once, whatever the
+# population.  So its other temporaries stay small beside the chunk: freed,
+# they leave less than two chunks free at the top of the heap, which glibc
+# keeps, so every chunk reuses the same pages instead of faulting fresh ones.
+CHUNK_BYTES = 1 << 22
 
-    `samples` is one (rows, d) array holding every user's samples as
-    consecutive rows, user after user, and user k holds counts[k] of them;
-    the row where each user's samples start, first[k], is derived here.  In
-    repetition r a sender reads row first[k] when each user holds one sample,
-    and the `block` rows from first[k] + r * block when the plan reads blocks;
-    their scaled sum is written into a gathered float row, so such samples
-    must be float64.  The trial's repetitions are quantized one after another.
+
+class LiteralSource:
+    """Bit source that sign-quantizes real samples, read in row order.
+
+    The samples are every user's rows, user after user: user k holds
+    counts[k] of them, from row first[k] on.  `next_rows(count)` returns the
+    next `count` rows as a (count, d) array: copied from slices of the
+    caller's arrays for the protocol functions, fresh Gaussian draws for
+    `run_trial`.  In repetition r a sender reads row first[k] when each
+    user holds one sample, and the `block` rows from first[k] + r * block
+    when the plan reads blocks, whose scaled sum it sends (the sum
+    `aggregate_block` forms).
+
+    The rows are read CHUNK_BYTES at a time, up to the last row that any
+    repetition reads, and the reads that a chunk completes are rotated and
+    quantized into their streams before the next chunk is read (`_Reads`).
+    So a trial holds one chunk of samples, never all of them.
     """
 
-    def __init__(self, samples: np.ndarray, counts: np.ndarray):
-        self.samples, self.first = samples, np.cumsum(counts) - counts
+    def __init__(self, next_rows, counts: np.ndarray):
+        self.next_rows, self.first = next_rows, np.cumsum(counts) - counts
 
     def draw(self, plan: Plan, spec: BrhtSpec | None):
         """Each repetition's column counts over its full rows, and its bits;
         repetition r reads row r of the trial's stacked transforms."""
-        streams = [self._bits(plan, r, None if spec is None else
-                              BrhtSpec(spec.d, spec.L, spec.b, spec.signs[r]))
-                   for r in range(len(plan.totals))]
-        return [bits[:plan.rows * plan.width].reshape(-1, plan.width).sum(axis=0, dtype=np.int64)
-                for bits in streams], streams
+        reads = [_Reads(plan, r, self.first, None if spec is None else
+                        BrhtSpec(spec.d, spec.L, spec.b, spec.signs[r]))
+                 for r in range(len(plan.totals))]
+        last, step = max(read.last for read in reads), max(1, CHUNK_BYTES // (8 * plan.d))
+        for c0 in range(0, last, step):
+            rows = self.next_rows(min(step, last - c0))
+            for read in reads:
+                read.take(rows, c0)
+            del rows        # freed before the next chunk is drawn: one chunk at a time
+        return [read.stream[:plan.rows * plan.width].reshape(-1, plan.width)
+                .sum(axis=0, dtype=np.int64) for read in reads], [read.stream for read in reads]
 
-    def _bits(self, plan: Plan, r: int, spec: BrhtSpec | None) -> np.ndarray:
-        """Repetition r's stream: the senders' rows (a slice of the rows they
-        span, or one gathered row per sender, block-aggregated where blocks
-        are longer than one sample), rotated in one call, and sign-quantized
-        at the sent (row, coordinate) pairs."""
-        users, lengths = plan.runs[r]
-        run_of, coords = wraparound_coords(lengths, plan.width)
-        rows = self.first[users]
+
+class _Reads:
+    """One repetition of a literal trial: its senders' reads, in the order
+    they end, and the stream they fill.
+
+    Sender i reads rows start[i] .. stop[i] and sends bits sent[i] ..
+    sent[i + 1] - 1 of the reads' bits in this order; bit j of them is
+    stream position shift[i] + j, and carries that position's coordinate,
+    modulo the width, of the sender's rotated vector.  Senders of no bit
+    are left out.  The first `done` reads are quantized, and `next_start`
+    is the first row of the next one, so a chunk before it costs no numpy
+    call.
+
+    Blocks are summed by `aggregate_block`, an eighth of a chunk of rows at
+    a time.  Reads of a block plan share no row, so only the next read can
+    be open at a chunk boundary: `carry` is its row sum so far, added in row
+    order, as `aggregate_block` adds the rows of a block.
+    """
+
+    def __init__(self, plan: Plan, r: int, first: np.ndarray, spec: BrhtSpec | None):
+        users, length = plan.runs[r]
+        pos = np.cumsum(length) - length
+        start, block = first[users], None
         if plan.reads_blocks:
-            block = plan.blocks[(np.cumsum(lengths) - lengths) // plan.width]
-            rows = rows + r * block
-            x = self.samples[rows]
-            for b in np.unique(block[block > 1]).tolist():
-                senders = np.flatnonzero(block == b)
-                x[senders] = aggregate_block(self.samples[rows[senders, None] + np.arange(b)], 1, b)
-            picked = run_of
-        else:
-            lo = int(rows.min())
-            x = self.samples[lo:int(rows.max()) + 1]
-            picked = rows[run_of] - lo
-        rotated = x if spec is None else brht_apply(spec, x, keep=plan.width)
-        return sign_quantize(rotated[picked, coords])
+            block = plan.blocks[pos // plan.width]
+            start = start + r * block
+        stop = start if block is None else start + (block - 1)
+        order = np.flatnonzero(length > 0)
+        order = order[np.argsort(stop[order], kind="stable")]
+        self.start, self.block = start[order], None if block is None else block[order]
+        self.stop = self.start if block is None else stop[order]
+        self.sent = np.concatenate(([0], np.cumsum(length[order])))
+        self.shift = pos[order] - self.sent[:-1]
+        self.spec, self.width = spec, plan.width
+        self.stream = np.empty(plan.totals[r], dtype=np.uint8)
+        self.last, self.done, self.carry = int(self.stop[-1]) + 1, 0, None
+        self.next_start = int(self.start[0])
+
+    def take(self, rows: np.ndarray, c0: int) -> None:
+        """Read the chunk of rows from row c0 on: quantize the reads it
+        completes, an eighth of a chunk of vectors at a time, and carry the
+        sum of one it leaves open."""
+        c1 = c0 + rows.shape[0]
+        if self.next_start >= c1:
+            return
+        i, k = self.done, int(self.stop.searchsorted(c1 - 1, side="right"))
+        batch = max(1, CHUNK_BYTES // (64 * rows.shape[1]))
+        for a in range(i, k, batch):
+            self._quantize(rows, c0, a, min(a + batch, k))
+        if k > i:
+            self.done, self.carry = k, None
+        if k < self.start.shape[0] and self.start[k] < c1:
+            part = rows[max(int(self.start[k]) - c0, 0):]
+            self.carry = part.sum(axis=0) if self.carry is None else np.concatenate(
+                (self.carry[None], part)).sum(axis=0)
+        self.next_start = int(self.start[k]) if k < self.start.shape[0] else math.inf
+
+    def _quantize(self, rows: np.ndarray, c0: int, a: int, b: int) -> None:
+        """Rotate the vectors of reads a..b-1 and quantize their sent bits."""
+        x, local = self._vectors(rows, c0, a, b)
+        rotated = x if self.spec is None else brht_apply(self.spec, x, keep=self.width)
+        length = np.diff(self.sent[a:b + 1])
+        q = np.repeat(self.shift[a:b], length) + np.arange(self.sent[a], self.sent[b])
+        self.stream[q] = sign_quantize(
+            rotated.take(np.repeat(local * self.width, length) + q % self.width))
+
+    def _vectors(self, rows: np.ndarray, c0: int, a: int, b: int):
+        """The vectors of reads a..b-1, which end in the chunk of rows from
+        row c0 on, and the row of each among them."""
+        start = self.start[a:b] - c0
+        if self.block is None:
+            lo = int(start[0])
+            return rows[lo:int(start[-1]) + 1], start - lo
+        block = self.block[a:b]
+        x = np.empty((b - a, rows.shape[1]))
+        j = 0
+        if a == self.done and self.carry is not None:     # read a began in an earlier chunk
+            size = int(block[0])
+            total = np.concatenate((self.carry[None], rows[:start[0] + size])).sum(axis=0)
+            x[0] = total / np.sqrt(size)
+            j = 1
+        for size in np.unique(block[j:]).tolist():
+            at = j + np.flatnonzero(block[j:] == size)
+            per = max(1, CHUNK_BYTES // (64 * rows.shape[1] * size))
+            for c in range(0, at.shape[0], per):
+                some = at[c:c + per]
+                x[some] = aggregate_block(rows[start[some, None] + np.arange(size)], 1, size)
+        return x, np.arange(b - a)
+
+
+def _rows_of(arrays: list, dtype=None):
+    """`next_rows` over the rows of a list of arrays, one array after
+    another: each call's rows are copied from slices of them, as `dtype`
+    (default: theirs)."""
+    k = row = 0
+
+    def next_rows(count: int) -> np.ndarray:
+        nonlocal k, row
+        parts = []
+        while count:
+            part = arrays[k][row:row + count]
+            parts.append(part)
+            count -= part.shape[0]
+            row += part.shape[0]
+            if row == arrays[k].shape[0]:
+                k, row = k + 1, 0
+        return np.concatenate(parts, dtype=dtype)
+    return next_rows
 
 
 def _check_samples(samples: np.ndarray, d: int) -> LiteralSource:
@@ -572,15 +678,15 @@ def _check_samples(samples: np.ndarray, d: int) -> LiteralSource:
     if samples.ndim != 2 or samples.shape[1] != d:
         raise DimensionError(f"expected (n, {d}) samples, got shape {samples.shape}")
     check_at_least(samples.shape[0], 1, "population size")
-    return LiteralSource(samples, np.ones(samples.shape[0], np.int64))
+    return LiteralSource(_rows_of([samples]), np.ones(samples.shape[0], np.int64))
 
 
 def _user_rows(samples: list, m: np.ndarray, d: int, exact: bool) -> LiteralSource:
     """The literal source of per-user sample arrays, one per entry of m, of
     at least one user: every user's array is checked, silent users included,
-    and then all are concatenated once as float64 rows.  User k's array must
-    have d columns and m[k] rows, or at least m[k] rows when not `exact`; the
-    source is given the actual row counts."""
+    and the source reads their rows, user after user, as float64.  User k's
+    array must have d columns and m[k] rows, or at least m[k] rows when not
+    `exact`; the source is given the actual row counts."""
     if len(samples) != len(m):
         raise DimensionError(f"{len(samples)} sample sets for {len(m)} users")
     check_at_least(len(m), 1, "population size")
@@ -588,8 +694,8 @@ def _user_rows(samples: list, m: np.ndarray, d: int, exact: bool) -> LiteralSour
     for k, x in enumerate(arrays):
         if x.ndim != 2 or x.shape[1] != d or x.shape[0] < m[k] or (exact and x.shape[0] != m[k]):
             raise DimensionError(f"user {k} samples must have shape ({m[k]}, {d}), got {x.shape}")
-    return LiteralSource(np.concatenate(arrays, dtype=np.float64),
-                         np.array([x.shape[0] for x in arrays], dtype=np.int64))
+    return LiteralSource(_rows_of(arrays, np.float64),
+                         np.array([x.shape[0] for x in arrays], np.int64))
 
 
 def flip_probs(plan: Plan, mu: np.ndarray, spec: BrhtSpec | None) -> np.ndarray:
@@ -736,7 +842,7 @@ def private_coin_protocol(samples: np.ndarray, d: int, ell: int,
     (an incomplete trailing group) stay silent.
     """
     source = _check_samples(samples, d)
-    plan = private_coin_plan(source.samples.shape[0], d, ell, epsilon)
+    plan = private_coin_plan(source.first.shape[0], d, ell, epsilon)
     return run_plan(plan, PublicSeed(np.zeros(0)), source)
 
 
@@ -785,7 +891,7 @@ def limited_coin_protocol(samples: np.ndarray, d: int, ell: int, epsilon: float,
     accepts.
     """
     source = _check_samples(samples, d)
-    plan = limited_coin_plan(source.samples.shape[0], d, ell, epsilon, seed.remaining)
+    plan = limited_coin_plan(source.first.shape[0], d, ell, epsilon, seed.remaining)
     return run_plan(plan, seed, source)
 
 
@@ -905,7 +1011,7 @@ def hetero_comm_protocol(samples: np.ndarray, d: int, ells: np.ndarray, epsilon:
     """
     source = _check_samples(samples, d)
     ells = np.asarray(ells, dtype=np.int64)
-    if ells.shape != (source.samples.shape[0],):
+    if ells.shape != source.first.shape:
         raise DimensionError(f"need one budget per user, got shape {ells.shape}")
     return run_plan(hetero_comm_plan(ells, d, epsilon, seed.remaining), seed, source)
 

@@ -3,19 +3,25 @@
 Each one restates, in the slowest and plainest way, something the package
 computes fast or lays out once: the dense Hadamard product, scalar GF(2^k)
 arithmetic, the referee-side wrap-around assembly, layouts and plans of
-given runs, and zeroed transcripts of given per-user lengths.  No protocol,
+given runs, zeroed transcripts of given per-user lengths, and a literal
+trial that draws and reads every user's samples as one array.  No protocol,
 harness or command path runs them, so they live here rather than in
 `distmeantest`; `test_oracles_stay_out.py` keeps them out of the package.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
+from distmeantest.brht import BrhtSpec, brht_apply
 from distmeantest.errors import DimensionError, InsufficientPopulationError, ParameterError
 from distmeantest.hadamard import check_pow2, hadamard_matrix
-from distmeantest.protocols import Layout, Plan, Transcript, wraparound_coords
-from distmeantest.randomness import _IRREDUCIBLE, MAX_FIELD_DEGREE
+from distmeantest.harness import _trial_stream, gen_gaussian_samples, make_mean
+from distmeantest.protocols import (Layout, Plan, Transcript, aggregate_block, sign_quantize,
+                                    wraparound_coords)
+from distmeantest.randomness import _IRREDUCIBLE, MAX_FIELD_DEGREE, PublicSeed
 
 
 def naive_hadamard_apply(v: np.ndarray) -> np.ndarray:
@@ -102,3 +108,51 @@ def transcript_from_lengths(lengths: np.ndarray, public_bits_used: int = 0) -> T
     lengths = np.asarray(lengths, dtype=np.int64)
     layout = layout_of([(np.arange(lengths.shape[0]), lengths)], lengths.shape[0])
     return Transcript(layout, [np.zeros(layout.totals[0], dtype=np.uint8)], public_bits_used)
+
+
+def whole_array_trial_inputs(config, mean, trial: int, master_seed: int):
+    """The public seed bits and the samples of a literal `run_trial`, the
+    samples drawn in one `gen_gaussian_samples` call as one (sum m, d)
+    array, every user's rows after the previous user's."""
+    plan, key = config.plan, (master_seed, mean.mode, trial)
+    mu = np.zeros(plan.d)
+    mu[:config.d] = make_mean(mean, config.d, _trial_stream(*key, "mean")
+                              if mean.mode == "random_direction" else None)
+    bits = (PublicSeed.random(plan.seed_bits, _trial_stream(*key, "public")).bits
+            if plan.seed_bits else np.zeros(0, np.uint8))
+    return bits, gen_gaussian_samples(mu, int(config.ms().sum()), _trial_stream(*key, "data"))
+
+
+def whole_array_source(samples: np.ndarray, counts: np.ndarray):
+    """A bit source over one (rows, d) array of every user's samples, which
+    it reads whole: each repetition gathers its senders' rows (the scaled
+    sum of each block where blocks are longer than one sample), rotates
+    them in one call and sign-quantizes them at the sent (row, coordinate)
+    pairs.  Block plans need float64 samples."""
+    first = np.cumsum(counts) - counts
+
+    def whole_array_stream(plan, r, spec):
+        users, lengths = plan.runs[r]
+        run_of, coords = wraparound_coords(lengths, plan.width)
+        rows = first[users]
+        if plan.reads_blocks:
+            block = plan.blocks[(np.cumsum(lengths) - lengths) // plan.width]
+            rows = rows + r * block
+            x = samples[rows]
+            for b in np.unique(block[block > 1]).tolist():
+                senders = np.flatnonzero(block == b)
+                x[senders] = aggregate_block(samples[rows[senders, None] + np.arange(b)], 1, b)
+            picked = run_of
+        else:
+            lo = int(rows.min())
+            x = samples[lo:int(rows.max()) + 1]
+            picked = rows[run_of] - lo
+        rotated = x if spec is None else brht_apply(
+            BrhtSpec(spec.d, spec.L, spec.b, spec.signs[r]), x, keep=plan.width)
+        return sign_quantize(rotated[picked, coords])
+
+    def whole_array_draw(plan, spec):
+        streams = [whole_array_stream(plan, r, spec) for r in range(len(plan.totals))]
+        return [stream[:plan.rows * plan.width].reshape(-1, plan.width).sum(axis=0, dtype=np.int64)
+                for stream in streams], streams
+    return SimpleNamespace(draw=whole_array_draw)
