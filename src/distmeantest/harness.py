@@ -213,6 +213,16 @@ def _expect_fields(raw, what: str, required: tuple[str, ...], optional: tuple[st
         raise ParameterError(f"{what} is missing required field {missing[0]!r}")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object read from its (key, value) pairs, each key at most once."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParameterError(f"config gives the key {key!r} twice")
+        out[key] = value
+    return out
+
+
 def _check_modes(modes) -> None:
     """Mean modes must be known, distinct, and include 'null' for type-I
     estimation."""
@@ -434,13 +444,18 @@ class PopulationConfig:
 
     @classmethod
     def from_json_file(cls, path: str) -> "PopulationConfig":
-        """The config of a JSON file; one nested past the parser's recursion
-        limit is rejected with ParameterError, as any other malformed config."""
+        """The config of a JSON file.  A file that is not UTF-8 JSON text, one
+        nested past the parser's recursion limit and an object that gives a
+        key twice are rejected with ParameterError, as any other malformed
+        config: no key silently overrides an earlier one."""
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                return cls.from_dict(json.load(fh))
+                raw = json.load(fh, object_pairs_hook=_unique_keys)
             except RecursionError:
                 raise ParameterError(f"config {path} is nested too deeply to read") from None
+            except ValueError as exc:  # a decode or JSON syntax error
+                raise ParameterError(f"config {path} is not UTF-8 JSON text: {exc}") from None
+        return cls.from_dict(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +464,17 @@ class PopulationConfig:
 
 # a trial's independent streams, in the order of their spawn keys
 _STREAMS = ("mean", "public", "data")
+# the words of a SeedSequence's entropy pool, numpy's default
+_POOL_WORDS = 4
+
+
+def _words(n: int) -> list[int]:
+    """The uint32 words of a non-negative integer, least significant first,
+    [0] for 0: how `SeedSequence` reads an integer as entropy."""
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
 
 
 def _trial_stream(master_seed: int, mode: str, trial_index: int, stream: str
@@ -456,9 +482,19 @@ def _trial_stream(master_seed: int, mode: str, trial_index: int, stream: str
     """One of the (mean, public-seed, data) streams of trial (mode,
     trial_index): child j of `SeedSequence(master_seed, spawn_key=(mode,
     trial)).spawn(3)`, built on its own, so a trial builds only the streams
-    it reads."""
+    it reads.
+
+    That child is `SeedSequence(master_seed, spawn_key=(mode, trial, j))`,
+    whose pool numpy fills from one array of uint32 words: the master seed's
+    words, zero-padded to the pool's size, then the words of mode, trial and
+    j.  The stream is seeded from that array itself, so its pool, its PCG64
+    state and every draw are the same, without numpy reading the integers
+    one word at a time."""
+    master = _words(master_seed)
+    entropy = (master + [0] * (_POOL_WORDS - len(master)) + [MEAN_MODES.index(mode)]
+               + _words(trial_index) + [_STREAMS.index(stream)])
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        master_seed, spawn_key=(MEAN_MODES.index(mode), trial_index, _STREAMS.index(stream)))))
+        np.array(entropy, dtype=np.uint32))))
 
 
 def run_trial(config: PopulationConfig, mean: MeanSpec, trial_index: int,

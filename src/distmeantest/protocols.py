@@ -714,8 +714,11 @@ def flip_probs(plan: Plan, mu: np.ndarray, spec: BrhtSpec | None) -> np.ndarray:
     The mean is rotated once: one `brht_apply` call rotates it by the
     stacked transforms, giving a (repetitions, width) array whose row r is
     the mean under transform r, and one `sign_flip_prob` call gives every
-    flip probability.
+    flip probability.  A zero mean (the null mode) skips both: every
+    rotated and scaled coordinate is then +-0, and Phi(+-0) = 0.5 exactly.
     """
+    if not mu.any():
+        return np.full((len(plan.totals), len(plan.group_sizes), plan.width), 0.5)
     mu_rot = (np.broadcast_to(mu, (len(plan.totals), plan.d)) if spec is None
               else brht_apply(spec, mu, keep=plan.width))
     return sign_flip_prob(np.sqrt(plan.group_sizes)[:, None] * mu_rot[:, None, :])

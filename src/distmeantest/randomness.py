@@ -14,7 +14,9 @@ Multiplying by a fixed field element and taking the lowest bit are both
 GF(2)-linear, so the b sign bits are a GF(2)-linear map of the 4k seed bits.
 That map is built once per field degree k, with carry-less arithmetic over
 all b points at once, and cached as a bit-packed (4k, b/8)-byte table: 24 KiB
-at k = 12 and 512 KiB at k = 16.  A draw XORs the rows whose seed bit is 1.
+at k = 12 and 512 KiB at k = 16.  A draw XORs the rows whose seed bit is 1
+and reads the signs of the packed result from a fixed table of each byte's
+eight signs: one gather of b/8 rows of 8 bytes, not one lookup per sign.
 """
 
 from __future__ import annotations
@@ -57,9 +59,11 @@ MAX_FIELD_DEGREE = max(_IRREDUCIBLE)
 # The coefficients of the degree-3 polynomial: b > 1 signs cost this many
 # log2(b)-bit draws from the seed.
 POLY_COEFFICIENTS = 4
-# The sign of a parity bit: 0 -> +1, 1 -> -1.
-_SIGN_OF_BIT = np.array([1, -1], dtype=np.int8)
-_SIGN_OF_BIT.flags.writeable = False
+# The signs of the bits of each byte, most significant first: row v holds
+# the eight signs of byte v, a bit 0 -> +1 and 1 -> -1.
+_SIGNS_OF_BYTE = 1 - 2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
+                                       axis=1).astype(np.int8)
+_SIGNS_OF_BYTE.flags.writeable = False
 
 
 @dataclass
@@ -176,5 +180,6 @@ def fourwise_rademacher(seed: PublicSeed, b: int) -> RademacherBlockSigns:
     raw = seed.draw_bits(POLY_COEFFICIENTS * k)
     # a seed holds only 0/1 bytes, so its bits read as a bool mask in place
     packed = np.bitwise_xor.reduce(_sign_table(k)[raw.view(bool)], axis=0)
-    signs = _SIGN_OF_BIT[np.unpackbits(packed, count=b)]
+    # one gather of each packed byte's eight signs, then the first b of them
+    signs = _SIGNS_OF_BYTE[packed].reshape(-1)[:b]
     return RademacherBlockSigns(signs=signs, bits_consumed=raw.shape[0])

@@ -3,14 +3,17 @@
 Each one restates, in the slowest and plainest way, something the package
 computes fast or lays out once: the dense Hadamard product, scalar GF(2^k)
 arithmetic, the referee-side wrap-around assembly, layouts and plans of
-given runs, zeroed transcripts of given per-user lengths, and a literal
-trial that draws and reads every user's samples as one array.  No protocol,
-harness or command path runs them, so they live here rather than in
-`distmeantest`; `test_oracles_stay_out.py` keeps them out of the package.
+given runs, zeroed transcripts of given per-user lengths, a literal trial
+that draws and reads every user's samples as one array, a trial's streams
+as numpy derives a child seed, and the law of a trial's bits coordinate by
+coordinate.  No protocol, harness or command path runs them, so they live
+here rather than in `distmeantest`; `test_oracles_stay_out.py` keeps them
+out of the package.
 """
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,8 +22,8 @@ from distmeantest.brht import BrhtSpec, brht_apply
 from distmeantest.errors import DimensionError, InsufficientPopulationError, ParameterError
 from distmeantest.hadamard import check_pow2, hadamard_matrix
 from distmeantest.harness import _trial_stream, gen_gaussian_samples, make_mean
-from distmeantest.protocols import (Layout, Plan, Transcript, aggregate_block, sign_quantize,
-                                    wraparound_coords)
+from distmeantest.protocols import (Layout, Plan, Transcript, aggregate_block, sign_flip_prob,
+                                    sign_quantize, wraparound_coords)
 from distmeantest.randomness import _IRREDUCIBLE, MAX_FIELD_DEGREE, PublicSeed
 
 
@@ -156,3 +159,26 @@ def whole_array_source(samples: np.ndarray, counts: np.ndarray):
         return [stream[:plan.rows * plan.width].reshape(-1, plan.width).sum(axis=0, dtype=np.int64)
                 for stream in streams], streams
     return SimpleNamespace(draw=whole_array_draw)
+
+
+def trial_stream_state(master_seed: int, mode_index: int, trial: int, stream_index: int) -> dict:
+    """The PCG64 state of a trial's stream as its derivation states it:
+    child `stream_index` of `SeedSequence(master_seed, spawn_key=(mode_index,
+    trial))`, that is the seed sequence of spawn key (mode_index, trial,
+    stream_index)."""
+    return np.random.PCG64(np.random.SeedSequence(
+        master_seed, spawn_key=(mode_index, trial, stream_index))).state
+
+
+def flip_probs_oracle(plan, mu: np.ndarray, spec) -> np.ndarray:
+    """The law of a trial's bits, one coordinate at a time: p[r, g, c] is
+    `sign_flip_prob` of sqrt(block of group g) times coordinate c of the mean
+    under transform r (the mean itself for a plan without transforms)."""
+    out = np.empty((len(plan.totals), len(plan.group_sizes), plan.width))
+    for r in range(out.shape[0]):
+        rotated = mu if spec is None else brht_apply(
+            BrhtSpec(spec.d, spec.L, spec.b, spec.signs[r]), mu, keep=plan.width)
+        for g in range(out.shape[1]):
+            for c in range(plan.width):
+                out[r, g, c] = sign_flip_prob(math.sqrt(plan.group_sizes[g]) * rotated[c])
+    return out

@@ -51,7 +51,7 @@ from distmeantest.harness import (
     bpmt_spread_alternative,
 )
 from distmeantest.protocols import Decision
-from oracles import layout_of, transcript_from_lengths
+from oracles import flip_probs_oracle, layout_of, trial_stream_state, transcript_from_lengths
 
 RNG = np.random.default_rng(20240820)
 
@@ -1057,6 +1057,43 @@ class TestFlipProbs:
         p = protocols.flip_probs(plan, mu, spec)
         assert p.shape == expected.shape
         assert p.tobytes() == expected.tobytes()
+
+
+def zero_mean_cases():
+    return [*((c.protocol, c) for c in structural_configs()), *wider_configs().items()]
+
+
+class TestZeroMeanLaw:
+    """A zero mean (the null mode) skips the rotation and the erfc calls:
+    its law must equal, bit for bit, the general law of the rotated zero
+    mean, under drawn transforms, written out coordinate by coordinate."""
+
+    @pytest.mark.parametrize("cfg", [c for _, c in zero_mean_cases()],
+                             ids=[name for name, _ in zero_mean_cases()])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_equals_the_rotated_law(self, cfg, zero):
+        plan, rng = cfg.plan, np.random.default_rng(11)
+        mu = np.full(plan.d, zero)
+        spec = None if plan.block is None else sample_brht(
+            PublicSeed.random(plan.seed_bits, rng), plan.d, plan.block, len(plan.totals))
+        p = protocols.flip_probs(plan, mu, spec)
+        expected = flip_probs_oracle(plan, mu, spec)
+        assert p.shape == expected.shape and p.dtype == expected.dtype
+        assert p.tobytes() == expected.tobytes()
+
+
+class TestTrialStreams:
+    """Each trial stream is seeded from the entropy words numpy assembles for
+    its spawn key, so its state is that of the documented derivation."""
+
+    @pytest.mark.parametrize("master_seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3,
+                                             2 ** 128 + 1])
+    @pytest.mark.parametrize("trial", [0, 2 ** 32 + 5])
+    def test_matches_the_spawn_key_derivation(self, master_seed, trial):
+        for (m, mode), (j, stream) in itertools.product(enumerate(MEAN_MODES),
+                                                        enumerate(harness._STREAMS)):
+            got = harness._trial_stream(master_seed, mode, trial, stream).bit_generator.state
+            assert got == trial_stream_state(master_seed, m, trial, j), (mode, stream)
 
 
 def calibrate_oracle(config, target_error, trials, master_seed, max_multiplier=MAX_MULTIPLIER):
