@@ -199,7 +199,7 @@ class Transcript:
     def __init__(self, layout: Layout, streams, public_bits_used: int = 0):
         self.layout = layout
         self.public_bits_used = int(public_bits_used)
-        self._data, self._streams = None, list(streams)
+        self._streams = list(streams)
         self._check_streams()
 
     def _check_streams(self) -> None:
@@ -216,11 +216,9 @@ class Transcript:
         self._check_streams()
         return self._streams
 
-    @property
+    @cached_property
     def data(self) -> np.ndarray:
-        if self._data is None:
-            self._data = _user_major(self.layout, self.streams)
-        return self._data
+        return _user_major(self.layout, self.streams)
 
     @property
     def offsets(self) -> np.ndarray:
@@ -540,7 +538,11 @@ class LiteralSource:
     The rows are read CHUNK_BYTES at a time, up to the last row that any
     repetition reads, and the reads that a chunk completes are rotated and
     quantized into their streams before the next chunk is read (`_Reads`).
-    So a trial holds one chunk of samples, never all of them.
+    So a trial holds one chunk of samples, never all of them.  Repetitions
+    that send one run object (hetero_samples and hetero_comm send one in
+    all seven) share its senders' arrays, built once per draw
+    (`_run_reads`); a repetition of a block plan adds only where its reads
+    end.
     """
 
     def __init__(self, next_rows, counts: np.ndarray):
@@ -549,10 +551,15 @@ class LiteralSource:
     def draw(self, plan: Plan, spec: BrhtSpec | None):
         """Each repetition's column counts over its full rows, and its bits;
         repetition r reads row r of the trial's stacked transforms."""
-        reads = [_Reads(plan, r, self.first, None if spec is None else
-                        BrhtSpec(spec.d, spec.L, spec.b, spec.signs[r]))
-                 for r in range(len(plan.totals))]
-        last, step = max(read.last for read in reads), max(1, CHUNK_BYTES // (8 * plan.d))
+        shared, reads = {}, []
+        for r, run in enumerate(plan.runs):
+            if id(run) not in shared:
+                shared[id(run)] = _run_reads(plan, *run, self.first)
+            reads.append(_Reads(plan, r, *shared[id(run)], None if spec is None else
+                                BrhtSpec(spec.d, spec.L, spec.b, spec.signs[r])))
+        del shared      # a block plan's unshifted stops are not kept past here
+        last = max(int(read.stop[-1]) for read in reads) + 1
+        step = max(1, CHUNK_BYTES // (8 * plan.d))
         for c0 in range(0, last, step):
             rows = self.next_rows(min(step, last - c0))
             for read in reads:
@@ -562,61 +569,64 @@ class LiteralSource:
                 .sum(axis=0, dtype=np.int64) for read in reads], [read.stream for read in reads]
 
 
+def _run_reads(plan: Plan, users: np.ndarray, length: np.ndarray, first: np.ndarray):
+    """The reads of one run's senders of at least one bit, in user order:
+    each read's block size (None without blocks), the row it ends on in
+    repetition 0, and where its bits sit (see `_Reads`)."""
+    pos = np.cumsum(length) - length
+    order = np.flatnonzero(length > 0)
+    order = order[np.argsort(users[order])]
+    sent = np.concatenate(([0], np.cumsum(length[order])))
+    stop, block = first[users[order]], None
+    if plan.reads_blocks:
+        block = plan.blocks[pos[order] // plan.width]
+        stop = stop + (block - 1)
+    return block, stop, sent, pos[order] - sent[:-1]
+
+
 class _Reads:
     """One repetition of a literal trial: its senders' reads, in the order
     they end, and the stream they fill.
 
-    Sender i reads rows start[i] .. stop[i] and sends bits sent[i] ..
-    sent[i + 1] - 1 of the reads' bits in this order; bit j of them is
-    stream position shift[i] + j, and carries that position's coordinate,
-    modulo the width, of the sender's rotated vector.  Senders of no bit
-    are left out.  The first `done` reads are quantized, and `next_start`
-    is the first row of the next one, so a chunk before it costs no numpy
-    call.
+    Sender i reads the rows up to stop[i], block[i] of them (one without
+    blocks), and sends bits sent[i] .. sent[i + 1] - 1 of the reads' bits
+    in this order; bit j of them is stream position shift[i] + j, and
+    carries that position's coordinate, modulo the width, of the sender's
+    rotated vector.  Senders of no bit are left out.  A sender reads only
+    its own rows, and users' rows follow one another, so user order is the
+    order in which reads end, in every repetition: every array but `stop`
+    depends on the run alone and is shared by the repetitions that send it,
+    and repetition r of a block plan moves each stop by r * block.
 
     Blocks are summed by `aggregate_block`, an eighth of a chunk of rows at
-    a time.  Reads of a block plan share no row, so only the next read can
-    be open at a chunk boundary: `carry` is its row sum so far, added in row
-    order, as `aggregate_block` adds the rows of a block.
+    a time.  Reads of a block plan share no row, so only one read can be
+    open at a chunk boundary: `carry`, its row sum so far, added in row
+    order as `aggregate_block` adds the rows of a block, is all that a
+    repetition carries from one chunk to the next.
     """
 
-    def __init__(self, plan: Plan, r: int, first: np.ndarray, spec: BrhtSpec | None):
-        users, length = plan.runs[r]
-        pos = np.cumsum(length) - length
-        start, block = first[users], None
-        if plan.reads_blocks:
-            block = plan.blocks[pos // plan.width]
-            start = start + r * block
-        stop = start if block is None else start + (block - 1)
-        order = np.flatnonzero(length > 0)
-        order = order[np.argsort(stop[order], kind="stable")]
-        self.start, self.block = start[order], None if block is None else block[order]
-        self.stop = self.start if block is None else stop[order]
-        self.sent = np.concatenate(([0], np.cumsum(length[order])))
-        self.shift = pos[order] - self.sent[:-1]
+    def __init__(self, plan: Plan, r: int, block, stop, sent, shift, spec: BrhtSpec | None):
+        self.block, self.sent, self.shift = block, sent, shift
+        self.stop = stop if block is None else stop + r * block
         self.spec, self.width = spec, plan.width
         self.stream = np.empty(plan.totals[r], dtype=np.uint8)
-        self.last, self.done, self.carry = int(self.stop[-1]) + 1, 0, None
-        self.next_start = int(self.start[0])
+        self.carry = None
 
     def take(self, rows: np.ndarray, c0: int) -> None:
         """Read the chunk of rows from row c0 on: quantize the reads it
         completes, an eighth of a chunk of vectors at a time, and carry the
         sum of one it leaves open."""
         c1 = c0 + rows.shape[0]
-        if self.next_start >= c1:
-            return
-        i, k = self.done, int(self.stop.searchsorted(c1 - 1, side="right"))
+        i, k = self.stop.searchsorted([c0, c1]).tolist()
         batch = max(1, CHUNK_BYTES // (64 * rows.shape[1]))
         for a in range(i, k, batch):
             self._quantize(rows, c0, a, min(a + batch, k))
-        if k > i:
-            self.done, self.carry = k, None
-        if k < self.start.shape[0] and self.start[k] < c1:
-            part = rows[max(int(self.start[k]) - c0, 0):]
-            self.carry = part.sum(axis=0) if self.carry is None else np.concatenate(
-                (self.carry[None], part)).sum(axis=0)
-        self.next_start = int(self.start[k]) if k < self.start.shape[0] else math.inf
+        if k < self.stop.shape[0] and self.block is not None:
+            start = int(self.stop[k] - self.block[k]) + 1
+            if start < c0:
+                self.carry = np.concatenate((self.carry[None], rows)).sum(axis=0)
+            elif start < c1:
+                self.carry = rows[start - c0:].sum(axis=0)
 
     def _quantize(self, rows: np.ndarray, c0: int, a: int, b: int) -> None:
         """Rotate the vectors of reads a..b-1 and quantize their sent bits."""
@@ -630,18 +640,16 @@ class _Reads:
     def _vectors(self, rows: np.ndarray, c0: int, a: int, b: int):
         """The vectors of reads a..b-1, which end in the chunk of rows from
         row c0 on, and the row of each among them."""
-        start = self.start[a:b] - c0
+        stop = self.stop[a:b] - c0
         if self.block is None:
-            lo = int(start[0])
-            return rows[lo:int(start[-1]) + 1], start - lo
+            return rows[stop[0]:stop[-1] + 1], stop - stop[0]
         block = self.block[a:b]
+        start = stop - (block - 1)
         x = np.empty((b - a, rows.shape[1]))
-        j = 0
-        if a == self.done and self.carry is not None:     # read a began in an earlier chunk
-            size = int(block[0])
-            total = np.concatenate((self.carry[None], rows[:start[0] + size])).sum(axis=0)
-            x[0] = total / np.sqrt(size)
-            j = 1
+        j = int(start[0] < 0)
+        if j:       # read a began in an earlier chunk
+            total = np.concatenate((self.carry[None], rows[:stop[0] + 1])).sum(axis=0)
+            x[0] = total / np.sqrt(block[0])
         for size in np.unique(block[j:]).tolist():
             at = j + np.flatnonzero(block[j:] == size)
             per = max(1, CHUNK_BYTES // (64 * rows.shape[1] * size))

@@ -51,7 +51,8 @@ from distmeantest.harness import (
     bpmt_spread_alternative,
 )
 from distmeantest.protocols import Decision
-from oracles import flip_probs_oracle, layout_of, trial_stream_state, transcript_from_lengths
+from oracles import (flip_probs_oracle, layout_of, plan_of, trial_stream_state,
+                     transcript_from_lengths)
 
 RNG = np.random.default_rng(20240820)
 
@@ -517,6 +518,23 @@ class TestBudgetAudit:
         # the plan's own transcripts keep passing, checked once per config
         _, planned = run_trial(tight, MeanSpec("null", 0.0), 0)
         assert planned.layout is tight.plan and budget_audit(planned, tight).ok
+
+    def test_names_the_users_of_a_plan_that_overdraws(self, monkeypatch):
+        # the config's own plan sends users 3 and 17 one bit past their
+        # 8-bit budgets: the per-run check finds it and names them once
+        sent = np.full(32, 8, dtype=np.int64)
+        sent[[3, 17]] += 1
+        overdrawing = plan_of([(np.arange(32), sent)], 32, d=8, block=None, width=8, tau=0.1)
+        monkeypatch.setattr(harness, "private_coin_plan", lambda *args: overdrawing)
+        cfg = small_config()
+        expected = ["user 3 sent 9 bits, budget 8", "user 17 sent 9 bits, budget 8"]
+        _, tr = run_trial(cfg, MeanSpec("null", 0.0), 0)
+        assert tr.layout is cfg.plan is overdrawing
+        assert budget_audit(tr, cfg).violations == expected
+        result = run_batch(cfg, 2)
+        assert result.audit_violations == [
+            f"mode={mode} trial={trial}: {violation}"
+            for mode, trial in itertools.product(cfg.mean_modes, range(2)) for violation in expected]
 
     def test_flags_user_count_mismatch(self):
         cfg = small_config()

@@ -115,3 +115,45 @@ class TestMemoryGuard:
             tracemalloc.stop()
         assert decision.consistent() and transcript.total_bits == sum(cfg.plan.totals)
         assert peak < sample_bytes // 4, (peak, sample_bytes)
+
+
+class TestSharedReadsGuard:
+    """hetero_comm and hetero_samples send one run in all seven repetitions,
+    whose senders' arrays a literal trial holds once: its traced peak grows
+    by a bounded number of bytes per user.  Trials at n and 2n users are
+    compared, after an untraced trial has built what the first trial of a
+    process builds once, so the fixed chunk of samples cancels."""
+
+    # bytes per user: a hetero_comm trial holds three int64 arrays of its
+    # senders and seven streams of 1-4 bits each (48 bytes measured); a
+    # hetero_samples trial adds each repetition's int64 block ends (118
+    # bytes).  Three arrays per repetition, as when no run was shared,
+    # measured 192 and 318 bytes.
+    GUARDED = {
+        "hetero_comm": (96, lambda c: PopulationConfig(
+            d=32, epsilon=1.0, s=140, protocol="hetero_comm",
+            users=UserRuns([1, 1, 1], [8, 16, 32], [c] * 3))),
+        "hetero_samples": (192, lambda c: PopulationConfig(
+            d=16, epsilon=1.0, s=84, protocol="hetero_samples",
+            users=UserRuns([7, 14, 28], [16] * 3, [c] * 3))),
+    }
+
+    @staticmethod
+    def traced_peak(cfg) -> int:
+        tracemalloc.start()
+        try:
+            run_trial(cfg, MeanSpec("spike", 1.0), 0, sample_path="literal")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("name", list(GUARDED))
+    def test_peak_per_user_is_bounded(self, name):
+        bound, build = self.GUARDED[name]
+        small, large = build(10_000), build(20_000)
+        for cfg in (small, large):      # they outlive the trial; build them outside it
+            cfg.plan.runs, cfg.ms()
+        assert large.plan.runs[0] is large.plan.runs[-1]
+        run_trial(small, MeanSpec("spike", 1.0), 0, sample_path="literal")
+        growth = self.traced_peak(large) - self.traced_peak(small)
+        assert growth < bound * (large.n_users() - small.n_users()), growth

@@ -808,6 +808,13 @@ class TestPlan:
                      (np.arange(6), np.full(6, 4, dtype=np.int64))], 6,
                     d=8, block=None, width=8, tau=0.1)
 
+    def test_block_runs_not_covering_the_rows_rejected(self):
+        # the streams fill two rows; block sizes are given for three
+        with pytest.raises(ParameterError,
+                           match="block sizes are given for 3 rows, the streams fill 2"):
+            plan_of([(np.arange(4), np.full(4, 4, dtype=np.int64))], 4,
+                    d=8, block=None, width=8, tau=0.1, blocks=([1, 2], [2, 1]))
+
     def test_referee_int64_limit_checked_before_rows_are_built(self):
         # two senders fill 2e8 rows of width 256, past the referee's int64
         # limit: rejected before the plan builds an entry per row (1.6 GB)
