@@ -83,7 +83,6 @@ from .protocols import (
     private_coin_protocol,
     sign_flip_prob,
     sign_quantize,
-    wraparound_coords,
 )
 from .randomness import PublicSeed, RademacherBlockSigns, fourwise_rademacher
 

@@ -47,13 +47,15 @@ __all__ = [
 
 ACCEPT = "accept"
 REJECT = "reject"
-_INT64_MAX = int(np.iinfo(np.int64).max)
+# T averages over ordered pairs of samples, so the referee needs two of them
+MIN_SAMPLES = 2
+# the referee's sum of squares, and every integer a config holds, is an int64
+INT64 = np.iinfo(np.int64)
 
 
 def _check_sample_count(n: int) -> None:
-    """T averages over ordered pairs of samples, so it needs n >= 2."""
-    if n < 2:
-        raise DegenerateInputError(f"need at least 2 samples, got {n}")
+    if n < MIN_SAMPLES:
+        raise DegenerateInputError(f"need at least {MIN_SAMPLES} samples, got {n}")
 
 
 def _check_bits(samples: np.ndarray) -> np.ndarray:
@@ -78,10 +80,10 @@ def collision_statistic(samples: np.ndarray) -> float:
 def check_referee_size(rows: int, width: int) -> None:
     """The referee's size limit: width * rows^2, the most its int64 sum of
     squares (2 * ones - rows)^2 can reach, must not pass 2^63 - 1."""
-    if int(width) * int(rows) ** 2 > _INT64_MAX:
+    if int(width) * int(rows) ** 2 > INT64.max:
         raise ParameterError(
             f"{rows} referee rows of width {width} overflow its int64 sum: "
-            f"width * rows^2 must be at most {_INT64_MAX}")
+            f"width * rows^2 must be at most {INT64.max}")
 
 
 def collision_statistic_counts(ones: np.ndarray, n: int) -> float | list:

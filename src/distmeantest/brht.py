@@ -35,6 +35,12 @@ __all__ = [
 RETENTION_FACTOR = 1.0 / 100.0
 
 
+def retained_scale(L: int, d: int) -> float:
+    """sqrt(L / (100 d)): the share of a mean's norm that a kept prefix of L
+    of the d rotated coordinates is assumed to retain, by RETENTION_FACTOR."""
+    return np.sqrt(RETENTION_FACTOR * L / d)
+
+
 def pow2_floor(x: int) -> int:
     """Largest power of two <= x (x >= 1)."""
     check_at_least(x, 1, "pow2_floor input")
@@ -133,7 +139,8 @@ class CompressionProbeResult:
 
 
 def compression_probe(spec: BrhtSpec, mu: np.ndarray, t: int) -> CompressionProbeResult:
-    """z = ||(R mu)[: t*L]||^2 with threshold (t*L / (100*d)) * ||mu||^2."""
+    """z = ||(R mu)[: t*L]||^2 with threshold retained_scale(t*L, d)^2 * ||mu||^2,
+    that is (t*L / (100*d)) * ||mu||^2."""
     mu = np.asarray(mu, dtype=np.float64)
     if mu.ndim != 1 or mu.shape[0] != spec.d:
         raise DimensionError(f"mean must be a length-{spec.d} vector, got shape {mu.shape}")
@@ -141,5 +148,5 @@ def compression_probe(spec: BrhtSpec, mu: np.ndarray, t: int) -> CompressionProb
         raise DimensionError(f"prefix block count t must be in 1..{spec.b}, got {t}")
     prefix = brht_apply(spec, mu, keep=t * spec.L)
     z = float(np.dot(prefix, prefix))
-    threshold = RETENTION_FACTOR * (t * spec.L / spec.d) * float(np.dot(mu, mu))
+    threshold = float(retained_scale(t * spec.L, spec.d) ** 2 * np.dot(mu, mu))
     return CompressionProbeResult(z=z, threshold=threshold)

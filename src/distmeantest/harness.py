@@ -56,7 +56,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .binary_test import ACCEPT, REJECT, bpmt_decide, check_epsilon
+from .binary_test import ACCEPT, INT64, REJECT, bpmt_decide, check_epsilon
 from .brht import brht_apply, next_pow2, sample_brht
 from .errors import CalibrationFailedError, ParameterError, check_at_least
 # sample_brht, brht_apply, greedy_partition and the two coin protocols are
@@ -139,8 +139,8 @@ class MeanSpec:
         if self.mode == "null":
             if self.norm != 0.0:
                 raise ParameterError("null mode must have norm 0")
-        elif not (self.norm > 0.0):
-            raise ParameterError(f"alternative modes need norm > 0, got {self.norm}")
+        elif not (0.0 < self.norm < math.inf):
+            raise ParameterError(f"alternative modes need a finite norm > 0, got {self.norm}")
 
 
 def make_mean(spec: MeanSpec, d: int, stream: np.random.Generator | None) -> np.ndarray:
@@ -185,18 +185,14 @@ _JSON_KINDS = {int: "an integer", (int, float): "a number", str: "a string",
                list: "an array", dict: "an object"}
 
 
-# JSON integers are unbounded; every integer field, and a population's user
-# count, is held as an int64
-_INT64 = np.iinfo(np.int64)
-
-
 def _expect(value, kind, what: str):
     """value, if it has the JSON type `kind` (booleans are not numbers) and,
-    if it is an integer, fits in an int64: the one int64 check, which also
-    bounds a population's user count."""
+    if it is an integer, fits in an int64: the one int64 check.  JSON
+    integers are unbounded, and every integer field, and a population's user
+    count, is held as an int64."""
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ParameterError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
-    if isinstance(value, int) and not _INT64.min <= value <= _INT64.max:
+    if isinstance(value, int) and not INT64.min <= value <= INT64.max:
         raise ParameterError(f"{what} {value} does not fit in a 64-bit integer")
     return value
 

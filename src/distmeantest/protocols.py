@@ -48,9 +48,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .binary_test import (ACCEPT, REJECT, bpmt_threshold, check_epsilon, check_referee_size,
-                          check_threshold, collision_statistic_counts)
-from .brht import BrhtSpec, RETENTION_FACTOR, brht_apply, pow2_floor, sample_brht
+from .binary_test import (ACCEPT, MIN_SAMPLES, REJECT, bpmt_threshold, check_epsilon,
+                          check_referee_size, check_threshold, collision_statistic_counts)
+from .brht import BrhtSpec, brht_apply, pow2_floor, retained_scale, sample_brht
 from .errors import (
     BudgetExhaustedError,
     DegenerateInputError,
@@ -72,7 +72,6 @@ __all__ = [
     "sign_flip_prob",
     "flip_probs",
     "aggregate_block",
-    "wraparound_coords",
     "greedy_partition",
     "seed_block_length",
     "private_coin_protocol",
@@ -88,9 +87,8 @@ REPETITIONS = 7
 SEED_BITS_PER_HALVING = POLY_COEFFICIENTS * REPETITIONS
 # b four-wise signs are evaluations over GF(b), so b is capped by the field table.
 MAX_SIGN_BLOCKS = 1 << MAX_FIELD_DEGREE
-# Confidence/threshold constants baked into the protocol family.
-SIGN_QUANTIZE_DISTANCE_FACTOR = 1.0 / np.sqrt(8.0)   # Gaussian -> binary distance loss
-HETERO_DISTANCE_FACTOR = 1.0 / 80.0                  # heterogeneous referee prefactor
+# The heterogeneous referee's distance prefactor.
+HETERO_DISTANCE_FACTOR = 1.0 / 80.0
 
 
 @dataclass(frozen=True)
@@ -303,22 +301,6 @@ def _user_major(layout: Layout, streams: list[np.ndarray]) -> np.ndarray:
     return data
 
 
-def wraparound_coords(lengths: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened (user, own-coordinate) pairs of the wrap-around layout.
-
-    The global stream position q belongs to user k(q) (users fill consecutive
-    spans of lengths[k] positions) and carries coordinate q mod L of that
-    user's own quantized length-L vector.
-    """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if np.any(lengths < 0) or np.any(lengths > L):
-        raise ParameterError(f"per-user lengths must lie in 0..L={L}")
-    total = int(lengths.sum())
-    users = np.repeat(np.arange(lengths.shape[0]), lengths)
-    coords = np.arange(total, dtype=np.int64) % L
-    return users, coords
-
-
 def greedy_partition(ms: np.ndarray, ells: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
     """Group users, given their sample counts ms and bit budgets ells, so
     every group holds at least 7L message bits.
@@ -479,11 +461,11 @@ class Plan(Layout):
         super().__init__(build_runs, n_users, totals, bounds)
         self.d, self.block, self.width, self.tau = d, block, width, float(tau)
         for r, total in enumerate(self.totals):
-            if total // width < 2:
+            if total // width < MIN_SAMPLES:
                 raise InsufficientPopulationError(
                     f"repetition {r} sends {total} bits, which fill "
                     f"{total // width} full {width}-coordinate samples; "
-                    f"the referee needs 2")
+                    f"the referee needs {MIN_SAMPLES}")
             check_referee_size(total // width, width)
         self.rows = self.totals[0] // width
         if any(total // width != self.rows for total in self.totals):
@@ -861,12 +843,6 @@ def private_coin_protocol(samples: np.ndarray, d: int, ell: int,
 # limited-public-coin protocol: 7 cohorts, fresh coarse rotation per cohort
 
 
-def retained_scale(L: int, d: int) -> float:
-    """sqrt(L / (100 d)): the share of a mean's norm that a kept prefix of L
-    of the d rotated coordinates is assumed to retain, by RETENTION_FACTOR."""
-    return np.sqrt(RETENTION_FACTOR * L / d)
-
-
 def limited_coin_params(d: int, ell: int, s: int) -> tuple[int, int, int, float]:
     """(block length d_s, kept length L, effective ell, distance scale).
 
@@ -943,8 +919,9 @@ def _pairwise_referee(m: np.ndarray, count: np.ndarray, ell: int, d: int, epsilo
     with ell message bits: the senders of a run aggregate blocks of
     floor(m[i]/7) samples."""
     senders = int(count.sum())
-    if senders < 2:
-        raise DegenerateInputError(f"pairwise referee needs >= 2 senders, got {senders}")
+    if senders < MIN_SAMPLES:
+        raise DegenerateInputError(
+            f"pairwise referee needs >= {MIN_SAMPLES} senders, got {senders}")
     if np.any(m < REPETITIONS):
         raise DegenerateInputError("every sender needs at least 7 samples")
     tau = hetero_threshold(epsilon, ell, hetero_pair_weight(m, counts=count), d, senders)
@@ -956,6 +933,18 @@ def _counts(values: np.ndarray, count) -> np.ndarray:
     return np.ones(values.shape, np.int64) if count is None else np.asarray(count, np.int64)
 
 
+def _one_run_plan(shares: np.ndarray, count: np.ndarray, **plan) -> Plan:
+    """The plan whose count[i] users in a row send shares[i] bits each of
+    every repetition's stream, in user order: one run object, sent in all
+    seven repetitions, so the repetitions of a literal trial share its reads
+    (`_run_reads`).  Each stream holds sum(shares * count) bits, and each
+    user sends at most seven shares."""
+    n = int(count.sum())
+    total = sum(a * b for a, b in zip(shares.tolist(), count.tolist()))
+    return Plan(lambda: [(np.arange(n), np.repeat(shares, count))] * REPETITIONS, n,
+                (total,) * REPETITIONS, (REPETITIONS * shares, count), **plan)
+
+
 def hetero_samples_plan(m: np.ndarray, d: int, ell: int, epsilon: float, s: int,
                         count=None) -> Plan:
     """Plan of `hetero_samples_protocol` for sample counts m, one per user or,
@@ -965,14 +954,11 @@ def hetero_samples_plan(m: np.ndarray, d: int, ell: int, epsilon: float, s: int,
     _check_common(d, epsilon)
     m = np.asarray(m, dtype=np.int64)
     count = _counts(m, count)
-    n = int(count.sum())
     tau, blocks = _pairwise_referee(m, count, ell, d, epsilon)
     share = hetero_share(ell, d)
     _check_transforms(d, share, s)
-    return Plan(lambda: [(np.arange(n), np.full(n, share, dtype=np.int64))] * REPETITIONS, n,
-                d=d, block=share, width=share, tau=tau, blocks=blocks,
-                totals=(n * share,) * REPETITIONS,
-                bounds=(np.full(m.shape, REPETITIONS * share), count))
+    return _one_run_plan(np.full(m.shape, share), count, d=d, block=share, width=share,
+                         tau=tau, blocks=blocks)
 
 
 def hetero_samples_protocol(samples: list[np.ndarray], m: np.ndarray, d: int, ell: int,
@@ -1005,11 +991,8 @@ def hetero_comm_plan(ells: np.ndarray, d: int, epsilon: float, s: int, count=Non
     d_s, L, shares = hetero_comm_params(d, ells, s)
     count = _counts(shares, count)
     _check_transforms(d, d_s, s)
-    tau = sign_test_threshold(epsilon * retained_scale(L, d))
-    n, total = int(count.sum()), sum(a * b for a, b in zip(shares.tolist(), count.tolist()))
-    return Plan(lambda: [(np.arange(n), np.repeat(shares, count))] * REPETITIONS, n,
-                d=d, block=d_s, width=L, tau=tau, totals=(total,) * REPETITIONS,
-                bounds=(REPETITIONS * shares, count))
+    return _one_run_plan(shares, count, d=d, block=d_s, width=L,
+                         tau=sign_test_threshold(epsilon * retained_scale(L, d)))
 
 
 def hetero_comm_protocol(samples: np.ndarray, d: int, ells: np.ndarray, epsilon: float,

@@ -2,7 +2,8 @@
 
 Each one restates, in the slowest and plainest way, something the package
 computes fast or lays out once: the dense Hadamard product, scalar GF(2^k)
-arithmetic, the referee-side wrap-around assembly, layouts and plans of
+arithmetic, the wrap-around coordinates and the referee-side assembly
+they give, the sign quantization's distance loss, layouts and plans of
 given runs, zeroed transcripts of given per-user lengths, a literal trial
 that draws and reads every user's samples as one array, a trial's streams
 as numpy derives a child seed, and the law of a trial's bits coordinate by
@@ -23,7 +24,7 @@ from distmeantest.errors import DimensionError, InsufficientPopulationError, Par
 from distmeantest.hadamard import check_pow2, hadamard_matrix
 from distmeantest.harness import _trial_stream, gen_gaussian_samples, make_mean
 from distmeantest.protocols import (Layout, Plan, Transcript, aggregate_block, sign_flip_prob,
-                                    sign_quantize, wraparound_coords)
+                                    sign_quantize)
 from distmeantest.randomness import _IRREDUCIBLE, MAX_FIELD_DEGREE, PublicSeed
 
 
@@ -64,6 +65,28 @@ def gf_poly_eval(coeffs: tuple[int, ...], x: int, k: int) -> int:
     for c in reversed(coeffs):
         acc = gf_mul(acc, x, k) ^ c
     return acc
+
+
+# Gaussian -> binary distance loss of sign quantization: the sign test runs
+# the centralized test at epsilon * SIGN_QUANTIZE_DISTANCE_FACTOR, which
+# `sign_test_threshold` states as tau = epsilon^2 / 16
+SIGN_QUANTIZE_DISTANCE_FACTOR = 1.0 / np.sqrt(8.0)
+
+
+def wraparound_coords(lengths: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flattened (user, own-coordinate) pairs of the wrap-around layout.
+
+    The global stream position q belongs to user k(q) (users fill consecutive
+    spans of lengths[k] positions) and carries coordinate q mod L of that
+    user's own quantized length-L vector.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if np.any(lengths < 0) or np.any(lengths > L):
+        raise ParameterError(f"per-user lengths must lie in 0..L={L}")
+    total = int(lengths.sum())
+    users = np.repeat(np.arange(lengths.shape[0]), lengths)
+    coords = np.arange(total, dtype=np.int64) % L
+    return users, coords
 
 
 def assemble_wraparound(quantized: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 bad input is rejected with the package's error, never reinterpreted."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -188,3 +189,13 @@ def test_plan_builders_reject_an_empty_population(build):
 def test_seed_from_int_rejects_a_negative_length():
     with pytest.raises(ParameterError, match="seed length must be >= 0, got -1"):
         PublicSeed.from_int(0, -1)
+
+
+@pytest.mark.parametrize("norm", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("mode", ["spike", "spread", "random_direction"])
+def test_mean_spec_rejects_a_norm_that_is_not_finite(mode, norm):
+    # an infinite norm once failed inside numpy on the law path and rejected
+    # silently, at T = 2.0, on the literal path
+    with pytest.raises(ParameterError, match="alternative modes need"):
+        MeanSpec(mode, norm)
+    assert MeanSpec(mode, 1e308).norm == 1e308

@@ -32,7 +32,6 @@ from distmeantest import (
     private_coin_layout,
     private_coin_protocol,
     sign_quantize,
-    wraparound_coords,
 )
 from distmeantest.binary_test import ACCEPT, REJECT
 from distmeantest.protocols import (
@@ -42,7 +41,8 @@ from distmeantest.protocols import (
     limited_coin_params,
     mix_and_match_keep_length,
 )
-from oracles import assemble_wraparound, layout_of, plan_of, transcript_from_lengths
+from oracles import (SIGN_QUANTIZE_DISTANCE_FACTOR, assemble_wraparound, layout_of, plan_of,
+                     transcript_from_lengths, wraparound_coords)
 
 RNG = np.random.default_rng(20240819)
 
@@ -144,7 +144,6 @@ class TestPrivateCoin:
 
     def test_full_budget_matches_centralized(self):
         from distmeantest import bpmt_decide
-        from distmeantest.protocols import SIGN_QUANTIZE_DISTANCE_FACTOR
         samples = RNG.standard_normal((40, 8)) + 0.4
         decision, transcript = private_coin_protocol(samples, d=8, ell=8, epsilon=0.9)
         expect = bpmt_decide(sign_quantize(samples), 0.9 * SIGN_QUANTIZE_DISTANCE_FACTOR)

@@ -3,7 +3,10 @@ src/distmeantest carry the same message template.  A second site with the
 same message is a second statement of the rule it checks; the boundaries
 that need the rule call its one statement instead.  The lower bound of every
 count, budget, length and seed and the int64 limit each raise from their one
-helper, whatever the bounded value is called."""
+helper, whatever the bounded value is called.  The referee's two-sample
+minimum, the int64 limit, the retention scale and the run that both
+heterogeneous plans send each have one home, and no module-level name is
+kept in the package that no package code reads and no `__all__` exports."""
 
 import ast
 from collections import defaultdict
@@ -15,10 +18,10 @@ import pytest
 from distmeantest.binary_test import bpmt_moments_oracle, collision_statistic
 from distmeantest.errors import DegenerateInputError, ParameterError
 from distmeantest.harness import PopulationConfig, UserRuns
-from distmeantest.protocols import (UserSpec, hetero_comm_params, hetero_pair_weight,
-                                    seed_block_length)
+from distmeantest.protocols import (REPETITIONS, UserSpec, hetero_comm_params, hetero_comm_plan,
+                                    hetero_pair_weight, hetero_samples_plan, seed_block_length)
 from distmeantest.randomness import PublicSeed
-from test_law_once import nodes_in_functions
+from test_law_once import named, nodes_in_functions, sites
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "distmeantest"
 
@@ -119,3 +122,71 @@ def test_sample_count_rule_is_one_message():
             build()
         messages.add(str(info.value))
     assert messages == {"need at least 2 samples, got 1"}
+
+
+def is_read(node: ast.AST) -> bool:
+    """Whether a node loads a name, by itself or as an attribute."""
+    return (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute))
+
+
+def reads(name: str):
+    """A `sites` matcher of the reads of one name."""
+    return lambda node: is_read(node) and named(node) == name
+
+
+def test_int64_limit_has_one_home():
+    assert sites(lambda node: named(node) == "iinfo") == {"binary_test.py:None"}
+    assert sites(reads("INT64")) == {"binary_test.py:check_referee_size", "harness.py:_expect"}
+
+
+def test_referee_minimum_has_one_home():
+    assert sites(reads("MIN_SAMPLES")) == {"binary_test.py:_check_sample_count",
+                                           "protocols.py:__init__", "protocols.py:_pairwise_referee"}
+
+
+def test_retention_factor_is_read_only_by_retained_scale():
+    assert sites(reads("RETENTION_FACTOR")) == {"brht.py:retained_scale"}
+
+
+def test_hetero_plans_share_one_run_builder():
+    assert sites(lambda node: isinstance(node, ast.Call) and named(node.func) == "_one_run_plan"
+                 ) == {"protocols.py:hetero_samples_plan", "protocols.py:hetero_comm_plan"}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: hetero_samples_plan(np.array([7, 14, 21]), 8, 56, 1.0, 0, count=[2, 1, 1]),
+    lambda: hetero_comm_plan(np.array([14, 21, 28]), 8, 1.0, 0, count=[2, 2, 2]),
+], ids=["hetero_samples", "hetero_comm"])
+def test_hetero_plans_send_one_run_object(build):
+    runs = build().runs
+    assert len(runs) == REPETITIONS and all(run is runs[0] for run in runs)
+
+
+def module_names(tree: ast.Module) -> set[str]:
+    """The functions and classes a module defines at its top level, and the
+    names its top level assigns."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names - {"__all__"}
+
+
+def test_every_module_name_is_read_or_exported():
+    defined, read, exported = {}, set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        if path.stem == "__init__":
+            exported.update(named(node) for node in ast.walk(tree) if isinstance(node, ast.alias))
+            continue
+        defined.update((name, path.name) for name in module_names(tree))
+        read.update(named(node) for node in ast.walk(tree) if is_read(node))
+        exported.update(next((ast.literal_eval(node.value) for node in tree.body
+                              if isinstance(node, ast.Assign)
+                              and named(node.targets[0]) == "__all__"), ()))
+    assert {f"{where}: {name}" for name, where in defined.items()
+            if name not in read | exported} == set()
