@@ -74,13 +74,15 @@ def sample_brht(seed: PublicSeed, d: int, L: int, count: int | None = None) -> B
 
     Given `count` >= 1, draw that many transforms in order, each from its
     own `fourwise_rademacher` call, as one spec whose signs have shape
-    (count, b) and whose `bits_consumed` is their sum.  d and L are checked
-    once, and b against the field cap, before any seed bit is drawn.
+    (count, b) and whose `bits_consumed` is their sum.  d, L and count are
+    checked once, and b against the field cap, before any seed bit is drawn.
     """
     check_pow2(d, "d")
     check_pow2(L, "L")
     if L > d or d % L != 0:
         raise DimensionError(f"block length {L} must divide dimension {d}")
+    if count is not None:
+        check_at_least(count, 1, "transform count")
     b = d // L
     before = seed.consumed
     rows = [fourwise_rademacher(seed, b).signs for _ in range(1 if count is None else count)]

@@ -13,16 +13,20 @@ sign moments of orders up to 4 over distinct indices vanish exactly.
 Multiplying by a fixed field element and taking the lowest bit are both
 GF(2)-linear, so the b sign bits are a GF(2)-linear map of the 4k seed bits.
 That map is built once per field degree k, with carry-less arithmetic over
-all b points at once, and cached as a bit-packed (4k, b/8)-byte table: 24 KiB
-at k = 12 and 512 KiB at k = 16.  A draw XORs the rows whose seed bit is 1
-and reads the signs of the packed result from a fixed table of each byte's
-eight signs: one gather of b/8 rows of 8 bytes, not one lookup per sign.
+all b points at once, and cached as 4k immutable Python integers of b bits,
+one per seed bit, whose bytes are the bit-packed sign bits: about 20 KiB at
+k = 12 and 410 KiB at k = 16 (all but the last of the constant term's k rows
+are zero).  A draw XORs the integers whose seed bit is 1 and reads the b
+signs from the bytes of the result with one `take` from a fixed table of
+each byte's eight signs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import compress
+from operator import xor
 
 import numpy as np
 
@@ -128,9 +132,11 @@ class RademacherBlockSigns:
 
 
 @lru_cache(maxsize=None)
-def _sign_table(k: int) -> np.ndarray:
-    """Bit-packed GF(2) matrix from the 4k seed bits to the 2^k sign bits,
-    read-only and built once per field degree k (it never depends on the seed).
+def _sign_table(k: int) -> tuple[tuple[int, ...], int]:
+    """The GF(2) matrix from the 4k seed bits to the 2^k sign bits, built once
+    per field degree k (it never depends on the seed): one integer per seed
+    bit, whose big-endian bytes are the packed sign bits of that seed bit,
+    point 0 in the top bit, and the byte width of those integers.
 
     Seed bit i*k + t is the bit of weight 2^(k-1-t) in coefficient i (MSB
     first, constant term first), so its row holds the lowest bit of the field
@@ -157,9 +163,8 @@ def _sign_table(k: int) -> np.ndarray:
             lowest.append(v & 1)
             v = double(v)
         rows += lowest[::-1]
-    table = np.packbits(np.array(rows, dtype=np.uint8), axis=1)
-    table.flags.writeable = False
-    return table
+    packed = np.packbits(np.array(rows, dtype=np.uint8), axis=1)
+    return tuple(int.from_bytes(row.tobytes(), "big") for row in packed), packed.shape[1]
 
 
 def fourwise_rademacher(seed: PublicSeed, b: int) -> RademacherBlockSigns:
@@ -178,8 +183,10 @@ def fourwise_rademacher(seed: PublicSeed, b: int) -> RademacherBlockSigns:
         raise ParameterError(
             f"{b} signs need GF(2^{k}); field degree must be in 1..{MAX_FIELD_DEGREE}")
     raw = seed.draw_bits(POLY_COEFFICIENTS * k)
-    # a seed holds only 0/1 bytes, so its bits read as a bool mask in place
-    packed = np.bitwise_xor.reduce(_sign_table(k)[raw.view(bool)], axis=0)
-    # one gather of each packed byte's eight signs, then the first b of them
-    signs = _SIGNS_OF_BYTE[packed].reshape(-1)[:b]
+    rows, width = _sign_table(k)
+    # the seed bits (0 or 1) select the rows to XOR
+    word = reduce(xor, compress(rows, raw.tolist()), 0)
+    packed = np.frombuffer(word.to_bytes(width, "big"), dtype=np.uint8)
+    # one take of each packed byte's eight signs, then the first b of them
+    signs = _SIGNS_OF_BYTE.take(packed, axis=0).reshape(-1)[:b]
     return RademacherBlockSigns(signs=signs, bits_consumed=raw.shape[0])

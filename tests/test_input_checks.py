@@ -98,6 +98,16 @@ def test_sample_brht_rejects_non_pow2_dimension():
         sample_brht(PublicSeed(np.zeros(0)), 12, 4)
 
 
+@pytest.mark.parametrize("count", [0, -2])
+def test_sample_brht_rejects_a_count_below_one(count):
+    # such a count once returned signs of shape (0,), which brht_apply could
+    # not broadcast
+    seed = PublicSeed(np.zeros(64, np.uint8))
+    with pytest.raises(ParameterError, match=f"transform count must be >= 1, got {count}"):
+        sample_brht(seed, 64, 8, count)
+    assert seed.consumed == 0
+
+
 def test_compression_probe_rejects_mean_of_wrong_length():
     spec = sample_brht(PublicSeed(np.zeros(0)), 8, 8)
     with pytest.raises(DimensionError):

@@ -16,6 +16,7 @@ from distmeantest import (
     PublicSeed,
     fourwise_rademacher,
 )
+from distmeantest.randomness import _SIGNS_OF_BYTE
 from oracles import gf_mul, gf_poly_eval
 
 
@@ -193,3 +194,21 @@ class TestSignsMatchFieldOracle:
         with pytest.raises(ParameterError, match="17"):
             fourwise_rademacher(seed, 1 << 17)
         assert seed.consumed == 0
+
+
+class TestSignsAreFresh:
+    """A draw's signs are its own: read from the cached tables, never into them."""
+
+    @pytest.mark.parametrize("b", [1, 2, 8, 64, 4096])
+    def test_writing_a_draw_leaves_the_next_unchanged(self, b):
+        length = 4 * (b.bit_length() - 1)
+        bits = np.random.default_rng(b).integers(0, 2, length, dtype=np.uint8)
+        first = fourwise_rademacher(PublicSeed(bits.copy()), b).signs
+        drawn = first.tolist()
+        assert first.dtype == np.int8 and first.flags.writeable
+        first *= -1
+        second = fourwise_rademacher(PublicSeed(bits.copy()), b).signs
+        assert second.tolist() == drawn
+        for signs in (first, second):
+            assert not np.shares_memory(signs, _SIGNS_OF_BYTE)
+        assert not np.shares_memory(first, second)
