@@ -211,6 +211,14 @@ class TestCompressionProbe:
         with pytest.raises(DimensionError):
             compression_probe(spec, np.zeros(32), t=9)
 
+    @pytest.mark.parametrize("L, t", [(8, 1), (8, 3), (16, 4), (64, 1)])
+    def test_threshold_reads_the_retention_scale(self, L, t):
+        # threshold = t L / (100 d) * ||mu||^2, written out
+        mu = np.random.default_rng(L + t).standard_normal(64)
+        spec = sample_brht(PublicSeed(np.zeros(64, np.uint8)), 64, L)
+        assert compression_probe(spec, mu, t).threshold == pytest.approx(
+            t * L / (100 * 64) * float(mu @ mu))
+
     def test_exhaustive_first_moment_d8(self):
         """Average of Z over all 256 seeds equals ||mu||^2 / b for d=8, L=2."""
         mu = RNG.standard_normal(8)

@@ -37,8 +37,10 @@ from distmeantest.binary_test import ACCEPT, REJECT
 from distmeantest.protocols import (
     Plan,
     hetero_comm_params,
+    hetero_comm_plan,
     hetero_samples_plan,
     limited_coin_params,
+    limited_coin_plan,
     mix_and_match_keep_length,
 )
 from oracles import (SIGN_QUANTIZE_DISTANCE_FACTOR, assemble_wraparound, layout_of, plan_of,
@@ -192,6 +194,13 @@ class TestLimitedCoin:
     def test_params_exponent_capped(self):
         d_s, L, _, _ = limited_coin_params(d=8, ell=1, s=280)
         assert (d_s, L) == (1, 1)
+
+    @pytest.mark.parametrize("s, L", [(0, 64), (84, 8), (168, 8)])
+    def test_tau_reads_the_retention_scale(self, s, L):
+        # tau = (epsilon * sqrt(L / (100 d)))^2 / 16, written out
+        plan = limited_coin_plan(300, 64, 8, 0.7, s)
+        assert plan.width == L
+        assert plan.tau == pytest.approx(0.7 ** 2 * L / (1600 * 64))
 
     def test_zero_seed_equals_private_on_rotated(self):
         # With no public randomness the seven transforms collapse to the plain
@@ -444,6 +453,13 @@ class TestHeteroComm:
         d_s, L, shares = hetero_comm_params(16, np.array([7, 7]), s=0)
         assert (d_s, L) == (16, 16)
         assert shares.tolist() == [1, 1]
+
+    @pytest.mark.parametrize("s, L", [(0, 64), (84, 16), (168, 16)])
+    def test_tau_reads_the_retention_scale(self, s, L):
+        # tau = (epsilon * sqrt(L / (100 d)))^2 / 16, written out
+        plan = hetero_comm_plan(np.array([7] * 100 + [21] * 100), 64, 0.7, s)
+        assert plan.width == L
+        assert plan.tau == pytest.approx(0.7 ** 2 * L / (1600 * 64))
 
     def test_message_lengths(self):
         n, d = 40, 16

@@ -5,8 +5,7 @@ that need the rule call its one statement instead.  The lower bound of every
 count, budget, length and seed and the int64 limit each raise from their one
 helper, whatever the bounded value is called.  The referee's two-sample
 minimum, the int64 limit, the retention scale and the run that both
-heterogeneous plans send each have one home; the retention scale is read,
-written out in closed form, in every threshold that uses it; and no module-level name is
+heterogeneous plans send each have one home, and no module-level name is
 kept in the package that no package code reads and no `__all__` exports."""
 
 import ast
@@ -17,12 +16,10 @@ import numpy as np
 import pytest
 
 from distmeantest.binary_test import bpmt_moments_oracle, collision_statistic
-from distmeantest.brht import compression_probe, sample_brht
 from distmeantest.errors import DegenerateInputError, ParameterError
 from distmeantest.harness import PopulationConfig, UserRuns
 from distmeantest.protocols import (REPETITIONS, UserSpec, hetero_comm_params, hetero_comm_plan,
-                                    hetero_pair_weight, hetero_samples_plan, limited_coin_plan,
-                                    seed_block_length)
+                                    hetero_pair_weight, hetero_samples_plan, seed_block_length)
 from distmeantest.randomness import PublicSeed
 from test_law_once import named, nodes_in_functions, sites
 
@@ -150,29 +147,6 @@ def test_referee_minimum_has_one_home():
 
 def test_retention_factor_is_read_only_by_retained_scale():
     assert sites(reads("RETENTION_FACTOR")) == {"brht.py:retained_scale"}
-
-
-@pytest.mark.parametrize("s, L", [(0, 64), (84, 8), (168, 8)])
-def test_limited_coin_tau_reads_the_retention_scale(s, L):
-    # tau = (epsilon * sqrt(L / (100 d)))^2 / 16, written out
-    plan = limited_coin_plan(300, 64, 8, 0.7, s)
-    assert plan.width == L
-    assert plan.tau == pytest.approx(0.7 ** 2 * L / (1600 * 64))
-
-
-@pytest.mark.parametrize("s, L", [(0, 64), (84, 16), (168, 16)])
-def test_hetero_comm_tau_reads_the_retention_scale(s, L):
-    plan = hetero_comm_plan(np.array([7] * 100 + [21] * 100), 64, 0.7, s)
-    assert plan.width == L
-    assert plan.tau == pytest.approx(0.7 ** 2 * L / (1600 * 64))
-
-
-@pytest.mark.parametrize("L, t", [(8, 1), (8, 3), (16, 4), (64, 1)])
-def test_compression_probe_threshold_reads_the_retention_scale(L, t):
-    mu = np.random.default_rng(L + t).standard_normal(64)
-    spec = sample_brht(PublicSeed(np.zeros(64, np.uint8)), 64, L)
-    assert compression_probe(spec, mu, t).threshold == pytest.approx(
-        t * L / (100 * 64) * float(mu @ mu))
 
 
 def test_hetero_plans_share_one_run_builder():

@@ -1,24 +1,29 @@
 """Run the benchmark on a parent tree and a change tree in alternating pairs.
 
-For each workload, pair i runs `bench/run.py --workload W --seed S_i` once on
-each tree, one run at a time; the parent goes first in even pairs and the
-change in odd ones, so drift over time falls on both sides alike.  Each run
-is a fresh `python3 bench/run.py` in its own tree, with
-PYTHONDONTWRITEBYTECODE=1, and its last output line (the JSON summary) is
-kept.  The result is written as JSON: per workload and end-to-end metric,
-each side's median, quartiles and runs, the pairs the change wins, the
-change's median over the parent's, how much worse it reads, and the parent's
-quartile distance over its median; and, for `setup_s`, the ratios of the
+For each workload, pair i of ten runs `bench/run.py --workload W --seed S_i`
+once on each tree, one run at a time, for the `run_seconds` that
+BENCHMARK.json sets; the parent goes first in even pairs and the change in
+odd ones, so drift over time falls on both sides alike.  Each run is a fresh
+`python3 bench/run.py` in its own tree, with PYTHONDONTWRITEBYTECODE=1, and
+its last output line (the JSON summary) is kept.  After the pairs, one
+`--trace 1` run per side (parent first) at the next seed splits a trial into
+its layers.  The result is written as JSON: per workload and end-to-end
+metric, each side's median, quartiles and runs, the pairs the change wins,
+the change's median over the parent's, how much worse it reads, and the
+parent's quartile distance over its median; for `setup_s`, the ratios of the
 parent's own runs to each other, since that wall time varies widely on
-unchanged code.  A `--claim` adds the claimed metric's test: the change reads
-better in at least 9 of 10 pairs and the medians differ by more than the
-parent's quartile distance.
+unchanged code; and each side's traced layers.  A `--claim` adds the claimed
+metric's test: ten pairs, the change better in at least nine of them, and
+medians apart by more than the parent's quartile distance.  Every figure is
+computed from the runs as printed and rounded to 6 significant digits only
+in the file.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --seconds 25 --out BENCH_new.json wide_rotation=29301 literal_batch=29101
+        --out BENCH_new.json wide_rotation=29301 literal_batch=29101
 
-Each `workload=first_seed` runs the seeds first_seed .. first_seed+pairs-1.
-Keys already in the output file that this tool does not write are kept.
+Each `workload=first_seed` runs the seeds first_seed .. first_seed+10, the
+last one traced.  Keys already in the output file that this tool does not
+write are kept.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from itertools import combinations
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -44,10 +50,20 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def rounded(value):
+    """`value` with every float in it rounded to 6 significant digits."""
+    if isinstance(value, float):
+        return float(f"{value:.6g}")
+    if isinstance(value, dict):
+        return {key: rounded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [rounded(item) for item in value]
+    return value
+
+
 def side_summary(runs: list[float]) -> dict:
     q1, median, q3 = quartiles(runs)
-    return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6),
-            "runs": [round(v, 6) for v in runs]}
+    return {"median": median, "q1": q1, "q3": q3, "runs": runs}
 
 
 def metric_summary(parent: list[float], change: list[float], spec: dict) -> dict:
@@ -60,10 +76,10 @@ def metric_summary(parent: list[float], change: list[float], spec: dict) -> dict
     return {
         "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
         "parent": p, "change": c,
-        "change_over_parent": round(ratio, 4),
-        "worse_by": round(ratio - 1 if lower else 1 - ratio, 4),
+        "change_over_parent": ratio,
+        "worse_by": ratio - 1 if lower else 1 - ratio,
         "wins": f"{wins} of {len(parent)}",
-        "parent_quartile_distance_over_median": round((p["q3"] - p["q1"]) / p["median"], 4),
+        "parent_quartile_distance_over_median": (p["q3"] - p["q1"]) / p["median"],
     }
 
 
@@ -75,21 +91,21 @@ def setup_spread(parent: list[float], change: list[float]) -> dict:
     r1, rm, r3 = quartiles(ratios)
     change_median = statistics.median(change)
     return {
-        "parent_q1": round(q1, 6), "parent_median": round(median, 6), "parent_q3": round(q3, 6),
-        "parent_vs_parent_ratio_q1": round(r1, 4),
-        "parent_vs_parent_ratio_median": round(rm, 4),
-        "parent_vs_parent_ratio_q3": round(r3, 4),
-        "parent_vs_parent_ratio_range": [round(min(ratios), 4), round(max(ratios), 4)],
-        "change_median": round(change_median, 6),
-        "change_over_parent": round(change_median / median, 4),
+        "parent_q1": q1, "parent_median": median, "parent_q3": q3,
+        "parent_vs_parent_ratio_q1": r1,
+        "parent_vs_parent_ratio_median": rm,
+        "parent_vs_parent_ratio_q3": r3,
+        "parent_vs_parent_ratio_range": [min(ratios), max(ratios)],
+        "change_median": change_median,
+        "change_over_parent": change_median / median,
         "change_median_inside_parent_quartiles": q1 <= change_median <= q3,
     }
 
 
 def claim_summary(workload: str, metric: str, summary: dict) -> dict:
-    """Whether the change beats the parent on one metric: better in at least
-    nine pairs of ten and medians apart by more than the parent's quartile
-    distance, in the better direction."""
+    """Whether the change beats the parent on one metric: at least ten pairs,
+    better in at least nine of ten, and medians apart by more than the
+    parent's quartile distance, in the better direction."""
     m = summary["metrics"][metric]
     p, c = m["parent"], m["change"]
     won, pairs = (int(v) for v in m["wins"].split(" of "))
@@ -102,9 +118,9 @@ def claim_summary(workload: str, metric: str, summary: dict) -> dict:
         "parent_median": p["median"], "change_median": c["median"],
         "change_over_parent": m["change_over_parent"],
         "pairs_won": m["wins"],
-        "median_difference": round(difference, 6),
-        "parent_quartile_distance": round(distance, 6),
-        "met": 10 * won >= 9 * pairs and difference > distance,
+        "median_difference": difference,
+        "parent_quartile_distance": distance,
+        "met": pairs >= PAIRS and 10 * won >= 9 * pairs and difference > distance,
     }
 
 
@@ -129,9 +145,9 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     }
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", "0"]
+               "--seconds", str(seconds), "--trace", str(trace)]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
@@ -141,40 +157,48 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent commit's tree")
     parser.add_argument("--change", type=Path, required=True, help="changed tree")
-    parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--pairs", type=int, default=10, help="at least 2")
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--claim", help="WORKLOAD.METRIC to test as a claimed gain")
     parser.add_argument("plan", nargs="+", metavar="workload=first_seed")
     args = parser.parse_args(argv)
-    end_to_end = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     out = json.loads(args.out.read_text()) if args.out.exists() else {}
     out["command"] = ("python3 bench/run.py --workload <workload> --seed <seed> "
-                      f"--seconds {args.seconds:g} --trace 0")
+                      f"--seconds {seconds:g} --trace 0")
     workloads = out.setdefault("workloads", {})
     spread = out.setdefault("setup_s_parent_spread", {})
+    traced = out.setdefault("traced", {})
+    summaries = {}
     for item in args.plan:
         workload, first_seed = item.split("=")
+        trees = {"parent": args.parent, "change": args.change}
         pairs = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             seed = int(first_seed) + i
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                tree = args.parent if side == "parent" else args.change
-                pair[side] = run_once(tree, workload, seed, args.seconds)
+                pair[side] = run_once(trees[side], workload, seed, seconds)
             pairs.append(pair)
             print(f"{workload} seed {seed}: " + ", ".join(
                 f"{side} {pair[side]['metrics']['user_trials_per_ref']['value']:.6g}"
                 for side in SIDES if "user_trials_per_ref" in pair[side]["metrics"]), flush=True)
-        workloads[workload] = summarize(pairs, end_to_end)
+        summaries[workload] = summarize(pairs, benchmark["end_to_end"])
+        workloads[workload] = rounded(summaries[workload])
         setup = {side: [pair[side]["metrics"]["setup_s"]["value"] for pair in pairs]
                  for side in SIDES}
-        spread[workload] = setup_spread(setup["parent"], setup["change"])
+        spread[workload] = rounded(setup_spread(setup["parent"], setup["change"]))
+        seed = int(first_seed) + PAIRS
+        traced[workload] = {"seed": seed} | {
+            side: rounded({name: m["value"] for name, m in
+                           run_once(trees[side], workload, seed, seconds, trace=1)[
+                               "metrics"].items() if m["value"]})
+            for side in SIDES}
         args.out.write_text(json.dumps(out, indent=1) + "\n")
     if args.claim:
         workload, metric = args.claim.split(".")
-        out["claim"] = claim_summary(workload, metric, workloads[workload])
+        out["claim"] = rounded(claim_summary(workload, metric, summaries[workload]))
         args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 
