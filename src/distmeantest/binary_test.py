@@ -123,6 +123,12 @@ def bpmt_threshold(sq_distance: float) -> float:
     return sq_distance / 2
 
 
+def referee_accepts(t: float, tau: float) -> bool:
+    """The referee's rule at threshold tau: accept iff T <= tau (reject iff
+    T > tau, strictly), so ties accept."""
+    return t <= tau
+
+
 def bpmt_decide(samples: np.ndarray, epsilon: float) -> str:
     """Reject iff T > epsilon^2 / 2 (strict); ties accept."""
     check_epsilon(epsilon)
@@ -132,7 +138,7 @@ def bpmt_decide(samples: np.ndarray, epsilon: float) -> str:
 def bpmt_decide_threshold(samples: np.ndarray, tau: float) -> str:
     """Reject iff T > tau (strict); tau must be nonnegative."""
     check_threshold(tau)
-    return REJECT if collision_statistic(samples) > tau else ACCEPT
+    return ACCEPT if referee_accepts(collision_statistic(samples), tau) else REJECT
 
 
 @dataclass

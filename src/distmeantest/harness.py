@@ -156,8 +156,9 @@ def make_mean(spec: MeanSpec, d: int, stream: np.random.Generator | None) -> np.
         return mu
     if spec.mode == "spread":
         return np.full(d, spec.norm / math.sqrt(d))
-    direction = stream.standard_normal(d)
-    nrm = np.linalg.norm(direction)
+    if stream is None:
+        raise ParameterError("a random-direction mean needs a mean stream, got None")
+    nrm = 0.0
     while nrm == 0.0:
         direction = stream.standard_normal(d)
         nrm = np.linalg.norm(direction)
@@ -652,9 +653,7 @@ def _trial_loop(config: PopulationConfig, trials: int, runner, timing: bool,
         micros = (time.perf_counter_ns() - t0) // 1000 if timing else 0
         report = budget_audit(transcript, config)
         violations.extend(f"mode={mode} trial={trial}: {v}" for v in report.violations)
-        wrong_call = (decision.verdict == REJECT) if mode == "null" \
-            else (decision.verdict == ACCEPT)
-        wrong[mode] += int(wrong_call)
+        wrong[mode] += _wrong_call(mode, decision.verdict)
         records.append(TrialRecord(
             trial=trial, mean_mode=mode, verdict=decision.verdict,
             bits_total=transcript.total_bits,
@@ -667,6 +666,12 @@ def _trial_loop(config: PopulationConfig, trials: int, runner, timing: bool,
     worst = estimate.worst_rate
     estimate.ci_halfwidth = 1.96 * math.sqrt(worst * (1.0 - worst) / trials)
     return BatchResult(estimate=estimate, records=records, audit_violations=violations)
+
+
+def _wrong_call(mode: str, verdict: str) -> bool:
+    """Whether a verdict is wrong under a mean mode: a reject under the
+    null, an accept under any alternative."""
+    return verdict == (REJECT if mode == "null" else ACCEPT)
 
 
 def estimate_error(config: PopulationConfig, trials: int, master_seed: int = 0,
@@ -786,15 +791,13 @@ def bpmt_error_rates(d: int, epsilon: float, n: int, trials: int,
     check_at_least(master_seed, 0, "master seed")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
         master_seed, spawn_key=(97, n))))
-    alternatives = {"spike": bpmt_spike_alternative(d, epsilon),
-                    "spread": bpmt_spread_alternative(d, epsilon)}
-    wrong = {"null": 0, "spike": 0, "spread": 0}
+    means = {"null": 0.5, "spike": bpmt_spike_alternative(d, epsilon),
+             "spread": bpmt_spread_alternative(d, epsilon)}
+    wrong = dict.fromkeys(means, 0)
     for _ in range(trials):
-        null_sample = (rng.random((n, d)) < 0.5).astype(np.uint8)
-        wrong["null"] += int(bpmt_decide(null_sample, epsilon) == REJECT)
-        for name, p in alternatives.items():
-            alt_sample = (rng.random((n, d)) < p).astype(np.uint8)
-            wrong[name] += int(bpmt_decide(alt_sample, epsilon) == ACCEPT)
+        for name, p in means.items():
+            sample = (rng.random((n, d)) < p).astype(np.uint8)
+            wrong[name] += _wrong_call(name, bpmt_decide(sample, epsilon))
     return {name: count / trials for name, count in wrong.items()}
 
 

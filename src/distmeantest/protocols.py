@@ -49,7 +49,8 @@ from functools import cached_property
 import numpy as np
 
 from .binary_test import (ACCEPT, MIN_SAMPLES, REJECT, bpmt_threshold, check_epsilon,
-                          check_referee_size, check_threshold, collision_statistic_counts)
+                          check_referee_size, check_threshold, collision_statistic_counts,
+                          referee_accepts)
 from .brht import BrhtSpec, brht_apply, pow2_floor, retained_scale, sample_brht
 from .errors import (
     BudgetExhaustedError,
@@ -315,25 +316,40 @@ def greedy_partition(ms: np.ndarray, ells: np.ndarray, L: int) -> tuple[np.ndarr
 
     Budgets are clipped at 7L first, which moves no group boundary (a user
     holding 7L bits closes its group either way) and keeps every sum within
-    int64.  The users are then walked as runs of one user each, by
-    `_walk_runs`, the walk a mix-and-match plan makes over its population's
-    runs.
+    int64.  The groups are a mix-and-match plan's, `_greedy_groups`, over
+    runs of one user each.
     """
-    order, _, _, count, closes = _walk_runs(ms, _clipped_budgets(ells, L),
-                                            np.ones(ms.shape, np.int64), L)
-    return order, _group_sizes(closes, np.cumsum(count) - count, order.shape[0])
+    *_, groups = _greedy_groups(ms, _clipped_budgets(ells, L), np.ones(ms.shape, np.int64), L)
+    return groups()[:2]
 
 
-def _walk_runs(ms: np.ndarray, budgets: np.ndarray, count: np.ndarray, L: int):
-    """The greedy walk over runs of users, count[i] users of ms[i] samples
-    and budgets[i] clipped bits each: the runs are taken in stable
-    descending-m order, `perm`, and their neighbours of equal (m, budget)
-    merged.  Returns (perm, m, budgets, count) of the merged runs, and the
-    walk's `closes` over them."""
+def _greedy_groups(ms: np.ndarray, budgets: np.ndarray, count: np.ndarray, L: int):
+    """The greedy groups over runs of users, count[i] users of ms[i] samples
+    and budgets[i] clipped bits each, as (mins, rows, groups): rows[j]
+    consecutive groups have minimum m mins[j], and `groups()` builds the
+    users in group order, the group sizes and the users' budgets in group
+    order.
+
+    The runs are taken in stable descending-m order, `perm`, and their
+    neighbours of equal (m, budget) merged, so the users in group order are
+    the runs' users in that order.  Each group's minimum m is the m of the
+    run where it closes (for the last group, which takes in the users left
+    after it, the m of the last run), so the mins and rows cost per run,
+    and the per-user arrays are built only when `groups` is called.
+    """
     perm = np.argsort(-ms, kind="stable")
     start = run_starts(ms[perm], budgets[perm])
     m, v, c = ms[perm][start], budgets[perm][start], np.add.reduceat(count[perm], start)
-    return perm, m, v, c, _greedy_walk(v, c, L)
+    closes = _greedy_walk(v, c, L)
+    i, _, _, q = closes
+
+    def groups():
+        # run perm[j]'s users, from its first user on, hold the group
+        # positions from `at[j]` on
+        first, at = np.cumsum(count) - count, np.cumsum(count[perm]) - count[perm]
+        order = np.arange(count.sum()) + np.repeat(first[perm] - at, count[perm])
+        return order, _group_sizes(closes, np.cumsum(c) - c, order.shape[0]), np.repeat(v, c)
+    return np.r_[m[i], m[-1]], np.r_[q[:-1], q[-1] - 1, 1], groups
 
 
 def run_starts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -353,8 +369,7 @@ def _greedy_walk(budgets: np.ndarray, count: np.ndarray, L: int) -> np.ndarray:
     users after the last close join the last group.  Raises
     InfeasiblePartitionError when the runs hold fewer than 7L bits.
     """
-    check_at_least(L, 1, "L")
-    need, held, closes = REPETITIONS * L, 0, []
+    need, held, closes = _group_bits(L), 0, []
     for i, (v, c) in enumerate(zip(budgets.tolist(), count.tolist())):
         if held + v * c < need:
             held += v * c
@@ -379,10 +394,17 @@ def _group_sizes(closes: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
     return np.diff(ends, prepend=0)
 
 
+def _group_bits(L: int) -> int:
+    """7L, the bits of a mix-and-match group's stream (L per repetition),
+    which every group's clipped budgets must reach; L must be >= 1."""
+    check_at_least(L, 1, "L")
+    return REPETITIONS * L
+
+
 def _clipped_budgets(budgets: np.ndarray, L: int) -> np.ndarray:
     """Bit budgets clipped at the 7L bits of a group's stream: no user fills
     more than its group's stream, and no sum of budgets passes int64."""
-    return np.minimum(budgets, REPETITIONS * L)
+    return np.minimum(budgets, _group_bits(L))
 
 
 def _check_common(d: int, epsilon: float) -> None:
@@ -460,16 +482,14 @@ class Plan(Layout):
         check_threshold(tau)
         super().__init__(build_runs, n_users, totals, bounds)
         self.d, self.block, self.width, self.tau = d, block, width, float(tau)
-        for r, total in enumerate(self.totals):
-            if total // width < MIN_SAMPLES:
-                raise InsufficientPopulationError(
-                    f"repetition {r} sends {total} bits, which fill "
-                    f"{total // width} full {width}-coordinate samples; "
-                    f"the referee needs {MIN_SAMPLES}")
-            check_referee_size(total // width, width)
         self.rows = self.totals[0] // width
         if any(total // width != self.rows for total in self.totals):
             raise ParameterError(f"every repetition must fill the plan's {self.rows} rows")
+        if self.rows < MIN_SAMPLES:
+            raise InsufficientPopulationError(
+                f"repetition 0 sends {self.totals[0]} bits, which fill "
+                f"{self.rows} full {width}-coordinate samples; the referee needs {MIN_SAMPLES}")
+        check_referee_size(self.rows, width)
         self.reads_blocks = blocks is not None
         sizes, count = ((np.asarray(values, dtype=np.int64) for values in blocks)
                         if self.reads_blocks else (np.ones(1, np.int64), np.array([self.rows])))
@@ -768,17 +788,18 @@ def run_plan(plan: Plan, seed: PublicSeed, source) -> tuple[Decision, Transcript
     transform, one row per repetition, and each repetition's stream (an
     array, or a callable the transcript resolves on first read).  The
     referee reads only the counts, all repetitions' rows in one
-    `collision_statistic_counts` call: a repetition rejects iff its
-    collision statistic exceeds `plan.tau`, and amplified plans accept only
-    if every repetition does.  The plan is the transcript's layout, so
-    every trial of a plan shares its lengths and offsets.
+    `collision_statistic_counts` call: a repetition accepts iff
+    `referee_accepts` its collision statistic at `plan.tau`, and amplified
+    plans accept only if every repetition does.  The plan is the
+    transcript's layout, so every trial of a plan shares its lengths and
+    offsets.
     """
     spec = (None if plan.block is None
             else sample_brht(seed, plan.d, plan.block, len(plan.totals)))
     ones, streams = source.draw(plan, spec)
     statistics = tuple(collision_statistic_counts(ones, plan.rows))
     transcript = Transcript(plan, streams, 0 if spec is None else spec.bits_consumed)
-    rep_accepts = tuple(t <= plan.tau for t in statistics)
+    rep_accepts = tuple(referee_accepts(t, plan.tau) for t in statistics)
     accepts = rep_accepts if len(rep_accepts) > 1 else None
     verdict = ACCEPT if all(rep_accepts) else REJECT
     return Decision(verdict, accepts, statistics), transcript
@@ -1029,13 +1050,10 @@ def mix_and_match_plan(ms: np.ndarray, ells: np.ndarray, d: int, epsilon: float,
     count[i] users alike, and s seed bits; the groups are `partition` when
     given (lists of user indices), else `greedy_partition`'s.
 
-    The greedy groups come from one `_greedy_walk` over the runs: the users
-    in group order are the runs in stable descending-m order, walked as runs
-    of equal (m, clipped budget).  Each group's minimum m is then the m of
-    the run where it closes (for the last group, which takes in the users
-    left after it, the m of the last run), so the threshold and the rows'
-    block sizes are stated per run, and the per-user group order, group
-    sizes and runs of senders are built only when the runs are read.
+    The greedy groups state their minimum m per run (`_greedy_groups`), so
+    the threshold and the rows' block sizes are stated per run, and the
+    per-user group order, group sizes and runs of senders are built only
+    when the runs are read.
     """
     _check_common(d, epsilon)
     ms, ells = np.asarray(ms, dtype=np.int64), np.asarray(ells, dtype=np.int64)
@@ -1043,19 +1061,9 @@ def mix_and_match_plan(ms: np.ndarray, ells: np.ndarray, d: int, epsilon: float,
     n = int(count.sum())
     L = mix_and_match_keep_length(d, ells, s)
     _check_transforms(d, L, s)
-    need, budgets = REPETITIONS * L, _clipped_budgets(ells, L)
+    need, budgets = _group_bits(L), _clipped_budgets(ells, L)
     if partition is None:
-        perm, m, v, c, closes = _walk_runs(ms, budgets, count, L)
-        i, _, _, q = closes
-        # rows[j] consecutive groups have minimum m mins[j]
-        mins, rows = np.r_[m[i], m[-1]], np.r_[q[:-1], q[-1] - 1, 1]
-
-        def groups():
-            # run perm[j]'s users, from its first user on, hold the group
-            # positions from `at[j]` on
-            first, at = np.cumsum(count) - count, np.cumsum(count[perm]) - count[perm]
-            order = np.arange(n) + np.repeat(first[perm] - at, count[perm])
-            return order, _group_sizes(closes, np.cumsum(c) - c, n), np.repeat(v, c)
+        mins, rows, groups = _greedy_groups(ms, budgets, count, L)
     else:
         sizes = np.array([len(group) for group in partition], dtype=np.int64)
         order = np.array([i for group in partition for i in group], dtype=np.int64)
@@ -1087,7 +1095,7 @@ def _mix_runs(order: np.ndarray, sizes: np.ndarray, budgets: np.ndarray, L: int)
     stream exactly: each repetition's stream holds L bits per group.  One
     masked pass per repetition finds its senders.
     """
-    need = REPETITIONS * L
+    need = _group_bits(L)
     group = np.repeat(np.arange(sizes.shape[0]), sizes)
     cum = np.cumsum(budgets) - budgets
     start = np.minimum(cum - cum[np.cumsum(sizes) - sizes][group], need)

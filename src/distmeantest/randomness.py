@@ -127,9 +127,6 @@ class RademacherBlockSigns:
     signs: np.ndarray
     bits_consumed: int = 0
 
-    def __post_init__(self):
-        self.signs = np.asarray(self.signs, dtype=np.int8)
-
 
 @lru_cache(maxsize=None)
 def _sign_table(k: int) -> tuple[tuple[int, ...], int]:

@@ -41,7 +41,7 @@ from distmeantest import (
     write_records_csv,
 )
 from distmeantest import harness, protocols
-from distmeantest.binary_test import ACCEPT, REJECT, collision_statistic
+from distmeantest.binary_test import ACCEPT, REJECT, collision_statistic, referee_accepts
 from distmeantest.errors import InfeasiblePartitionError
 from distmeantest.harness import (
     CSV_COLUMNS,
@@ -1038,6 +1038,22 @@ class TestVerdictsMeetThePaperThreshold:
             near += sum(tau < t <= 1.1 * tau for t in decision.statistics)
         # statistics just past tau, so a threshold 10% too high shows
         assert near > 0
+
+    @pytest.mark.parametrize("path", harness.SAMPLE_PATHS)
+    @pytest.mark.parametrize("cfg", structural_configs(),
+                             ids=[c.protocol for c in structural_configs()])
+    def test_every_repetition_reads_the_accept_rule(self, cfg, path):
+        # each repetition accepts iff referee_accepts(T, tau), and the
+        # verdict is ACCEPT iff every repetition accepts; both outcomes occur
+        tau, seen = cfg.plan.tau, set()
+        for mode, trial in itertools.product(cfg.mean_modes, range(10)):
+            mean = MeanSpec(mode, 0.0 if mode == "null" else cfg.epsilon)
+            decision = run_trial(cfg, mean, trial, master_seed=7, sample_path=path)[0]
+            accepts = tuple(referee_accepts(t, tau) for t in decision.statistics)
+            assert decision.repetition_accepts == (accepts if len(accepts) > 1 else None)
+            assert (decision.verdict == ACCEPT) == all(accepts)
+            seen.update(accepts)
+        assert seen == {True, False}
 
     @pytest.mark.parametrize("epsilon", [1.0, 0.5, 0.25])
     def test_sign_test_threshold_is_exact(self, epsilon):

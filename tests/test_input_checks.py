@@ -17,6 +17,7 @@ from distmeantest.harness import (
     bpmt_error_rates,
     calibrate,
     estimate_error,
+    make_mean,
     run_batch,
     run_trial,
 )
@@ -209,3 +210,9 @@ def test_mean_spec_rejects_a_norm_that_is_not_finite(mode, norm):
     with pytest.raises(ParameterError, match="alternative modes need"):
         MeanSpec(mode, norm)
     assert MeanSpec(mode, 1e308).norm == 1e308
+
+
+def test_random_direction_names_its_missing_stream():
+    # without a stream, numpy's AttributeError once escaped from make_mean
+    with pytest.raises(ParameterError, match="random-direction mean needs a mean stream"):
+        make_mean(MeanSpec("random_direction", 1.0), 8, None)

@@ -4,9 +4,11 @@ same message is a second statement of the rule it checks; the boundaries
 that need the rule call its one statement instead.  The lower bound of every
 count, budget, length and seed and the int64 limit each raise from their one
 helper, whatever the bounded value is called.  The referee's two-sample
-minimum, the int64 limit, the retention scale and the run that both
-heterogeneous plans send each have one home, and no module-level name is
-kept in the package that no package code reads and no `__all__` exports."""
+minimum, the int64 limit, the retention scale, the run that both
+heterogeneous plans send, the referee's accept rule, the wrong-call rule,
+the greedy groups and the 7L group requirement each have one home, and no
+module-level name is kept in the package that no package code reads and no
+`__all__` exports."""
 
 import ast
 from collections import defaultdict
@@ -161,6 +163,52 @@ def test_hetero_plans_share_one_run_builder():
 def test_hetero_plans_send_one_run_object(build):
     runs = build().runs
     assert len(runs) == REPETITIONS and all(run is runs[0] for run in runs)
+
+
+def sides(node: ast.Compare) -> list[ast.AST]:
+    """The operands of a comparison."""
+    return [node.left, *node.comparators]
+
+
+def test_accept_rule_has_one_home():
+    # T is compared with tau only by referee_accepts; check_threshold's
+    # range check compares tau with a constant
+    def t_against_tau(node):
+        return (isinstance(node, ast.Compare) and any(named(side) == "tau" for side in sides(node))
+                and not any(isinstance(side, ast.Constant) for side in sides(node)))
+    assert sites(t_against_tau) == {"binary_test.py:referee_accepts"}
+
+
+def test_wrong_call_rule_has_one_home():
+    def verdict_equality(node):
+        return (isinstance(node, ast.Compare)
+                and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+                and any(named(part) in ("ACCEPT", "REJECT") for part in ast.walk(node)))
+    assert {site for site in sites(verdict_equality) if site.startswith("harness.py:")
+            } == {"harness.py:_wrong_call"}
+
+
+def call_sites(name: str) -> list[str]:
+    """file:function of every call of `name` under SRC, one entry per call."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.name}:{function}" for node, function in nodes_in_functions(tree)
+                  if isinstance(node, ast.Call) and named(node.func) == name]
+    return found
+
+
+def test_group_requirement_is_written_once():
+    def seven_l(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and {named(node.left), named(node.right)} == {"REPETITIONS", "L"})
+    assert sites(seven_l) == {"protocols.py:_group_bits"}
+
+
+def test_greedy_groups_are_built_at_one_site():
+    # the groups builder of `_greedy_groups`, which the mix-and-match plan
+    # and greedy_partition both read
+    assert call_sites("_group_sizes") == ["protocols.py:groups"]
 
 
 def module_names(tree: ast.Module) -> set[str]:
