@@ -39,7 +39,6 @@ __all__ = [
     "BpmtMoments",
     "collision_statistic",
     "collision_statistic_counts",
-    "bpmt_threshold",
     "bpmt_decide",
     "bpmt_decide_threshold",
     "bpmt_moments_oracle",
@@ -62,9 +61,7 @@ def _check_bits(samples: np.ndarray) -> np.ndarray:
     samples = np.asarray(samples)
     if samples.ndim != 2:
         raise DegenerateInputError(f"expected an (n, d) bit matrix, got shape {samples.shape}")
-    n, d = samples.shape
-    _check_sample_count(n)
-    if d < 1:
+    if samples.shape[1] < 1:
         raise DegenerateInputError("need at least 1 coordinate")
     if samples.dtype.kind not in "iub" or (samples.dtype.kind != "b" and samples.max(initial=0) > 1):
         raise ParameterError("samples must contain only 0/1 entries")
@@ -94,11 +91,14 @@ def collision_statistic_counts(ones: np.ndarray, n: int) -> float | list:
     set (each of n samples); the numerator of each row's T is an exact int64
     sum and the result one float division per row.  Returns T as a float for
     one row (shape (width,)), and as a list of floats, nested like the
-    leading axes, for a batch of rows.  Callers guarantee n >= 2 and
-    0 <= ones <= n; a width and n past `check_referee_size` are rejected.
+    leading axes, for a batch of rows.  n < 2, a width and n past
+    `check_referee_size` and a column sum outside 0..n are rejected.
     """
+    _check_sample_count(n)
     check_referee_size(n, np.shape(ones)[-1])
     centered_doubled = 2 * np.asarray(ones, dtype=np.int64) - n    # 2 * S_i, exact int
+    if np.abs(centered_doubled).max(initial=0) > n:
+        raise ParameterError(f"column sums of {n} samples must lie in 0..{n}")
     numerator = (np.square(centered_doubled).sum(axis=-1, dtype=np.int64)
                  - centered_doubled.shape[-1] * n)
     return (numerator / (4.0 * n * (n - 1))).tolist()

@@ -22,12 +22,12 @@ from .randomness import PublicSeed, fourwise_rademacher
 __all__ = [
     "BrhtSpec",
     "CompressionProbeResult",
+    "RETENTION_FACTOR",
     "sample_brht",
     "brht_apply",
     "compression_probe",
     "pow2_floor",
     "next_pow2",
-    "is_pow2",
 ]
 
 # Pessimistic fraction of ||mu||^2 the kept prefix is assumed to retain; the

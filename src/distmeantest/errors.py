@@ -2,6 +2,17 @@
 and `check_at_least`, the one lower-bound check of every count, budget,
 length and seed the package takes."""
 
+__all__ = [
+    "MeanTestError",
+    "DimensionError",
+    "ParameterError",
+    "BudgetExhaustedError",
+    "DegenerateInputError",
+    "InsufficientPopulationError",
+    "InfeasiblePartitionError",
+    "CalibrationFailedError",
+]
+
 
 class MeanTestError(Exception):
     """Base class for all errors raised by this package."""

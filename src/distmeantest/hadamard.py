@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionError
 
-__all__ = ["fwht", "fwht_inplace", "hadamard_matrix"]
+__all__ = ["fwht", "fwht_inplace", "hadamard_matrix", "is_pow2"]
 
 # Largest dense Hadamard factor one matmul applies.
 MAX_FACTOR = 16

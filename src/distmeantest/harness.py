@@ -85,8 +85,6 @@ from .randomness import PublicSeed
 __all__ = [
     "MEAN_MODES",
     "PROTOCOL_NAMES",
-    "SAMPLE_PATHS",
-    "MAX_MULTIPLIER",
     "MeanSpec",
     "PopulationConfig",
     "UserRuns",
@@ -103,12 +101,9 @@ __all__ = [
     "run_batch",
     "estimate_error",
     "calibrate",
-    "bpmt_spike_alternative",
-    "bpmt_spread_alternative",
     "bpmt_error_rates",
     "calibrate_bpmt",
     "write_records_csv",
-    "CSV_COLUMNS",
 ]
 
 MEAN_MODES = ("null", "spike", "spread", "random_direction")

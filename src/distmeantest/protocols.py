@@ -69,15 +69,18 @@ __all__ = [
     "Decision",
     "Layout",
     "Transcript",
+    "REPETITIONS",
     "sign_quantize",
     "sign_flip_prob",
-    "flip_probs",
     "aggregate_block",
     "greedy_partition",
-    "seed_block_length",
+    "private_coin_layout",
     "private_coin_protocol",
     "limited_coin_protocol",
     "hetero_samples_protocol",
+    "hetero_share",
+    "hetero_pair_weight",
+    "hetero_threshold",
     "hetero_comm_protocol",
     "mix_and_match_protocol",
 ]
@@ -416,7 +419,7 @@ def seed_block_length(d: int, s: int) -> int:
     """d_s = d / 2^min(floor(s/28), log2 d): the finest block length for which
     seven (d, d_s) transforms fit in s seed bits."""
     check_at_least(s, 0, "seed budget")
-    return d >> min(s // SEED_BITS_PER_HALVING, int(d).bit_length() - 1)
+    return d >> min(s // SEED_BITS_PER_HALVING, check_pow2(d, "protocol dimension"))
 
 
 def _transform_bits(d: int, block: int) -> int:
@@ -543,8 +546,8 @@ class LiteralSource:
     So a trial holds one chunk of samples, never all of them.  Repetitions
     that send one run object (hetero_samples and hetero_comm send one in
     all seven) share its senders' arrays, built once per draw
-    (`_run_reads`); a repetition of a block plan adds only where its reads
-    end.
+    (`_run_reads`); a repetition adds only its stream and the carried sum
+    of its one open block.
     """
 
     def __init__(self, next_rows, counts: np.ndarray):
@@ -559,8 +562,7 @@ class LiteralSource:
                 shared[id(run)] = _run_reads(plan, *run, self.first)
             reads.append(_Reads(plan, r, *shared[id(run)], None if spec is None else
                                 BrhtSpec(spec.d, spec.L, spec.b, spec.signs[r])))
-        del shared      # a block plan's unshifted stops are not kept past here
-        last = max(int(read.stop[-1]) for read in reads) + 1
+        last = max(int(read.rows(-1)[1]) for read in reads) + 1
         step = max(1, CHUNK_BYTES // (8 * plan.d))
         for c0 in range(0, last, step):
             rows = self.next_rows(min(step, last - c0))
@@ -573,32 +575,32 @@ class LiteralSource:
 
 def _run_reads(plan: Plan, users: np.ndarray, length: np.ndarray, first: np.ndarray):
     """The reads of one run's senders of at least one bit, in user order:
-    each read's block size (None without blocks), the row it ends on in
-    repetition 0, and where its bits sit (see `_Reads`)."""
+    each read's block size (None without blocks), its sender's first row,
+    and where its bits sit (see `_Reads`)."""
     pos = np.cumsum(length) - length
     order = np.flatnonzero(length > 0)
     order = order[np.argsort(users[order])]
     sent = np.concatenate(([0], np.cumsum(length[order])))
-    stop, block = first[users[order]], None
-    if plan.reads_blocks:
-        block = plan.blocks[pos[order] // plan.width]
-        stop = stop + (block - 1)
-    return block, stop, sent, pos[order] - sent[:-1]
+    block = plan.blocks[pos[order] // plan.width] if plan.reads_blocks else None
+    return block, first[users[order]], sent, pos[order] - sent[:-1]
 
 
 class _Reads:
     """One repetition of a literal trial: its senders' reads, in the order
     they end, and the stream they fill.
 
-    Sender i reads the rows up to stop[i], block[i] of them (one without
-    blocks), and sends bits sent[i] .. sent[i + 1] - 1 of the reads' bits
-    in this order; bit j of them is stream position shift[i] + j, and
-    carries that position's coordinate, modulo the width, of the sender's
-    rotated vector.  Senders of no bit are left out.  A sender reads only
-    its own rows, and users' rows follow one another, so user order is the
-    order in which reads end, in every repetition: every array but `stop`
-    depends on the run alone and is shared by the repetitions that send it,
-    and repetition r of a block plan moves each stop by r * block.
+    Sender i, whose rows start at first[i], reads the block[i] rows from
+    first[i] + r * block[i] on in repetition r of a block plan, and row
+    first[i] without blocks; it sends bits sent[i] .. sent[i + 1] - 1 of
+    the reads' bits in this order; bit j of them is stream position
+    shift[i] + j, and carries that position's coordinate, modulo the width,
+    of the sender's rotated vector.  Senders of no bit are left out.  A
+    sender reads only its own rows, and users' rows follow one another, so
+    user order is the order in which reads end, in every repetition: every
+    array depends on the run alone and is shared by the repetitions that
+    send it, and a repetition derives the rows of only the reads in hand
+    (`rows`).  The reads that end before row c are those of the senders
+    whose rows start before c, less the last of them while it is open.
 
     Blocks are summed by `aggregate_block`, an eighth of a chunk of rows at
     a time.  Reads of a block plan share no row, so only one read can be
@@ -607,24 +609,38 @@ class _Reads:
     repetition carries from one chunk to the next.
     """
 
-    def __init__(self, plan: Plan, r: int, block, stop, sent, shift, spec: BrhtSpec | None):
-        self.block, self.sent, self.shift = block, sent, shift
-        self.stop = stop if block is None else stop + r * block
+    def __init__(self, plan: Plan, r: int, block, first, sent, shift, spec: BrhtSpec | None):
+        self.r, self.block, self.first, self.sent, self.shift = r, block, first, sent, shift
         self.spec, self.width = spec, plan.width
         self.stream = np.empty(plan.totals[r], dtype=np.uint8)
         self.carry = None
+
+    def rows(self, at):
+        """The first and the last row of the reads at `at`, an index or a
+        slice."""
+        if self.block is None:
+            return self.first[at], self.first[at]
+        start = self.first[at] + self.r * self.block[at]
+        return start, start + (self.block[at] - 1)
+
+    def ended(self, c: list) -> list:
+        """The number of reads that end before each row of c."""
+        n = self.first.searchsorted(c)
+        if self.block is not None:
+            n -= (n > 0) & (self.rows(n - 1)[1] >= c)
+        return n.tolist()
 
     def take(self, rows: np.ndarray, c0: int) -> None:
         """Read the chunk of rows from row c0 on: quantize the reads it
         completes, an eighth of a chunk of vectors at a time, and carry the
         sum of one it leaves open."""
         c1 = c0 + rows.shape[0]
-        i, k = self.stop.searchsorted([c0, c1]).tolist()
+        i, k = self.ended([c0, c1])
         batch = max(1, CHUNK_BYTES // (64 * rows.shape[1]))
         for a in range(i, k, batch):
             self._quantize(rows, c0, a, min(a + batch, k))
-        if k < self.stop.shape[0] and self.block is not None:
-            start = int(self.stop[k] - self.block[k]) + 1
+        if k < self.first.shape[0] and self.block is not None:
+            start = int(self.rows(k)[0])
             if start < c0:
                 self.carry = np.concatenate((self.carry[None], rows)).sum(axis=0)
             elif start < c1:
@@ -642,11 +658,10 @@ class _Reads:
     def _vectors(self, rows: np.ndarray, c0: int, a: int, b: int):
         """The vectors of reads a..b-1, which end in the chunk of rows from
         row c0 on, and the row of each among them."""
-        stop = self.stop[a:b] - c0
+        start, stop = self.rows(slice(a, b))
         if self.block is None:
-            return rows[stop[0]:stop[-1] + 1], stop - stop[0]
-        block = self.block[a:b]
-        start = stop - (block - 1)
+            return rows[stop[0] - c0:stop[-1] - c0 + 1], stop - stop[0]
+        start, stop, block = start - c0, stop - c0, self.block[a:b]
         x = np.empty((b - a, rows.shape[1]))
         j = int(start[0] < 0)
         if j:       # read a began in an earlier chunk

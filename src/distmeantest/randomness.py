@@ -19,6 +19,14 @@ k = 12 and 410 KiB at k = 16 (all but the last of the constant term's k rows
 are zero).  A draw XORs the integers whose seed bit is 1 and reads the b
 signs from the bytes of the result with one `take` from a fixed table of
 each byte's eight signs.
+
+A transform costs the paper's 4*log2(b) seed bits, `POLY_COEFFICIENTS`
+draws of k bits, and all of them are drawn and metered, though only 3k + 1
+reach a sign: field addition is a bitwise XOR, so the constant coefficient
+changes each evaluation only in the bits it holds, and its upper k - 1 bits
+never reach the lowest one.  Charging them keeps the simulator's budgets
+those of the paper's protocols: the block length that a budget s funds
+(`protocols.seed_block_length`), every seed draw and every transcript.
 """
 
 from __future__ import annotations
@@ -78,9 +86,11 @@ class PublicSeed:
     consumed: int = 0
 
     def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.uint8)
-        if self.bits.ndim != 1 or self.bits.max(initial=0) > 1:
+        bits = np.asarray(self.bits)
+        flags = bits.astype(bool)       # equal to the entries iff each is 0 or 1
+        if bits.ndim != 1 or not (flags == bits).all():
             raise ParameterError("seed bits must be a flat 0/1 array")
+        self.bits = flags.view(np.uint8)
 
     @property
     def size(self) -> int:

@@ -7,10 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from distmeantest.binary_test import bpmt_moments_oracle
+from distmeantest.binary_test import bpmt_moments_oracle, collision_statistic_counts
 from distmeantest.brht import compression_probe, sample_brht
 from distmeantest.cli import EXIT_OK, main
-from distmeantest.errors import DimensionError, ParameterError
+from distmeantest.errors import DegenerateInputError, DimensionError, ParameterError
 from distmeantest.harness import (
     MeanSpec,
     PopulationConfig,
@@ -62,6 +62,33 @@ def test_seed_block_length_rejects_negative_budget():
         seed_block_length(16, -1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: seed_block_length(0, 28),
+    lambda: seed_block_length(12, 28),
+    lambda: mix_and_match_keep_length(0, [8], 0),
+    lambda: limited_coin_params(12, 4, 28),
+    lambda: hetero_comm_params(12, np.array([14]), 28),
+], ids=["seed_block_length_0", "seed_block_length_12", "mix_and_match_keep_length_0",
+        "limited_coin_params_12", "hetero_comm_params_12"])
+def test_seed_block_length_rejects_a_dimension_not_a_power_of_two(build):
+    # d = 0 once ended in Python's "negative shift count", and d = 12 gave
+    # d_s = 6 and a hetero_comm L = 8, which does not divide 12
+    with pytest.raises(DimensionError, match="protocol dimension must be a positive power of two"):
+        build()
+
+
+@pytest.mark.parametrize("ones, n, error", [
+    ([1, 0], 1, DegenerateInputError),
+    ([3, 0], 2, ParameterError),
+    ([-1, 0], 2, ParameterError),
+], ids=["one_sample", "count_above_n", "negative_count"])
+def test_collision_statistic_counts_rejects_what_no_samples_give(ones, n, error):
+    # n = 1 once gave nan, and [3, 0] of two samples T = 2.0
+    with pytest.raises(error):
+        collision_statistic_counts(np.array(ones), n)
+    assert collision_statistic_counts(np.array([2, 0]), 2) == 0.5
+
+
 def test_limited_coin_params_rejects_budget_above_dimension():
     with pytest.raises(ParameterError):
         limited_coin_params(16, 17, 0)
@@ -88,8 +115,11 @@ def test_mix_and_match_protocol_rejects_wrong_number_of_sample_sets():
     lambda: PublicSeed(np.zeros((2, 2))),
     lambda: PublicSeed.random(-1, np.random.default_rng(0)),
     lambda: PublicSeed(np.zeros(4)).draw_bits(-1),
-], ids=["2d_bits", "random_negative", "draw_negative"])
+    lambda: PublicSeed(np.array([256, 1])),
+    lambda: PublicSeed(np.array([1.9, 0.2])),
+], ids=["2d_bits", "random_negative", "draw_negative", "bit_256", "fractional_bits"])
 def test_public_seed_rejects_bad_shapes_and_counts(draw):
+    # a seed once cast to uint8 before its check: [256, 1] read as [0, 1]
     with pytest.raises(ParameterError):
         draw()
 

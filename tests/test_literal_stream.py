@@ -126,9 +126,9 @@ class TestSharedReadsGuard:
 
     # bytes per user: a hetero_comm trial holds three int64 arrays of its
     # senders and seven streams of 1-4 bits each (48 bytes measured); a
-    # hetero_samples trial adds each repetition's int64 block ends (118
-    # bytes).  Three arrays per repetition, as when no run was shared,
-    # measured 192 and 318 bytes.
+    # hetero_samples trial adds its senders' int64 block sizes (70 bytes).
+    # Each repetition's int64 block ends measured 118 bytes, and three
+    # arrays per repetition, as when no run was shared, 192 and 318 bytes.
     GUARDED = {
         "hetero_comm": (96, lambda c: PopulationConfig(
             d=32, epsilon=1.0, s=140, protocol="hetero_comm",
@@ -137,6 +137,8 @@ class TestSharedReadsGuard:
             d=16, epsilon=1.0, s=84, protocol="hetero_samples",
             users=UserRuns([7, 14, 28], [16] * 3, [c] * 3))),
     }
+    # the same trial, without an array of block ends per repetition
+    GUARDED["hetero_samples_shared_rows"] = (96, GUARDED["hetero_samples"][1])
 
     @staticmethod
     def traced_peak(cfg) -> int:

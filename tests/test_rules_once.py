@@ -11,6 +11,7 @@ module-level name is kept in the package that no package code reads and no
 `__all__` exports."""
 
 import ast
+import importlib
 from collections import defaultdict
 from pathlib import Path
 
@@ -238,3 +239,14 @@ def test_every_module_name_is_read_or_exported():
                               and named(node.targets[0]) == "__all__"), ()))
     assert {f"{where}: {name}" for name, where in defined.items()
             if name not in read | exported} == set()
+
+
+def test_each_public_name_is_listed_once():
+    # each module's `__all__` is the one list of its public names: the root
+    # re-exports them by `from .module import *` and lists no name itself
+    root = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert {node.name for node in ast.walk(root) if isinstance(node, ast.alias)} == {"*"}
+    listed = [name for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"
+              for name in getattr(importlib.import_module(f"distmeantest.{path.stem}"),
+                                  "__all__", ())]
+    assert len(listed) == len(set(listed))
