@@ -63,7 +63,7 @@ def _check_bits(samples: np.ndarray) -> np.ndarray:
         raise DegenerateInputError(f"expected an (n, d) bit matrix, got shape {samples.shape}")
     if samples.shape[1] < 1:
         raise DegenerateInputError("need at least 1 coordinate")
-    if samples.dtype.kind not in "iub" or (samples.dtype.kind != "b" and samples.max(initial=0) > 1):
+    if samples.dtype.kind not in "iub" or not (samples.astype(bool) == samples).all():
         raise ParameterError("samples must contain only 0/1 entries")
     return samples
 
@@ -160,7 +160,7 @@ def bpmt_moments_oracle(p: np.ndarray, n: int) -> BpmtMoments:
         raise ParameterError(f"p must be a vector or an (n, d) matrix, got shape {p.shape}")
     if p.ndim == 2 and p.shape[0] != n:
         raise ParameterError(f"p has {p.shape[0]} rows but n={n}")
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    if not np.all((p > 0.0) & (p < 1.0)):  # NaN lies in neither half-line
         raise ParameterError("all success probabilities must lie strictly in (0, 1)")
 
     ptilde = p - 0.5

@@ -235,14 +235,17 @@ class UserRuns:
     runs read as the sequence of the users' `UserSpec`s: `len` is the user
     count, iteration yields every user, and equality compares the runs.
     The per-user arrays `ms` and `ells` are one `np.repeat` each, built on
-    first use and read-only.  m, ell and count must be 1-D arrays of one
-    length, every m, ell and count must be >= 1 (`check_at_least`, on each
+    first use and read-only.  m, ell and count must be 1-D integer arrays of
+    one length (no float is truncated), every m, ell and count must be >= 1 (`check_at_least`, on each
     array's least entry), and the user count must fit in an int64 (the
     int64 check of the JSON fields, `_expect`).
     """
 
     def __init__(self, m, ell, count):
-        m, ell, count = (np.asarray(a, dtype=np.int64) for a in (m, ell, count))
+        arrays = [np.asarray(a) for a in (m, ell, count)]
+        if any(a.size and a.dtype.kind not in "iu" for a in arrays):  # cast would truncate
+            raise ParameterError("user runs need m, ell and count as integer arrays")
+        m, ell, count = (a.astype(np.int64) for a in arrays)
         if m.ndim != 1 or not m.shape == ell.shape == count.shape:
             raise ParameterError(f"user runs need m, ell and count as 1-D arrays of one length, "
                                  f"got shapes {m.shape}, {ell.shape} and {count.shape}")
@@ -260,7 +263,7 @@ class UserRuns:
     @classmethod
     def of(cls, users) -> "UserRuns":
         """The runs of a sequence of `UserSpec`s, read in one pass."""
-        pairs = np.array([(u.m, u.ell) for u in users], dtype=np.int64).reshape(-1, 2)
+        pairs = np.array([(u.m, u.ell) for u in users]).reshape(-1, 2)
         return cls(pairs[:, 0], pairs[:, 1], np.ones(pairs.shape[0], dtype=np.int64))
 
     def tiled(self, k: int) -> "UserRuns":
@@ -783,6 +786,7 @@ def bpmt_spread_alternative(d: int, epsilon: float) -> np.ndarray:
 def bpmt_error_rates(d: int, epsilon: float, n: int, trials: int,
                      master_seed: int = 0) -> dict[str, float]:
     """Monte Carlo error rates of the centralized test at sample size n."""
+    check_at_least(trials, 1, "trials")
     check_at_least(master_seed, 0, "master seed")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
         master_seed, spawn_key=(97, n))))
@@ -800,6 +804,7 @@ def calibrate_bpmt(d: int, epsilon: float, target_error: float, cap: float | Non
                    trials: int = 500, master_seed: int = 0) -> int:
     """Doubling search on the centralized test's sample size, capped at
     64 * sqrt(d) / epsilon^2 by default."""
+    check_at_least(trials, 1, "trials")
     if cap is None:
         cap = 64.0 * math.sqrt(d) / (epsilon * epsilon)
     n = 8

@@ -937,7 +937,7 @@ def hetero_pair_weight(m: np.ndarray, block_floor: bool = True, counts=None) -> 
     m = np.asarray(m, dtype=np.int64)
     check_at_least(int(m.min(initial=1)), 1, "user sample count")
     w = (m // REPETITIONS).astype(np.float64) if block_floor else m.astype(np.float64)
-    c = np.ones(m.shape) if counts is None else np.asarray(counts, dtype=np.float64)
+    c = _counts(m, counts)
     return float((c * np.sqrt(w)).sum() ** 2 - (c * w).sum())
 
 
@@ -965,8 +965,13 @@ def _pairwise_referee(m: np.ndarray, count: np.ndarray, ell: int, d: int, epsilo
 
 
 def _counts(values: np.ndarray, count) -> np.ndarray:
-    """The users of each entry of a builder's values: count, or one each."""
-    return np.ones(values.shape, np.int64) if count is None else np.asarray(count, np.int64)
+    """The users of each entry of a builder's values: count, or one each; the
+    one reader of run counts, which holds one count >= 1 per entry."""
+    count = np.ones(values.shape, np.int64) if count is None else np.asarray(count, np.int64)
+    if count.shape != values.shape:
+        raise DimensionError(f"need one user count per entry, got shape {count.shape}")
+    check_at_least(int(count.min(initial=1)), 1, "user count")
+    return count
 
 
 def _one_run_plan(shares: np.ndarray, count: np.ndarray, **plan) -> Plan:

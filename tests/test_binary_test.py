@@ -94,6 +94,14 @@ class TestCollisionStatistic:
             collision_statistic(np.array([[0, 2], [1, 0]]))
         with pytest.raises(ParameterError):
             collision_statistic(np.array([[0.0, 0.5], [1.0, 0.0]]))
+        # a -1 once read as -1 in the column sums: the first matrix gave
+        # T = 1/6 and an accept, the second T = -1/6
+        for rows in ([[-1, 0], [0, 1], [1, 0]], [[-1, 1], [1, 0], [1, 0]]):
+            for dtype in (np.int8, np.int64):
+                with pytest.raises(ParameterError, match="only 0/1 entries"):
+                    collision_statistic(np.array(rows, dtype=dtype))
+                with pytest.raises(ParameterError, match="only 0/1 entries"):
+                    bpmt_decide(np.array(rows, dtype=dtype), epsilon=0.5)
 
 
 class TestCollisionStatisticCounts:
@@ -214,7 +222,7 @@ class TestMomentsOracle:
         with pytest.raises(ParameterError):
             bpmt_moments_oracle(bad, n=2)
 
-    @pytest.mark.parametrize("value", [0.0, 1.0, -0.1, 1.1])
+    @pytest.mark.parametrize("value", [0.0, 1.0, -0.1, 1.1, float("nan")])
     def test_probabilities_must_be_interior(self, value):
         p = np.array([0.4, value, 0.6])
         with pytest.raises(ParameterError):

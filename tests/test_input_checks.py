@@ -14,8 +14,10 @@ from distmeantest.errors import DegenerateInputError, DimensionError, ParameterE
 from distmeantest.harness import (
     MeanSpec,
     PopulationConfig,
+    UserRuns,
     bpmt_error_rates,
     calibrate,
+    calibrate_bpmt,
     estimate_error,
     make_mean,
     run_batch,
@@ -28,6 +30,8 @@ from distmeantest.protocols import (
     hetero_comm_params,
     hetero_comm_plan,
     hetero_comm_protocol,
+    hetero_pair_weight,
+    hetero_samples_plan,
     hetero_samples_protocol,
     limited_coin_params,
     limited_coin_protocol,
@@ -246,3 +250,54 @@ def test_random_direction_names_its_missing_stream():
     # without a stream, numpy's AttributeError once escaped from make_mean
     with pytest.raises(ParameterError, match="random-direction mean needs a mean stream"):
         make_mean(MeanSpec("random_direction", 1.0), 8, None)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: bpmt_error_rates(4, 0.5, 8, 0),
+    lambda: calibrate_bpmt(4, 0.5, 0.1, trials=0),
+    lambda: calibrate_bpmt(4, 0.5, 0.1, cap=4.0, trials=0),
+], ids=["bpmt_error_rates", "calibrate_bpmt", "calibrate_bpmt_below_its_first_size"])
+def test_centralized_test_rejects_zero_trials(run):
+    # zero trials once ended in Python's ZeroDivisionError
+    with pytest.raises(ParameterError, match="trials must be >= 1, got 0"):
+        run()
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: hetero_samples_plan(np.array([7, 14, 21]), 8, 56, 1.0, 0, count=[4]),
+     DimensionError),
+    (lambda: hetero_samples_plan(np.array([7, 14, 21]), 8, 56, 1.0, 0, count=[0, 2, 1]),
+     ParameterError),
+    (lambda: hetero_comm_plan(np.array([14, 28]), 8, 1.0, 0, count=[2, 2, 2]), DimensionError),
+    (lambda: mix_and_match_plan([7, 14], [56, 56], 8, 1.0, 0, count=[3]), DimensionError),
+    (lambda: mix_and_match_plan([7, 14], [56, 56], 8, 1.0, 0, count=[3, -1]), ParameterError),
+    (lambda: hetero_pair_weight(np.array([7, 14]), counts=[-1, 2]), ParameterError),
+    (lambda: hetero_pair_weight(np.array([7, 14]), counts=[3]), DimensionError),
+], ids=["hetero_samples_short", "hetero_samples_zero", "hetero_comm_long",
+        "mix_and_match_short", "mix_and_match_negative", "pair_weight_negative",
+        "pair_weight_short"])
+def test_run_counts_are_read_as_one_count_per_entry(build, error):
+    # a short count once built a plan from the first entries alone, a
+    # one-entry count broadcast, and a count below one was read as given
+    with pytest.raises(error, match="user count"):
+        build()
+
+
+def test_pair_weight_of_runs_equals_that_of_their_users():
+    m = np.array([7, 14, 21])
+    assert hetero_pair_weight(m, counts=[2, 1, 3]) == pytest.approx(
+        hetero_pair_weight(np.repeat(m, [2, 1, 3])), rel=1e-15)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: UserRuns([1.5], [8], [3]),
+    lambda: UserRuns([2], [8.0], [3]),
+    lambda: UserRuns([2], [8], [np.nan]),
+    lambda: PopulationConfig(d=8, epsilon=1.0, s=0, protocol="hetero_samples",
+                             users=[UserSpec(7.9, 56)] * 4),
+], ids=["fractional_m", "float_ell", "nan_count", "config_of_fractional_m"])
+def test_user_runs_reject_values_that_are_not_integers(build):
+    # UserRuns cast to int64, so m = 1.5 once ran as 1 and 7.9 as 7
+    with pytest.raises(ParameterError, match="as integer arrays"):
+        build()
+    assert UserRuns(np.array([7], np.int32), [56], [4]).m.tolist() == [7]
